@@ -13,6 +13,7 @@ the same bytes.
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -74,12 +75,15 @@ def _rational(x, what) -> Fraction:
     if isinstance(x, str):
         if not _RATIONAL_RE.fullmatch(x):
             raise InputError(f"{what}: {x!r} is not an integer or 'p/q' string")
-        if "/" in x:
-            num, den = x.split("/")
-            if int(den) == 0:
-                raise InputError(f"{what}: zero denominator in {x!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(x))
+        try:
+            num, _, den = x.partition("/")
+            num, den = int(num), int(den or 1)
+        except ValueError:
+            # past the interpreter's int-string digit limit
+            raise InputError(f"{what}: too many digits") from None
+        if den == 0:
+            raise InputError(f"{what}: zero denominator in {x!r}")
+        return Fraction(num, den)
     raise InputError(
         f"{what} must be an integer or 'p/q' string, got {type(x).__name__}"
     )
@@ -587,20 +591,32 @@ def _reject_float(text):
     )
 
 
+def _error_doc(kind, message) -> str:
+    return json.dumps(
+        {"schema": SCHEMA, "error": {"kind": kind, "message": message}},
+        sort_keys=True,
+        indent=2,
+    )
+
+
 def _load_document(mode, input_arg):
     if mode == "selftest":
         return {"mode": "selftest", "payload": {}}
-    if input_arg == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            raw = Path(input_arg).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read input: {exc}")
+    try:
+        raw = sys.stdin.read() if input_arg == "-" else Path(input_arg).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}")
     try:
         data = json.loads(raw, parse_float=_reject_float)
+    except InputError:
+        raise
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON input: {exc}")
+    except ValueError:
+        # an integer literal past the interpreter's int-string digit limit
+        raise InputError("JSON integer literal has too many digits") from None
+    except RecursionError:
+        raise InputError("JSON input is nested too deeply")
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
     if {"schema", "mode", "payload"} & set(data):
@@ -656,29 +672,28 @@ def main(argv=None) -> int:
             out = _text_report(report)
         else:
             out = json.dumps(report, sort_keys=True, indent=2)
-        print(out)
-        return 0 if report.get("ok", True) else 2
+        code = 0 if report.get("ok", True) else 2
     except InputError as exc:
-        print(
-            json.dumps(
-                {"schema": SCHEMA, "error": {"kind": "input", "message": str(exc)}},
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 1
+        out, code = _error_doc("input", str(exc)), 1
     except InternalCheckError as exc:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "error": {"kind": "internal", "message": str(exc)},
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
-        return 2
+        out, code = _error_doc("internal", str(exc)), 2
+    except Exception as exc:
+        # anything else is a fault of this program; name the function that
+        # raised it
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        message = f"{type(exc).__name__} in {tb.tb_frame.f_code.co_name}: {exc}"
+        out, code = _error_doc("internal", message), 2
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at devnull so the
+        # interpreter's flush at exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

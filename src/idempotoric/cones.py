@@ -7,16 +7,21 @@ the cone itself.  All arithmetic is exact; rays and facet normals are kept
 as primitive integer vectors.
 
 Faces are identified with the subsets of generator indices they contain.
-``enumerate_faces`` lists every face; ``is_face`` decides a single subset
-independently, by exact rational Fourier-Motzkin elimination, and returns
-an integer witness functional.  The two must agree, and the test suite
-leans on that.
+``enumerate_faces`` lists every face with its Hasse covers, working on
+bitmasks of facet incidences: the faces are the intersections of facet
+incidence masks, closed one facet at a time in O(F·m) mask operations for
+F faces and m facets, and the lower covers of a face H are the maximal
+masks among H's meets with the m facets, O(F·m²) in all.  ``is_face``
+decides a single subset independently, by exact rational Fourier-Motzkin
+elimination, and returns an integer witness functional.  The two must
+agree, and the test suite leans on that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import InputError, InternalCheckError
@@ -349,12 +354,15 @@ class FacePoset:
     bottom: int
     top: int
 
+    @cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        return {f.index_set: i for i, f in enumerate(self.faces)}
+
     def index_of(self, index_set) -> int:
         key = tuple(sorted(index_set))
-        for i, f in enumerate(self.faces):
-            if f.index_set == key:
-                return i
-        raise InputError(f"no face with index set {key}")
+        if key not in self._positions:
+            raise InputError(f"no face with index set {key}")
+        return self._positions[key]
 
 
 def cone_from_generators(ambient_dim, generators) -> Cone:
@@ -386,63 +394,71 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
 def enumerate_faces(cone: Cone) -> FacePoset:
     """Every face of the cone, as a graded poset.
 
-    Faces are the intersections of facet incidence sets (plus the cone
-    itself); each face's dimension is the rank of the generators on it, and
-    the witness functional is the sum of the facet normals through it.
+    A face is stored as the bitmask of the generators on it; each facet
+    contributes its incidence mask.  The faces are the intersections of
+    facet incidences (the empty intersection is the cone itself), so the
+    family is closed facet by facet: ``faces |= {f & inc for f in faces}``,
+    O(F·m) mask operations for F faces and m facets.  Every facet of a face
+    H is H's meet with some facet of the cone, so the lower covers of H are
+    the maximal masks among ``{H & inc} - {H}``: O(F·m²) bit operations in
+    all, in the spirit of Kaibel & Pfetsch (CGTA 2002).  Each face's
+    dimension is the exact rank of its generators, one fraction-free
+    elimination per face, and its witness functional is the sum of the
+    facet normals through it.  Gradedness of every cover and the bottom
+    face (the generators in the lineality space) are checked.
     """
     r = len(cone.generators)
-    top = frozenset(range(r))
-    incidences = [
-        frozenset(i for i, g in enumerate(cone.generators) if _dot(w, g) == 0)
-        for w in cone.facets
-    ]
-    found = {top}
-    work = [top]
+    top = (1 << r) - 1
+    incidences = []
+    for w in cone.facets:
+        inc = 0
+        for i, g in enumerate(cone.generators):
+            if _dot(w, g) == 0:
+                inc |= 1 << i
+        incidences.append(inc)
+    masks = {top}
     for inc in incidences:
-        if inc not in found:
-            found.add(inc)
-            work.append(inc)
-    while work:
-        s = work.pop()
-        for t in list(found):
-            meet = s & t
-            if meet not in found:
-                found.add(meet)
-                work.append(meet)
+        masks |= {s & inc for s in masks}
     faces = []
-    for s in found:
-        rows = [cone.generators[i] for i in sorted(s)]
+    for s in masks:
+        members = tuple(i for i in range(r) if s >> i & 1)
+        rows = [cone.generators[i] for i in members]
         dim = rank(IntegerMatrix.from_rows(rows, cols=cone.ambient_dim))
         wit = [0] * cone.ambient_dim
         for inc, w in zip(incidences, cone.facets):
-            if s <= inc:
+            if s & inc == s:
                 wit = [a + b for a, b in zip(wit, w)]
-        faces.append(Face(tuple(sorted(s)), dim, tuple(wit)))
-    faces.sort(key=lambda f: (f.dim, f.index_set))
+        faces.append((dim, members, s, tuple(wit)))
+    faces.sort()
+    position = {s: k for k, (_, _, s, _) in enumerate(faces)}
     # the unique smallest face is the lineality space, carrying exactly the
     # generators that lie in it
-    sets = [set(f.index_set) for f in faces]
-    bottom = min(range(len(faces)), key=lambda i: len(sets[i]))
-    expected_bottom = {
-        i
-        for i, g in enumerate(cone.generators)
-        if all(_dot(w, g) == 0 for w in cone.facets)
-    }
-    if sets[bottom] != expected_bottom:
+    bottom = min(range(len(faces)), key=lambda k: len(faces[k][1]))
+    expected_bottom = top
+    for inc in incidences:
+        expected_bottom &= inc
+    if faces[bottom][2] != expected_bottom:
         raise InternalCheckError("bottom face does not match the lineality span")
-    top_at = next(i for i, s in enumerate(sets) if len(s) == r)
     edges = []
-    for i in range(len(faces)):
-        for j in range(len(faces)):
-            if i == j or not sets[i] < sets[j]:
+    for j, (dim, _, s, _) in enumerate(faces):
+        # largest first: a non-maximal meet lies under a cover already kept
+        below = {s & inc for inc in incidences} - {s}
+        covers = []
+        for c in sorted(below, key=int.bit_count, reverse=True):
+            if any(c & d == c for d in covers):
                 continue
-            if any(sets[i] < sets[k] < sets[j] for k in range(len(faces))):
-                continue
-            if faces[j].dim != faces[i].dim + 1:
+            covers.append(c)
+            i = position[c]
+            if dim != faces[i][0] + 1:
                 raise InternalCheckError("face poset is not graded by dimension")
             edges.append((i, j))
     edges.sort()
-    return FacePoset(tuple(faces), tuple(edges), bottom, top_at)
+    return FacePoset(
+        tuple(Face(members, dim, wit) for dim, members, _, wit in faces),
+        tuple(edges),
+        bottom,
+        position[top],
+    )
 
 
 def is_face(cone: Cone, index_set) -> Vector | None:

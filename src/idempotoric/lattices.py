@@ -287,8 +287,28 @@ def determinant(m: IntegerMatrix) -> int:
 
 
 def rank(m: IntegerMatrix) -> int:
-    h, _ = hermite_normal_form(m)
-    return sum(1 for row in h.entries if any(row))
+    """Exact rank by fraction-free (Bareiss) row echelon elimination.
+
+    Each step divides by the previous pivot, which is exact because every
+    entry is a minor of the input; no unimodular transform is built.
+    """
+    a = [list(row) for row in m.entries if any(row)]
+    r = 0
+    prev = 1
+    for col in range(m.cols):
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][col]
+        for i in range(r + 1, len(a)):
+            c = a[i][col]
+            a[i] = [(x * p - c * y) // prev for x, y in zip(a[i], a[r])]
+        prev = p
+        r += 1
+        if r == len(a):
+            break
+    return r
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ that projects the ambient lattice along the unit part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cones import cone_from_generators, enumerate_faces
 from .errors import InputError, InternalCheckError
@@ -72,6 +73,10 @@ class IdempotentPoset:
     hasse_edges: tuple[tuple[int, int], ...]
     smallest: int
     largest: int
+
+    @cached_property
+    def _by_index_set(self) -> dict[tuple[int, ...], Idempotent]:
+        return {e.index_set: e for e in self.elements}
 
 
 @dataclass(frozen=True)
@@ -148,13 +153,17 @@ def idempotents(w: WeightMonoid) -> IdempotentPoset:
 
 def idempotent_product(p: IdempotentPoset, e: Idempotent, f: Idempotent) -> Idempotent:
     """Product of two idempotents: the meet, i.e. index-set intersection."""
-    if e not in p.elements or f not in p.elements:
+    by_set = p._by_index_set
+    try:
+        known = by_set.get(e.index_set) == e and by_set.get(f.index_set) == f
+    except (AttributeError, TypeError):  # not an idempotent of this shape
+        known = False
+    if not known:
         raise InputError("both idempotents must belong to the poset")
     key = tuple(sorted(set(e.index_set) & set(f.index_set)))
-    for el in p.elements:
-        if el.index_set == key:
-            return el
-    raise InternalCheckError("idempotent poset is not closed under meets")
+    if key not in by_set:
+        raise InternalCheckError("idempotent poset is not closed under meets")
+    return by_set[key]
 
 
 def smallest_idempotent(p: IdempotentPoset) -> Idempotent:

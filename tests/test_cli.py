@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +266,60 @@ def test_main_selftest(capsys):
     for check in rep["checks"]:
         assert check["failed"] == 0
         assert check["passed"] > 0
+
+
+def error_of(code, out):
+    return code, json.loads(out)["error"]["kind"]
+
+
+def test_main_rejects_integers_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"eigenvalues": [' + "9" * 5000 + "]}")
+    assert error_of(*run_main(["eigen", "--input", str(path)], capsys)) == (1, "input")
+    path.write_text('{"eigenvalues": ["' + "7" * 5000 + '/3"]}')
+    assert error_of(*run_main(["eigen", "--input", str(path)], capsys)) == (1, "input")
+    path.write_text('{"eigenvalues": ["3/' + "7" * 5000 + '"]}')
+    assert error_of(*run_main(["eigen", "--input", str(path)], capsys)) == (1, "input")
+
+
+def test_main_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"eigenvalues": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert error_of(*run_main(["eigen", "--input", str(path)], capsys)) == (1, "input")
+
+
+def test_main_rejects_undecodable_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"eigenvalues": ["\xff"]}')
+    assert error_of(*run_main(["eigen", "--input", str(path)], capsys)) == (1, "input")
+
+
+def test_main_reports_unexpected_exceptions_as_internal(monkeypatch, capsys):
+    def boom(*args):
+        raise ZeroDivisionError("simulated fault")
+
+    monkeypatch.setattr("idempotoric.cli._execute", boom)
+    code, out = run_main(["selftest"], capsys)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err == {
+        "kind": "internal",
+        "message": "ZeroDivisionError in boom: simulated fault",
+    }
+
+
+def test_main_survives_a_closed_stdout(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"eigenvalues": ["2", "3", "6"]}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idempotoric", "eigen", "--input", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the report is written
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -1,21 +1,81 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from conftest import random_cone_inputs, subsets
 
 from idempotoric.cones import (
     Cone,
+    Face,
+    FacePoset,
     cone_from_generators,
     enumerate_faces,
     face_meet,
     is_face,
     solve_affine,
 )
-from idempotoric.errors import InputError
+from idempotoric.errors import InputError, InternalCheckError
+from idempotoric.lattices import IntegerMatrix, hermite_normal_form
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def reference_faces(cone):
+    """The quadratic closure and cubic cover search over frozensets, with
+    each dimension read off a Hermite normal form: slow, kept to check
+    enumerate_faces against."""
+    r = len(cone.generators)
+    top = frozenset(range(r))
+    incidences = [
+        frozenset(i for i, g in enumerate(cone.generators) if dot(w, g) == 0)
+        for w in cone.facets
+    ]
+    found = {top, *incidences}
+    work = list(found)
+    while work:
+        s = work.pop()
+        for t in list(found):
+            if s & t not in found:
+                found.add(s & t)
+                work.append(s & t)
+    faces = []
+    for s in found:
+        rows = [cone.generators[i] for i in sorted(s)]
+        h, _ = hermite_normal_form(IntegerMatrix.from_rows(rows, cols=cone.ambient_dim))
+        wit = [0] * cone.ambient_dim
+        for inc, w in zip(incidences, cone.facets):
+            if s <= inc:
+                wit = [a + b for a, b in zip(wit, w)]
+        faces.append(Face(tuple(sorted(s)), sum(map(any, h.entries)), tuple(wit)))
+    faces.sort(key=lambda f: (f.dim, f.index_set))
+    sets = [set(f.index_set) for f in faces]
+    edges = []
+    for i, j in itertools.permutations(range(len(faces)), 2):
+        if sets[i] < sets[j] and not any(sets[i] < s < sets[j] for s in sets):
+            assert faces[j].dim == faces[i].dim + 1
+            edges.append((i, j))
+    bottom = min(range(len(faces)), key=lambda i: len(sets[i]))
+    top_at = next(i for i, s in enumerate(sets) if len(s) == r)
+    return FacePoset(tuple(faces), tuple(sorted(edges)), bottom, top_at)
+
+
+def cube_cone(d):
+    """The cone over the d-cube: generators (1, ±1, ..., ±1)."""
+    return cone_from_generators(
+        d + 1, [(1, *s) for s in itertools.product((-1, 1), repeat=d)]
+    )
+
+
+def cross_polytope_cone(d):
+    """The cone over the d-cross-polytope: generators (1, ±e_i)."""
+    gens = []
+    for i in range(d):
+        for sign in (1, -1):
+            gens.append((1, *(sign * int(j == i) for j in range(d))))
+    return cone_from_generators(d + 1, gens)
 
 
 QUADRANT = cone_from_generators(2, [(1, 0), (0, 1), (1, 1)])
@@ -187,6 +247,59 @@ def test_meet_is_lattice_meet():
                 assert m == face_meet(faces, j, i)
                 a = set(faces.faces[i].index_set) & set(faces.faces[j].index_set)
                 assert set(faces.faces[m].index_set) == a
+
+
+def test_enumerate_faces_matches_reference_on_random_cones():
+    cases = random_cone_inputs(seed=606, count=60, max_dim=5, max_gens=8)
+    cases += [
+        (3, []),
+        (3, [(0, 0, 0), (0, 0, 0)]),
+        (2, [(0, 0), (1, 0), (1, 0), (0, 1), (1, 1)]),
+        (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 0)]),
+        (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)]),
+    ]
+    for d, gens in cases:
+        cone = cone_from_generators(d, gens)
+        assert enumerate_faces(cone) == reference_faces(cone), (d, gens)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", [cube_cone, cross_polytope_cone])
+def test_enumerate_faces_matches_reference_on_polytope_cones(family, d):
+    cone = family(d)
+    assert enumerate_faces(cone) == reference_faces(cone)
+
+
+def test_seven_cube_cone_closed_form_counts():
+    poset = enumerate_faces(cube_cone(7))
+    assert len(poset.faces) == 3**7 + 1 == 2188
+    dims = [f.dim for f in poset.faces]
+    assert dims.count(0) == 1
+    for k in range(8):
+        # the cone over a k-face of the cube has dimension k + 1
+        assert dims.count(k + 1) == comb(7, k) * 2 ** (7 - k)
+    assert len(poset.hasse_edges) == 14 * 3**6 + 2**7 == 10334
+    assert poset.faces[poset.bottom].index_set == ()
+    assert poset.faces[poset.top].index_set == tuple(range(128))
+
+
+def test_non_graded_poset_is_reported(monkeypatch):
+    # a wrong rank must trip the gradedness check rather than pass silently
+    monkeypatch.setattr("idempotoric.cones.rank", lambda m: min(m.rows, 1))
+    with pytest.raises(InternalCheckError, match="graded"):
+        enumerate_faces(QUADRANT)
+
+
+def test_index_lookup_leaves_equality_and_repr_alone():
+    fresh = enumerate_faces(QUADRANT)
+    used = enumerate_faces(QUADRANT)
+    text = repr(used)
+    assert used.index_of((2, 1, 0)) == used.top
+    assert used.index_of([]) == used.bottom
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == text == repr(fresh)
+    with pytest.raises(InputError):
+        used.index_of((0, 1))
 
 
 def test_construction_is_deterministic():

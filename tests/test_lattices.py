@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idempotoric.errors import InputError
 from idempotoric.lattices import (
@@ -237,6 +237,22 @@ def test_member_dimension_mismatch():
     sub = Sublattice.span(2, [(1, 0)])
     with pytest.raises(InputError):
         lattice_member(sub, (1, 0, 0))
+
+
+@given(matrices())
+@example(IntegerMatrix((), 3))
+@example(M([[], []], cols=0))
+@example(M([[0, 0], [0, 0]]))
+def test_rank_matches_hermite(m):
+    h, _ = hermite_normal_form(m)
+    assert rank(m) == sum(1 for row in h.entries if any(row))
+    assert rank(m.transpose()) == rank(m)
+
+
+def test_rank_examples():
+    assert rank(M([[2, 4], [1, 2], [0, 0]])) == 1
+    assert rank(M([[0, 3, 1], [0, 6, 5], [7, 0, 0]])) == 3
+    assert rank(M([[10**30, 1], [10**30 + 1, 1]])) == 2
 
 
 @given(matrices(), st.lists(st.integers(min_value=-3, max_value=3), max_size=4))

@@ -120,6 +120,12 @@ def test_product_rejects_foreign_idempotent():
     p = idempotents(quadrant_monoid())
     with pytest.raises(InputError):
         idempotent_product(p, p.elements[0], Idempotent((7,), 1))
+    with pytest.raises(InputError):
+        idempotent_product(p, Idempotent((1,), 0), p.elements[0])  # wrong dim
+    with pytest.raises(InputError):
+        idempotent_product(p, Idempotent([1], 1), p.elements[0])
+    with pytest.raises(InputError):
+        idempotent_product(p, p.elements[0], None)
 
 
 def test_smallest_is_product_of_everything():
