@@ -4,8 +4,9 @@ The layers, bottom to top:
 
 - ``lattices``: integer matrices, Hermite and Smith forms, kernels,
   saturation.
-- ``cones``: rational polyhedral cones from generators, faces, and an
-  independent face oracle via Fourier-Motzkin elimination.
+- ``cones``: rational polyhedral cones from generators, faces, signed
+  circuits and the face test they give, and a Fourier-Motzkin face
+  oracle kept as the reference.
 - ``monoids``: weight monoids, their idempotent posets, and envelope
   reports.
 - ``eigen``: from a nonzero rational spectrum to the idempotent poset of
@@ -20,10 +21,12 @@ from .cones import (
     Cone,
     Face,
     FacePoset,
+    circuit_criterion,
     cone_from_generators,
     enumerate_faces,
     face_meet,
     is_face,
+    signed_circuits,
     solve_affine,
 )
 from .eigen import (
@@ -38,6 +41,7 @@ from .eigen import (
     power_invariance,
     primitive_relations,
     reconstruct,
+    relation_masks,
     smallest_idempotent_indices,
 )
 from .errors import InputError, InternalCheckError
@@ -80,6 +84,7 @@ from .monoids import (
     ToricEnvelopeReport,
     WeightMonoid,
     canonical_form,
+    cone_and_poset,
     idempotent_product,
     idempotents,
     largest_idempotent,
@@ -117,6 +122,8 @@ __all__ = [
     "character_data",
     "check_relation_criterion",
     "check_smallest_criterion",
+    "circuit_criterion",
+    "cone_and_poset",
     "cone_from_generators",
     "determinant",
     "direct_product",
@@ -146,10 +153,12 @@ __all__ = [
     "primitive_relations",
     "rank",
     "reconstruct",
+    "relation_masks",
     "right_zero",
     "run",
     "run_selftest",
     "saturate",
+    "signed_circuits",
     "smallest_idempotent",
     "smallest_idempotent_commutative",
     "smallest_idempotent_indices",

@@ -20,18 +20,25 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cones import FacePoset, cone_from_generators, enumerate_faces, is_face
+from .cones import (
+    FacePoset,
+    circuit_criterion,
+    cone_from_generators,
+    enumerate_faces,
+    signed_circuits,
+)
 from .eigen import (
     character_data,
-    check_relation_criterion,
     eigen_input,
     factor,
     power_invariance,
     primitive_relations,
+    relation_masks,
     smallest_idempotent_indices,
 )
 from .errors import InputError, InternalCheckError
 from .finite import (
+    FiniteSemigroup,
     all_associative_tables,
     check_smallest_criterion,
     greens_classes,
@@ -44,6 +51,7 @@ from .finite import (
 )
 from .monoids import (
     IdempotentPoset,
+    cone_and_poset,
     idempotents,
     largest_idempotent,
     maximal_chain_length,
@@ -149,28 +157,33 @@ def _set_text(indices) -> str:
 
 
 def _subset_oracle(cone, poset_sets, shift) -> str:
-    """Compare enumerated faces against the one-subset-at-a-time test.
+    """Compare enumerated faces against the signed-circuit face test.
 
     poset_sets holds index sets shifted by `shift` (1 for the idempotent
-    layer, 0 for the raw cone layer).  Quadratic in 2^r, so skipped for
-    wide generator lists.
+    layer, 0 for the raw cone layer).  The circuits are enumerated once,
+    then every one of the 2^r generator subsets is decided by bitmask
+    tests, 2^r·c mask operations for c circuits; the enumeration and the
+    subset count grow exponentially in r, so the oracle is skipped above
+    r = 10.
     """
     r = len(cone.generators)
     if r > 10:
         return "skipped: more than 10 generators"
-    accepted = set()
-    for mask in range(1 << r):
-        subset = tuple(i for i in range(r) if mask >> i & 1)
-        if is_face(cone, subset) is not None:
-            accepted.add(tuple(i + shift for i in subset))
+    circuits = signed_circuits(cone)
+    accepted = {
+        tuple(i + shift for i in range(r) if mask >> i & 1)
+        for mask in range(1 << r)
+        if circuit_criterion(mask, circuits)
+    }
     if accepted != poset_sets:
         raise InternalCheckError("subset oracle disagrees with face enumeration")
     return "ok"
 
 
 def _relation_filter_check(poset, rels) -> str:
+    sides = relation_masks(rels)
     for e in poset.elements:
-        if not check_relation_criterion(e.index_set, rels):
+        if not circuit_criterion(sum(1 << i for i in e.index_set), sides):
             raise InternalCheckError(
                 f"face {e.index_set} rejected by the relation filter"
             )
@@ -188,7 +201,7 @@ def _run_eigen(payload, bound, crosscheck):
     e = eigen_input([_rational(x, "eigenvalue") for x in raw])
     t = factor(e)
     w = character_data(t)
-    p = idempotents(w)
+    cone, p = cone_and_poset(w)
     rels = primitive_relations(t, coeff_bound=bound)
     env = toric_envelope(w)
     small = smallest_idempotent_indices(e)
@@ -216,7 +229,6 @@ def _run_eigen(payload, bound, crosscheck):
         "power_invariance_squared": True,
     }
     if crosscheck:
-        cone = cone_from_generators(w.ambient_rank, list(w.generators))
         report["crosschecks"] = {
             "subset_oracle": _subset_oracle(
                 cone, {e.index_set for e in p.elements}, 1
@@ -238,7 +250,7 @@ def _run_monoid(payload, bound, crosscheck):
                 f"generators[{i}] has length {len(row)}, expected ambient_dim={dim}"
             )
     w = monoid_from_generators(rows)
-    p = idempotents(w)
+    cone, p = cone_and_poset(w)
     env = toric_envelope(w)
     report = {
         "schema": SCHEMA,
@@ -254,7 +266,6 @@ def _run_monoid(payload, bound, crosscheck):
         "envelope": _envelope_doc(env),
     }
     if crosscheck:
-        cone = cone_from_generators(w.ambient_rank, list(w.generators))
         report["crosschecks"] = {
             "subset_oracle": _subset_oracle(cone, {e.index_set for e in p.elements}, 1)
         }
@@ -365,18 +376,43 @@ def _random_spectra(seed, count, max_len=5, bound=30):
     return out
 
 
+def _case_doc(case):
+    """A selftest case as JSON: Fractions as "p/q", tables as rows."""
+    if isinstance(case, (list, tuple)):
+        return [_case_doc(x) for x in case]
+    if isinstance(case, Fraction):
+        return str(case)
+    if isinstance(case, FiniteSemigroup):
+        return [list(row) for row in case.table]
+    return case
+
+
 def run_selftest() -> dict:
     checks = []
 
-    def run_cases(name, cases, body):
+    def run_cases(name, cases, body, seed=None):
+        # seed is that of the generator the cases came from (None for the
+        # fixed catalogue); with the case's position it rebuilds the case
         passed = failed = 0
-        for case in cases:
+        first = None
+        for k, case in enumerate(cases):
             try:
                 body(case)
                 passed += 1
-            except (InternalCheckError, AssertionError):
+            except (InternalCheckError, AssertionError) as exc:
                 failed += 1
-        checks.append({"name": name, "passed": passed, "failed": failed})
+                if first is None:
+                    error = type(exc).__name__ + (f": {exc}" if str(exc) else "")
+                    first = {
+                        "seed": seed,
+                        "case": k,
+                        "input": _case_doc(case),
+                        "error": error,
+                    }
+        check = {"name": name, "passed": passed, "failed": failed}
+        if failed:
+            check["first_failure"] = first
+        checks.append(check)
 
     def face_oracle(job):
         dim, gens = job
@@ -384,7 +420,7 @@ def run_selftest() -> dict:
         poset = enumerate_faces(cone)
         _subset_oracle(cone, {f.index_set for f in poset.faces}, 0)
 
-    run_cases("face_oracle", _random_cone_jobs(1, 15), face_oracle)
+    run_cases("face_oracle", _random_cone_jobs(1, 15), face_oracle, seed=1)
 
     spectra = _random_spectra(2, 12)
 
@@ -393,7 +429,10 @@ def run_selftest() -> dict:
         assert power_invariance(eigen_input(values), n)
 
     run_cases(
-        "power_invariance", [(v, n) for v in spectra for n in (2, 3)], invariance
+        "power_invariance",
+        [(v, n) for v in spectra for n in (2, 3)],
+        invariance,
+        seed=2,
     )
 
     def rel_filter(values):
@@ -401,7 +440,7 @@ def run_selftest() -> dict:
         p = idempotents(character_data(t))
         _relation_filter_check(p, primitive_relations(t))
 
-    run_cases("relation_filter", _random_spectra(3, 12), rel_filter)
+    run_cases("relation_filter", _random_spectra(3, 12), rel_filter, seed=3)
 
     tables = [s for n in (1, 2, 3) for s in all_associative_tables(n)]
     tables.extend(zmod_times(n) for n in range(1, 16))
@@ -578,6 +617,12 @@ def _text_report(rep) -> str:
             lines.append(
                 f"{check['name']}: {check['passed']} passed, {check['failed']} failed"
             )
+            if "first_failure" in check:
+                first = check["first_failure"]
+                lines.append(
+                    f"  first failure: case {first['case']} (seed {first['seed']}): "
+                    + first["error"]
+                )
         lines.append("ok" if rep["ok"] else "FAILED")
     return "\n".join(lines)
 

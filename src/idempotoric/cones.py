@@ -11,10 +11,18 @@ Faces are identified with the subsets of generator indices they contain.
 bitmasks of facet incidences: the faces are the intersections of facet
 incidence masks, closed one facet at a time in O(F·m) mask operations for
 F faces and m facets, and the lower covers of a face H are the maximal
-masks among H's meets with the m facets, O(F·m²) in all.  ``is_face``
-decides a single subset independently, by exact rational Fourier-Motzkin
-elimination, and returns an integer witness functional.  The two must
-agree, and the test suite leans on that.
+masks among H's meets with the m facets, O(F·m²) in all.
+
+Two more algorithms decide faces without the facets.  ``signed_circuits``
+lists the minimal linear dependencies of the generators, and by
+covector/circuit orthogonality (Björner et al., *Oriented Matroids*,
+ch. 3) an index set I is a face exactly when every circuit C has
+C⁺ ⊆ I ⇔ C⁻ ⊆ I; ``circuit_criterion`` tests that on bitmasks, so all 2^r
+subsets of r generators cost 2^r·c mask operations for c circuits.
+``is_face`` decides a single subset by exact rational Fourier-Motzkin
+elimination and returns an integer witness functional; it is far slower
+and serves as the reference the tests hold the other two to.  All three
+must agree.
 """
 
 from __future__ import annotations
@@ -31,10 +39,12 @@ __all__ = [
     "Cone",
     "Face",
     "FacePoset",
+    "circuit_criterion",
     "cone_from_generators",
     "enumerate_faces",
     "face_meet",
     "is_face",
+    "signed_circuits",
     "solve_affine",
 ]
 
@@ -461,13 +471,90 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     )
 
 
+def signed_circuits(cone: Cone) -> tuple[tuple[int, int], ...]:
+    """Every signed circuit of the generators, as (positive, negative) masks.
+
+    A circuit is a linear dependency Σ cᵢgᵢ = 0 whose support is minimal;
+    it is unique up to scale on that support.  Each comes once, oriented so
+    that its lowest index is positive, as the bitmasks of the indices with
+    cᵢ > 0 and with cᵢ < 0; they are sorted by support size.  Zero,
+    duplicate and opposite generators give circuits of size 1 or 2.
+
+    The dependencies form the kernel K of the generator matrix, of
+    dimension m = r - rank.  The vectors of K vanishing on m - 1
+    coordinates whose coordinate functionals are independent on K form a
+    line, whose support is a circuit, and every circuit arises so from
+    coordinates off its support.  Those coordinate sets are walked depth first over one kernel
+    basis, one fraction-free elimination step per column, at most
+    C(r, m - 1) leaves.  Each circuit is checked to sum to zero and to have
+    a support whose generators have rank one less than its size.
+    """
+    gens = cone.generators
+    r = len(gens)
+    kernel = kernel_lattice(IntegerMatrix.from_rows(gens, cols=cone.ambient_dim))
+    found = set()
+
+    def vanish(rows, start):
+        # rows span the kernel vectors vanishing on every column chosen so far
+        if len(rows) == 1:
+            vec = rows[0]
+            first = next((c for c in vec if c), 0)
+            found.add(tuple(-c for c in vec) if first < 0 else tuple(vec))
+            return
+        for col in range(start, r - len(rows) + 2):
+            k = next((k for k, row in enumerate(rows) if row[col]), None)
+            if k is None:
+                continue
+            piv = rows[k]
+            p = piv[col]
+            vanish(
+                [
+                    _primitive([p * x - row[col] * y for x, y in zip(row, piv)])
+                    for row in rows[:k] + rows[k + 1 :]
+                ],
+                col + 1,
+            )
+
+    if kernel.rank:
+        vanish(list(kernel.basis.entries), 0)
+    circuits = []
+    for vec in found:
+        pos = sum(1 << i for i, c in enumerate(vec) if c > 0)
+        neg = sum(1 << i for i, c in enumerate(vec) if c < 0)
+        support = [gens[i] for i, c in enumerate(vec) if c]
+        if not support:
+            raise InternalCheckError("signed circuit is the zero vector")
+        for t in range(cone.ambient_dim):
+            if sum(c * g[t] for c, g in zip(vec, gens)):
+                raise InternalCheckError("signed circuit is not a linear dependency")
+        if rank(IntegerMatrix.from_rows(support, cols=cone.ambient_dim)) != (
+            len(support) - 1
+        ):
+            raise InternalCheckError("signed circuit support is not minimal")
+        circuits.append(((pos | neg).bit_count(), pos, neg))
+    circuits.sort()
+    return tuple((pos, neg) for _, pos, neg in circuits)
+
+
+def circuit_criterion(mask: int, circuits) -> bool:
+    """Whether the index set with bitmask ``mask`` respects every circuit.
+
+    ``circuits`` holds (positive, negative) mask pairs; the set I passes
+    when each pair has C⁺ ⊆ I exactly when C⁻ ⊆ I.  For the pairs of
+    ``signed_circuits`` the sets passing are exactly the faces.
+    """
+    out = ~mask
+    return all((pos & out == 0) == (neg & out == 0) for pos, neg in circuits)
+
+
 def is_face(cone: Cone, index_set) -> Vector | None:
     """Decide one candidate index set, independently of enumerate_faces.
 
     Feasibility of {w : w @ g_i == 0 on the set, w @ g_j >= 1 off it} is
     settled by exact Fourier-Motzkin elimination.  On success returns a
     primitive integer witness functional (the zero functional for the full
-    set); on failure returns None.
+    set); on failure returns None.  Far slower than the circuit test, it
+    is kept as the reference the tests hold the other face algorithms to.
     """
     r = len(cone.generators)
     chosen = set()

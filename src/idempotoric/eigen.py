@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import cone_from_generators
+from .cones import circuit_criterion, cone_from_generators
 from .errors import InputError, InternalCheckError
 from .lattices import IntegerMatrix, Sublattice, kernel_lattice, lattice_member
 from .monoids import (
@@ -38,6 +38,7 @@ __all__ = [
     "power_invariance",
     "primitive_relations",
     "reconstruct",
+    "relation_masks",
     "smallest_idempotent_indices",
 ]
 
@@ -253,21 +254,29 @@ def idempotent_set(e: EigenInput) -> IdempotentPoset:
     return idempotents(character_data(factor(e)))
 
 
+def relation_masks(rels) -> list[tuple[int, int]]:
+    """The supports of each relation's sides as bitmasks (lhs, rhs), bit i
+    standing for generator i."""
+    return [
+        (sum(1 << i for i, _ in rel.lhs), sum(1 << j for j, _ in rel.rhs))
+        for rel in rels
+    ]
+
+
 def check_relation_criterion(index_set, rels) -> bool:
-    """Necessary condition for I to name an idempotent: sending the listed
-    generators to 1 and the rest to 0 must respect every relation, i.e.
-    for each relation the left support lies in I iff the right one does.
+    """Whether I can name an idempotent as far as the relations tell:
+    sending the listed generators to 1 and the rest to 0 must respect
+    every relation, i.e. for each relation the left support lies in I iff
+    the right one does.
 
     An empty right side (product = 1) therefore forces the left support
-    into I.
+    into I.  The condition is necessary for any relations; it is exact,
+    accepting precisely the faces, when the relations are the signed
+    circuits of the generators (``cones.signed_circuits``: a relation's
+    lhs and rhs are a circuit's positive and negative parts).
     """
-    chosen = set(index_set)
-    for rel in rels:
-        lhs_in = {i for i, _ in rel.lhs} <= chosen
-        rhs_in = {j for j, _ in rel.rhs} <= chosen
-        if lhs_in != rhs_in:
-            return False
-    return True
+    chosen = sum(1 << i for i in set(index_set))
+    return circuit_criterion(chosen, relation_masks(rels))
 
 
 def smallest_idempotent_indices(e: EigenInput) -> tuple[int, ...]:

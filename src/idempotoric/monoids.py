@@ -31,6 +31,7 @@ __all__ = [
     "ToricEnvelopeReport",
     "WeightMonoid",
     "canonical_form",
+    "cone_and_poset",
     "idempotent_product",
     "idempotents",
     "largest_idempotent",
@@ -135,7 +136,9 @@ def _validate(w: WeightMonoid) -> None:
         )
 
 
-def _cone_and_poset(w: WeightMonoid):
+def cone_and_poset(w: WeightMonoid):
+    """The generator cone of ``w`` together with its idempotent poset, for
+    callers that need both from one construction."""
     _validate(w)
     cone = cone_from_generators(w.ambient_rank, w.generators)
     faces = enumerate_faces(cone)
@@ -148,7 +151,7 @@ def _cone_and_poset(w: WeightMonoid):
 def idempotents(w: WeightMonoid) -> IdempotentPoset:
     """The idempotent poset: one element per face of the generator cone,
     ordered by inclusion of (1-based) generator index sets."""
-    return _cone_and_poset(w)[1]
+    return cone_and_poset(w)[1]
 
 
 def idempotent_product(p: IdempotentPoset, e: Idempotent, f: Idempotent) -> Idempotent:
@@ -218,7 +221,7 @@ def toric_envelope(w: WeightMonoid) -> ToricEnvelopeReport:
     index-set for index-set, with every face dimension dropping by
     rank(Λ₀); both facts are checked.
     """
-    cone, poset = _cone_and_poset(w)
+    cone, poset = cone_and_poset(w)
     unit_gens = [
         g
         for g in w.generators
@@ -234,7 +237,7 @@ def toric_envelope(w: WeightMonoid) -> ToricEnvelopeReport:
             raise InternalCheckError("saturated unit lattice is not a direct summand")
     projected = tuple(tuple(row_times_matrix(g, v)[k:]) for g in w.generators)
     env = WeightMonoid(w.ambient_rank - k, projected, w.labels)
-    env_cone, env_poset = _cone_and_poset(env)
+    env_cone, env_poset = cone_and_poset(env)
     if env_cone.lineality.rank != 0:
         raise InternalCheckError("envelope cone is not pointed")
     if [e.index_set for e in env_poset.elements] != [

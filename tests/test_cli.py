@@ -9,8 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from idempotoric.cli import SCHEMA, export_dot, main, run
-from idempotoric.errors import InputError
+from conftest import random_cone_inputs, subsets
+
+from idempotoric.cli import (
+    SCHEMA,
+    _random_spectra,
+    _relation_filter_check,
+    _subset_oracle,
+    export_dot,
+    main,
+    run,
+)
+from idempotoric.cones import cone_from_generators, enumerate_faces
+from idempotoric.eigen import PrimitiveRelation, power_invariance
+from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.monoids import Idempotent, IdempotentPoset, idempotents, monoid_from_generators
 
 
@@ -266,6 +278,56 @@ def test_main_selftest(capsys):
     for check in rep["checks"]:
         assert check["failed"] == 0
         assert check["passed"] > 0
+        assert "first_failure" not in check
+
+
+def test_selftest_names_its_first_failure(monkeypatch, capsys):
+    def cubes_fail(e, n):
+        return n != 3 and power_invariance(e, n)
+
+    monkeypatch.setattr("idempotoric.cli.power_invariance", cubes_fail)
+    code, out = run_main(["selftest"], capsys)
+    assert code == 2
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    bad = checks.pop("power_invariance")
+    assert (bad["passed"], bad["failed"]) == (12, 12)
+    spectrum = [str(q) for q in _random_spectra(2, 12)[0]]
+    assert bad["first_failure"] == {
+        "seed": 2,
+        "case": 1,
+        "input": [spectrum, 3],
+        "error": "AssertionError",
+    }
+    assert all("first_failure" not in c for c in checks.values())
+    code, out = run_main(["selftest", "--format", "text"], capsys)
+    assert "  first failure: case 1 (seed 2): AssertionError" in out.splitlines()
+
+
+# -- cross-checks ------------------------------------------------------------------
+
+
+def test_subset_oracle_catches_a_missing_or_extra_face():
+    for d, gens in random_cone_inputs(seed=909, count=12, max_dim=3, max_gens=5):
+        cone = cone_from_generators(d, gens)
+        faces = {f.index_set for f in enumerate_faces(cone).faces}
+        assert _subset_oracle(cone, faces, 0) == "ok"
+        shifted = {tuple(i + 1 for i in s) for s in faces}
+        assert _subset_oracle(cone, shifted, 1) == "ok"
+        for sub in subsets(len(gens)):
+            wrong = faces ^ {sub}
+            with pytest.raises(InternalCheckError, match="subset oracle disagrees"):
+                _subset_oracle(cone, wrong, 0)
+    wide = cone_from_generators(1, [(1,)] * 11)
+    assert _subset_oracle(wide, set(), 0) == "skipped: more than 10 generators"
+
+
+def test_relation_filter_names_the_rejected_face():
+    p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
+    assert _relation_filter_check(p, [PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))])
+    forced = [PrimitiveRelation(((1, 1),), ())]  # t1 = 1 puts t1 in every face
+    with pytest.raises(InternalCheckError) as exc:
+        _relation_filter_check(p, forced)
+    assert str(exc.value) == "face () rejected by the relation filter"
 
 
 def error_of(code, out):

@@ -9,14 +9,16 @@ from idempotoric.cones import (
     Cone,
     Face,
     FacePoset,
+    circuit_criterion,
     cone_from_generators,
     enumerate_faces,
     face_meet,
     is_face,
+    signed_circuits,
     solve_affine,
 )
 from idempotoric.errors import InputError, InternalCheckError
-from idempotoric.lattices import IntegerMatrix, hermite_normal_form
+from idempotoric.lattices import IntegerMatrix, Sublattice, hermite_normal_form
 
 
 def dot(a, b):
@@ -308,6 +310,77 @@ def test_construction_is_deterministic():
         f1 = enumerate_faces(cone_from_generators(d, gens))
         f2 = enumerate_faces(cone_from_generators(d, gens))
         assert f1 == f2
+
+
+# -------------------------------------------------------- signed circuits
+
+
+def bits(*indices):
+    return sum(1 << i for i in indices)
+
+
+def test_square_cone_has_one_circuit():
+    # t1 + t4 = t2 + t3 over the unit square at height 1
+    square = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    assert signed_circuits(square) == ((bits(0, 3), bits(1, 2)),)
+    assert signed_circuits(QUADRANT) == ((bits(0, 1), bits(2)),)
+
+
+def test_degenerate_generators_give_small_circuits():
+    zero = cone_from_generators(2, [(1, 0), (0, 0), (0, 1)])
+    assert signed_circuits(zero) == ((bits(1), 0),)
+    duplicate = cone_from_generators(2, [(1, 2), (0, 1), (1, 2)])
+    assert signed_circuits(duplicate) == ((bits(0), bits(2)),)
+    opposite = cone_from_generators(2, [(1, 2), (0, 1), (-1, -2)])
+    assert signed_circuits(opposite) == ((bits(0, 2), 0),)
+    mixed = cone_from_generators(2, [(0, 0), (1, 2), (1, 2), (-1, -2)])
+    assert signed_circuits(mixed) == (
+        (bits(0), 0),
+        (bits(1), bits(2)),
+        (bits(1, 3), 0),
+        (bits(2, 3), 0),
+    )
+
+
+def test_empty_and_all_zero_configurations():
+    assert signed_circuits(cone_from_generators(2, [])) == ()
+    assert signed_circuits(cone_from_generators(0, [])) == ()
+    assert signed_circuits(cone_from_generators(2, [(1, 0), (0, 1)])) == ()
+    for dim in (0, 3):
+        zeros = cone_from_generators(dim, [(0,) * dim] * 3)
+        assert signed_circuits(zeros) == ((bits(0), 0), (bits(1), 0), (bits(2), 0))
+
+
+@pytest.mark.parametrize(
+    "seed,bound", [(707, 4), (708, 1)], ids=["spread", "duplicates"]
+)
+def test_circuit_criterion_matches_fourier_motzkin(seed, bound):
+    # bound 1 fills the corpus with zero, duplicate and opposite generators
+    inputs = random_cone_inputs(seed, count=50, max_dim=4, max_gens=7, bound=bound)
+    for d, gens in inputs:
+        cone = cone_from_generators(d, gens)
+        circuits = signed_circuits(cone)
+        for pos, neg in circuits:
+            support = [i for i in range(len(gens)) if (pos | neg) >> i & 1]
+            assert pos & neg == 0 and support
+            assert len(support) <= cone.dim + 1
+        for mask, sub in enumerate(subsets(len(gens))):
+            expected = is_face(cone, sub) is not None
+            assert circuit_criterion(mask, circuits) == expected, (d, gens, sub)
+
+
+def test_circuit_guards_trip(monkeypatch):
+    square = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    monkeypatch.setattr("idempotoric.cones.rank", lambda m: m.rows)
+    with pytest.raises(InternalCheckError, match="not minimal"):
+        signed_circuits(square)
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        "idempotoric.cones.kernel_lattice",
+        lambda m: Sublattice.span(m.rows, [(1, -1, -1, 2)]),
+    )
+    with pytest.raises(InternalCheckError, match="not a linear dependency"):
+        signed_circuits(square)
 
 
 # ----------------------------------------------------------- solve_affine

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
+    PrimitiveRelation,
     character_data,
     check_relation_criterion,
     eigen_input,
@@ -16,7 +18,7 @@ from idempotoric.eigen import (
     smallest_idempotent_indices,
 )
 from idempotoric.errors import InputError
-from idempotoric.monoids import canonical_form
+from idempotoric.monoids import canonical_form, cone_and_poset
 
 from conftest import random_eigen_lists, subsets
 
@@ -191,6 +193,28 @@ def test_faces_pass_relation_filter():
             if check_relation_criterion(tuple(i + 1 for i in s), rels)
         }
         assert faces <= accepted
+
+
+def test_circuit_relations_make_the_criterion_exact():
+    # fed the signed circuits as relations, the criterion accepts exactly
+    # the faces, not merely a superset of them
+    for vals in random_eigen_lists(seed=1011, count=25, max_len=7, bound=12):
+        e = eigen_input(vals)
+        cone, p = cone_and_poset(character_data(factor(e)))
+        r = len(e.eigenvalues)
+        rels = [
+            PrimitiveRelation(
+                tuple((i + 1, 1) for i in range(r) if pos >> i & 1),
+                tuple((i + 1, 1) for i in range(r) if neg >> i & 1),
+            )
+            for pos, neg in signed_circuits(cone)
+        ]
+        accepted = {
+            tuple(i + 1 for i in s)
+            for s in subsets(r)
+            if check_relation_criterion(tuple(i + 1 for i in s), rels)
+        }
+        assert accepted == {x.index_set for x in p.elements}, vals
 
 
 def test_smallest_idempotent_indices_frozen():
