@@ -135,7 +135,7 @@ def _poset_doc(p: IdempotentPoset) -> dict:
 def _envelope_doc(env) -> dict:
     return {
         "envelope_dim": env.envelope_dim,
-        "quotient_rank": env.quotient_rank,
+        "quotient_rank": env.envelope_dim,
         "unit_lattice_basis": [list(row) for row in env.unit_lattice.basis.entries],
         "projected_generators": [list(g) for g in env.projected_generators],
         "idempotents": _poset_doc(env.envelope_idempotent_poset),
@@ -203,10 +203,10 @@ def _run_eigen(payload, bound, crosscheck):
     w = character_data(t)
     cone, p = cone_and_poset(w)
     rels = primitive_relations(t, coeff_bound=bound)
-    env = toric_envelope(w)
-    small = smallest_idempotent_indices(e)
+    env = toric_envelope(w, cone, p)
+    small = smallest_idempotent_indices(e, w, cone, p)
     large = largest_idempotent(p).index_set
-    if not power_invariance(e, 2):
+    if not power_invariance(e, 2, t):
         raise InternalCheckError("squaring the spectrum changed the weight monoid")
     report = {
         "schema": SCHEMA,
@@ -238,7 +238,7 @@ def _run_eigen(payload, bound, crosscheck):
     return report, p
 
 
-def _run_monoid(payload, bound, crosscheck):
+def _generator_rows(payload):
     _expect_keys(payload, {"ambient_dim", "generators"})
     dim = _int(payload["ambient_dim"], "ambient_dim")
     if dim < 0:
@@ -249,9 +249,14 @@ def _run_monoid(payload, bound, crosscheck):
             raise InputError(
                 f"generators[{i}] has length {len(row)}, expected ambient_dim={dim}"
             )
+    return dim, rows
+
+
+def _run_monoid(payload, bound, crosscheck):
+    dim, rows = _generator_rows(payload)
     w = monoid_from_generators(rows)
     cone, p = cone_and_poset(w)
-    env = toric_envelope(w)
+    env = toric_envelope(w, cone, p)
     report = {
         "schema": SCHEMA,
         "mode": "monoid",
@@ -273,16 +278,7 @@ def _run_monoid(payload, bound, crosscheck):
 
 
 def _run_cone(payload, bound, crosscheck):
-    _expect_keys(payload, {"ambient_dim", "generators"})
-    dim = _int(payload["ambient_dim"], "ambient_dim")
-    if dim < 0:
-        raise InputError("ambient_dim must be nonnegative")
-    rows = _int_rows(payload["generators"], "generators")
-    for i, row in enumerate(rows):
-        if len(row) != dim:
-            raise InputError(
-                f"generators[{i}] has length {len(row)}, expected ambient_dim={dim}"
-            )
+    dim, rows = _generator_rows(payload)
     cone = cone_from_generators(dim, rows)
     poset = enumerate_faces(cone)
     report = {

@@ -6,8 +6,9 @@ generated by the eigenvalue exponent vectors.  Signs are discarded because
 squaring kills the only torsion ℚ* has (±1), so every question below is
 asked about |λᵢ| and answered for λᵢ².
 
-Pipeline: eigen_input → factor → character_data → monoids layer, plus the
-relation-based cross-checks that the idempotent index sets must satisfy.
+Pipeline, each step once per job: eigen_input → factor → character_data →
+cone and face poset (monoids layer), shared by the envelope, the smallest
+indices, power invariance (which refactors only xⁿ) and the relation checks.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import circuit_criterion, cone_from_generators
+from .cones import circuit_criterion
 from .errors import InputError, InternalCheckError
 from .lattices import IntegerMatrix, Sublattice, kernel_lattice, lattice_member
 from .monoids import (
     IdempotentPoset,
     WeightMonoid,
     canonical_form,
+    cone_and_poset,
     idempotents,
     monoid_from_generators,
 )
@@ -279,37 +281,41 @@ def check_relation_criterion(index_set, rels) -> bool:
     return circuit_criterion(chosen, relation_masks(rels))
 
 
-def smallest_idempotent_indices(e: EigenInput) -> tuple[int, ...]:
+def smallest_idempotent_indices(
+    e: EigenInput, w=None, cone=None, poset=None
+) -> tuple[int, ...]:
     """1-based indices of eigenvalues whose exponent row is a unit
     direction — exactly the invertible coordinates of the closure.
 
     Computed by lattice membership in the lineality space and checked
-    against the minimum of the idempotent poset.
+    against the minimum of the idempotent poset.  The weight monoid ``w``
+    of ``e`` and its ``cone_and_poset`` pair are reused when passed in.
     """
-    w = character_data(factor(e))
-    cone = cone_from_generators(w.ambient_rank, w.generators)
+    if w is None:
+        w = character_data(factor(e))
+    if cone is None or poset is None:
+        cone, poset = cone_and_poset(w)
     inside = tuple(
         i + 1
         for i, g in enumerate(w.generators)
         if lattice_member(cone.lineality, g) is not None
     )
-    poset = idempotents(w)
     if inside != poset.elements[poset.smallest].index_set:
         raise InternalCheckError("lineality membership disagrees with the poset minimum")
     return inside
 
 
-def power_invariance(e: EigenInput, n: int) -> bool:
+def power_invariance(e: EigenInput, n: int, table=None) -> bool:
     """Whether the closure of x and of xⁿ present the same weight monoid.
 
     True for every n ≥ 1: raising to the n-th power scales the exponent
     lattice and its generators together, so the canonical forms coincide.
     Exposed as a check rather than a constant because it exercises the
-    whole re-coordinatization path.
+    whole re-coordinatization path; ``table`` may carry ``factor(e)``.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError("power must be an int >= 1")
     powered = eigen_input([q**n for q in e.eigenvalues])
-    return canonical_form(character_data(factor(e))) == canonical_form(
+    return canonical_form(character_data(table or factor(e))) == canonical_form(
         character_data(factor(powered))
     )

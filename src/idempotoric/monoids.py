@@ -88,7 +88,6 @@ class ToricEnvelopeReport:
 
     envelope_dim: int
     unit_lattice: Sublattice
-    quotient_rank: int
     projected_generators: tuple[tuple[int, ...], ...]
     envelope_idempotent_poset: IdempotentPoset
 
@@ -104,14 +103,8 @@ def monoid_from_generators(raw, labels=None) -> WeightMonoid:
     vecs = [tuple(v) for v in raw]
     if not vecs:
         raise InputError("need at least one generator vector")
-    width = len(vecs[0])
-    for v in vecs:
-        for x in v:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise InputError(f"generator entries must be plain ints, got {x!r}")
-        if len(v) != width:
-            raise InputError("generators must share one ambient dimension")
-    lam = Sublattice.span(width, vecs)
+    # the lattice layer rejects non-int entries and ragged rows
+    lam = Sublattice.span(len(vecs[0]), vecs)
     gens = []
     for v in vecs:
         coords = lattice_member(lam, v)
@@ -211,7 +204,7 @@ def canonical_form(w: WeightMonoid):
     return (w.ambient_rank, tuple(sorted(set(w.generators))))
 
 
-def toric_envelope(w: WeightMonoid) -> ToricEnvelopeReport:
+def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeReport:
     """Project along the saturated sublattice spanned by unit generators.
 
     The generators lying on the lineality face span the unit part; its
@@ -220,8 +213,13 @@ def toric_envelope(w: WeightMonoid) -> ToricEnvelopeReport:
     envelope's idempotent poset must coincide with the original one
     index-set for index-set, with every face dimension dropping by
     rank(Λ₀); both facts are checked.
+
+    The pair ``cone_and_poset(w)`` is reused when passed in (else built);
+    the envelope monoid gets a cone and poset of its own only when it
+    differs from ``w``, i.e. when Λ₀ ≠ 0.
     """
-    cone, poset = cone_and_poset(w)
+    if cone is None or poset is None:
+        cone, poset = cone_and_poset(w)
     unit_gens = [
         g
         for g in w.generators
@@ -237,7 +235,7 @@ def toric_envelope(w: WeightMonoid) -> ToricEnvelopeReport:
             raise InternalCheckError("saturated unit lattice is not a direct summand")
     projected = tuple(tuple(row_times_matrix(g, v)[k:]) for g in w.generators)
     env = WeightMonoid(w.ambient_rank - k, projected, w.labels)
-    env_cone, env_poset = cone_and_poset(env)
+    env_cone, env_poset = (cone, poset) if env == w else cone_and_poset(env)
     if env_cone.lineality.rank != 0:
         raise InternalCheckError("envelope cone is not pointed")
     if [e.index_set for e in env_poset.elements] != [
@@ -256,4 +254,4 @@ def toric_envelope(w: WeightMonoid) -> ToricEnvelopeReport:
     dim = w.ambient_rank - k
     if dim != maximal_chain_length(poset):
         raise InternalCheckError("envelope dimension disagrees with chain length")
-    return ToricEnvelopeReport(dim, lam0, dim, projected, env_poset)
+    return ToricEnvelopeReport(dim, lam0, projected, env_poset)

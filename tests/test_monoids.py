@@ -149,7 +149,6 @@ def test_zero_generator_lies_in_every_idempotent():
 
 def test_envelope_of_group_is_a_point():
     rep = toric_envelope(monoid_from_generators([(1,), (-1,)]))
-    assert rep.quotient_rank == 0
     assert rep.envelope_dim == 0
     assert rep.unit_lattice.basis.entries == ((1,),)
     assert rep.projected_generators == ((), ())
@@ -159,7 +158,6 @@ def test_envelope_of_group_is_a_point():
 def test_envelope_of_pointed_cone_is_itself():
     w = quadrant_monoid()
     rep = toric_envelope(w)
-    assert rep.quotient_rank == 2
     assert rep.envelope_dim == 2
     assert rep.unit_lattice.rank == 0
     assert rep.projected_generators == w.generators
@@ -169,10 +167,9 @@ def test_envelope_of_pointed_cone_is_itself():
 def test_envelope_projects_out_lineality_line():
     rep = toric_envelope(monoid_from_generators([(1, 0), (-1, 0), (0, 1)]))
     assert rep.unit_lattice.basis.entries == ((1, 0),)
-    assert rep.quotient_rank == 1
+    assert rep.envelope_dim == 1
     assert rep.projected_generators == ((0,), (0,), (1,))
     assert len(rep.envelope_idempotent_poset.elements) == 2
-    assert rep.envelope_dim == 1
 
 
 def test_envelope_matches_chain_length_and_poset_shape():

@@ -1,0 +1,158 @@
+"""One pass per job: an eigen or monoid job factors its spectrum, builds its
+cone and enumerates its faces once and shares them with the envelope, the
+smallest-index check and power invariance; the checks in those functions
+still fire on the shared objects."""
+
+import dataclasses
+import json
+import sys
+
+import pytest
+
+from conftest import random_eigen_lists
+
+from idempotoric import cli, cones, eigen
+from idempotoric.eigen import (
+    character_data,
+    eigen_input,
+    factor,
+    power_invariance,
+    smallest_idempotent_indices,
+)
+from idempotoric.errors import InternalCheckError
+from idempotoric.lattices import Sublattice
+from idempotoric.monoids import cone_and_poset, monoid_from_generators, toric_envelope
+
+COUNTED = {
+    "factor": eigen.factor,
+    "cone_from_generators": cones.cone_from_generators,
+    "enumerate_faces": cones.enumerate_faces,
+}
+
+
+def count_calls(monkeypatch):
+    """Count calls to the COUNTED functions, rebinding each in every module
+    of the package that imported it by name."""
+    calls = dict.fromkeys(COUNTED, 0)
+    modules = [
+        m
+        for n, m in sys.modules.items()
+        if m is not None and (n == "idempotoric" or n.startswith("idempotoric."))
+    ]
+    for name, original in COUNTED.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if mod.__dict__.get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def run_job(tmp_path, capsys, mode, payload):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main([mode, "--input", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "mode, payload, expected",
+    [
+        # a unit pair 2, 1/2: the envelope projects out a line and needs a
+        # second cone of its own
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 2, 2)),
+        # pointed: the envelope monoid is the weight monoid itself
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1)),
+        ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
+         (0, 2, 2)),
+        ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
+         (0, 1, 1)),
+    ],
+)
+def test_job_builds_each_object_once(
+    tmp_path, capsys, monkeypatch, mode, payload, expected
+):
+    calls = count_calls(monkeypatch)
+    code, rep = run_job(tmp_path, capsys, mode, payload)
+    assert code == 0 and "error" not in rep
+    # factor: the spectrum once, and the squared spectrum for power invariance
+    assert (
+        calls["factor"],
+        calls["cone_from_generators"],
+        calls["enumerate_faces"],
+    ) == expected
+
+
+def test_shared_objects_give_the_standalone_results():
+    for vals in random_eigen_lists(seed=1212, count=30):
+        e = eigen_input(vals)
+        t = factor(e)
+        w = character_data(t)
+        cone, poset = cone_and_poset(w)
+        assert toric_envelope(w, cone, poset) == toric_envelope(w)
+        assert smallest_idempotent_indices(e, w, cone, poset) == (
+            smallest_idempotent_indices(e)
+        )
+        assert power_invariance(e, 3, t)
+
+
+def wrong_lineality(cone):
+    """The cone with a lineality line it does not have, or none if it has one."""
+    n = cone.ambient_dim
+    line = [(1,) + (0,) * (n - 1)] if cone.lineality.rank == 0 else []
+    return dataclasses.replace(cone, lineality=Sublattice.span(n, line))
+
+
+def minimum_moved_to_the_top(poset):
+    return dataclasses.replace(poset, smallest=poset.largest)
+
+
+def test_envelope_checks_the_shared_cone():
+    w = monoid_from_generators([(1, 0), (0, 1), (1, 1)])
+    cone, poset = cone_and_poset(w)
+    with pytest.raises(InternalCheckError, match="do not span the lineality space"):
+        toric_envelope(w, wrong_lineality(cone), poset)
+
+
+def test_smallest_indices_check_the_shared_poset():
+    e = eigen_input([2, 3, 6])
+    w = character_data(factor(e))
+    cone, poset = cone_and_poset(w)
+    with pytest.raises(InternalCheckError, match="disagrees with the poset minimum"):
+        smallest_idempotent_indices(e, w, cone, minimum_moved_to_the_top(poset))
+
+
+def internal_error(tmp_path, capsys):
+    code, doc = run_job(tmp_path, capsys, "eigen", {"eigenvalues": ["2", "1/2", "3"]})
+    return code, doc["error"]["kind"], doc["error"]["message"]
+
+
+def test_main_reports_a_corrupted_shared_cone(tmp_path, capsys, monkeypatch):
+    real = cli.toric_envelope
+
+    def envelope(w, cone, poset):
+        return real(w, wrong_lineality(cone), poset)
+
+    monkeypatch.setattr(cli, "toric_envelope", envelope)
+    assert internal_error(tmp_path, capsys) == (
+        2,
+        "internal",
+        "unit generators do not span the lineality space",
+    )
+
+
+def test_main_reports_a_corrupted_shared_poset(tmp_path, capsys, monkeypatch):
+    real = cli.smallest_idempotent_indices
+
+    def smallest(e, w, cone, poset):
+        return real(e, w, cone, minimum_moved_to_the_top(poset))
+
+    monkeypatch.setattr(cli, "smallest_idempotent_indices", smallest)
+    assert internal_error(tmp_path, capsys) == (
+        2,
+        "internal",
+        "lineality membership disagrees with the poset minimum",
+    )
