@@ -26,6 +26,7 @@ from .cones import (
     enumerate_faces,
     face_meet,
     is_face,
+    sign_masks,
     signed_circuits,
     solve_affine,
 )
@@ -158,6 +159,7 @@ __all__ = [
     "run",
     "run_selftest",
     "saturate",
+    "sign_masks",
     "signed_circuits",
     "smallest_idempotent",
     "smallest_idempotent_commutative",

@@ -2,13 +2,14 @@
 
 A job document selects a mode and carries one payload:
 
-    {"schema": "idempotoric/v1", "mode": "eigen",
+    {"schema": "idempotoric/v2", "mode": "eigen",
      "payload": {"eigenvalues": ["2", "3", "6"]}}
 
 Rationals travel as exact "p/q" strings (or plain integers); floats are
 rejected outright so nothing is silently rounded.  Reports are emitted
 with sorted keys and fixed indentation, so the same job always produces
-the same bytes.
+the same bytes.  Input documents may name schema v1 or v2: the payloads
+are the same, and only the reports changed.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .cones import (
     circuit_criterion,
     cone_from_generators,
     enumerate_faces,
+    sign_masks,
     signed_circuits,
 )
 from .eigen import (
@@ -59,7 +61,7 @@ from .monoids import (
     toric_envelope,
 )
 
-SCHEMA = "idempotoric/v1"
+SCHEMA = "idempotoric/v2"
 
 _MODES = ("cone", "eigen", "finite", "monoid", "selftest")
 
@@ -156,44 +158,55 @@ def _set_text(indices) -> str:
 # -- cross-checks ----------------------------------------------------------------
 
 
-def _subset_oracle(cone, poset_sets, shift) -> str:
+def _accepted_sets(r, masks, shift) -> set:
+    """Index sets, shifted by `shift`, of the subsets of r generators that
+    pass ``circuit_criterion`` against the (positive, negative) masks."""
+    return {
+        tuple(i + shift for i in range(r) if mask >> i & 1)
+        for mask in range(1 << r)
+        if circuit_criterion(mask, masks)
+    }
+
+
+def _subset_oracle(cone, poset_sets, shift, circuits=None) -> str:
     """Compare enumerated faces against the signed-circuit face test.
 
     poset_sets holds index sets shifted by `shift` (1 for the idempotent
-    layer, 0 for the raw cone layer).  The circuits are enumerated once,
-    then every one of the 2^r generator subsets is decided by bitmask
-    tests, 2^r·c mask operations for c circuits; the enumeration and the
-    subset count grow exponentially in r, so the oracle is skipped above
+    layer, 0 for the raw cone layer).  The ``signed_circuits`` of the
+    generators, enumerated here unless passed in, decide every one of the
+    2^r generator subsets by bitmask tests, 2^r·c mask operations for c
+    circuits; both grow exponentially in r, so the oracle is skipped above
     r = 10.
     """
     r = len(cone.generators)
     if r > 10:
         return "skipped: more than 10 generators"
-    circuits = signed_circuits(cone)
-    accepted = {
-        tuple(i + shift for i in range(r) if mask >> i & 1)
-        for mask in range(1 << r)
-        if circuit_criterion(mask, circuits)
-    }
-    if accepted != poset_sets:
+    if circuits is None:
+        circuits = signed_circuits(cone.ambient_dim, cone.generators)
+    if _accepted_sets(r, [sign_masks(z) for z in circuits], shift) != poset_sets:
         raise InternalCheckError("subset oracle disagrees with face enumeration")
     return "ok"
 
 
-def _relation_filter_check(poset, rels) -> str:
+def _relation_filter_check(poset, rels, circuits) -> str:
+    """Check that the relations accept exactly the idempotents: each one
+    respects every relation, and every signed circuit is a relation, so
+    no other index set respects them all."""
     sides = relation_masks(rels)
     for e in poset.elements:
-        if not circuit_criterion(sum(1 << i for i in e.index_set), sides):
+        if not circuit_criterion(sum(1 << (i - 1) for i in e.index_set), sides):
             raise InternalCheckError(
                 f"face {e.index_set} rejected by the relation filter"
             )
+    if not set(map(sign_masks, circuits)) <= set(sides):
+        raise InternalCheckError("a signed circuit is missing from the relations")
     return "ok"
 
 
 # -- mode handlers -----------------------------------------------------------------
 
 
-def _run_eigen(payload, bound, crosscheck):
+def _run_eigen(payload, crosscheck):
     _expect_keys(payload, {"eigenvalues"})
     raw = payload["eigenvalues"]
     if not isinstance(raw, list) or not raw:
@@ -202,11 +215,13 @@ def _run_eigen(payload, bound, crosscheck):
     t = factor(e)
     w = character_data(t)
     cone, p = cone_and_poset(w)
-    rels = primitive_relations(t, coeff_bound=bound)
+    # the generators have the exponent rows' kernel, so the same circuits
+    circuits = signed_circuits(cone.ambient_dim, cone.generators)
+    rels = primitive_relations(t, circuits)
     env = toric_envelope(w, cone, p)
     small = smallest_idempotent_indices(e, w, cone, p)
     large = largest_idempotent(p).index_set
-    if not power_invariance(e, 2, t):
+    if not power_invariance(e, 2, w):
         raise InternalCheckError("squaring the spectrum changed the weight monoid")
     report = {
         "schema": SCHEMA,
@@ -219,7 +234,6 @@ def _run_eigen(payload, bound, crosscheck):
         "lattice_rank": w.ambient_rank,
         "generators": [list(g) for g in w.generators],
         "labels": list(w.labels),
-        "relation_bound": bound,
         "primitive_relations": [_relation_doc(r) for r in rels],
         "idempotents": _poset_doc(p),
         "smallest_index_set": list(small),
@@ -231,9 +245,9 @@ def _run_eigen(payload, bound, crosscheck):
     if crosscheck:
         report["crosschecks"] = {
             "subset_oracle": _subset_oracle(
-                cone, {e.index_set for e in p.elements}, 1
+                cone, {e.index_set for e in p.elements}, 1, circuits
             ),
-            "relation_filter": _relation_filter_check(p, rels),
+            "relation_filter": _relation_filter_check(p, rels, circuits),
         }
     return report, p
 
@@ -252,7 +266,7 @@ def _generator_rows(payload):
     return dim, rows
 
 
-def _run_monoid(payload, bound, crosscheck):
+def _run_monoid(payload, crosscheck):
     dim, rows = _generator_rows(payload)
     w = monoid_from_generators(rows)
     cone, p = cone_and_poset(w)
@@ -277,7 +291,7 @@ def _run_monoid(payload, bound, crosscheck):
     return report, p
 
 
-def _run_cone(payload, bound, crosscheck):
+def _run_cone(payload, crosscheck):
     dim, rows = _generator_rows(payload)
     cone = cone_from_generators(dim, rows)
     poset = enumerate_faces(cone)
@@ -308,7 +322,7 @@ def _run_cone(payload, bound, crosscheck):
     return report, poset
 
 
-def _run_finite(payload, bound, crosscheck):
+def _run_finite(payload, crosscheck):
     _expect_keys(payload, {"table"})
     rows = _int_rows(payload["table"], "table")
     s = validate_table([list(row) for row in rows])
@@ -432,9 +446,13 @@ def run_selftest() -> dict:
     )
 
     def rel_filter(values):
+        # the relations alone accept exactly the idempotents' index sets
         t = factor(eigen_input(values))
+        masks = relation_masks(primitive_relations(t))
         p = idempotents(character_data(t))
-        _relation_filter_check(p, primitive_relations(t))
+        assert _accepted_sets(len(t.matrix), masks, 1) == {
+            e.index_set for e in p.elements
+        }
 
     run_cases("relation_filter", _random_spectra(3, 12), rel_filter, seed=3)
 
@@ -472,22 +490,18 @@ def run_selftest() -> dict:
 # -- document dispatch -------------------------------------------------------------
 
 
-def _execute(doc, relation_bound, crosscheck):
+def _execute(doc, crosscheck):
     if not isinstance(doc, dict):
         raise InputError("job document must be a JSON object")
     unknown = sorted(set(doc) - {"schema", "mode", "payload"})
     if unknown:
         raise InputError(f"unknown document keys: {', '.join(map(str, unknown))}")
     schema = doc.get("schema", SCHEMA)
-    if schema != SCHEMA:
-        raise InputError(f"unsupported schema {schema!r}; this build speaks {SCHEMA}")
+    if schema not in ("idempotoric/v1", SCHEMA):
+        raise InputError(f"unsupported schema {schema!r}; this build reads v1 and v2")
     mode = doc.get("mode")
     if mode not in _MODES:
         raise InputError(f"mode must be one of: {', '.join(_MODES)}")
-    if isinstance(relation_bound, bool) or not isinstance(relation_bound, int):
-        raise InputError("relation bound must be a positive integer")
-    if relation_bound < 1:
-        raise InputError("relation bound must be a positive integer")
     payload = doc.get("payload", {} if mode == "selftest" else None)
     if payload is None:
         raise InputError(f"mode {mode!r} requires a payload object")
@@ -502,12 +516,12 @@ def _execute(doc, relation_bound, crosscheck):
         "cone": _run_cone,
         "finite": _run_finite,
     }[mode]
-    return handler(payload, relation_bound, crosscheck)
+    return handler(payload, crosscheck)
 
 
-def run(doc, relation_bound: int = 3, crosscheck: bool = True) -> dict:
+def run(doc, crosscheck: bool = True) -> dict:
     """Execute a job document and return the report as a JSON-ready dict."""
-    report, _ = _execute(doc, relation_bound, crosscheck)
+    report, _ = _execute(doc, crosscheck)
     return report
 
 
@@ -672,8 +686,17 @@ def _load_document(mode, input_arg):
     return {"mode": mode, "payload": data}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line usage errors are rejected input: exit 1 with an error
+    document, not argparse's exit 2, which is kept for internal faults."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idempotoric",
         description="idempotent structure of commutative algebraic semigroups",
     )
@@ -690,21 +713,14 @@ def main(argv=None) -> int:
         p.add_argument("--input", default="-", help="JSON file path, or - for stdin")
         p.add_argument("--format", choices=("json", "dot", "text"), default="json")
         p.add_argument(
-            "--relation-bound",
-            type=int,
-            default=3,
-            metavar="N",
-            help="sup-norm bound for the primitive relation search (default 3)",
-        )
-        p.add_argument(
             "--no-crosscheck",
             action="store_true",
             help="skip the independent subset-oracle and filter cross-checks",
         )
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         doc = _load_document(args.mode, args.input)
-        report, poset = _execute(doc, args.relation_bound, not args.no_crosscheck)
+        report, poset = _execute(doc, not args.no_crosscheck)
         if args.format == "dot":
             if poset is None:
                 raise InputError(f"mode {args.mode!r} has no poset to draw")

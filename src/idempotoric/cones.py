@@ -17,8 +17,9 @@ Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
 covector/circuit orthogonality (Björner et al., *Oriented Matroids*,
 ch. 3) an index set I is a face exactly when every circuit C has
-C⁺ ⊆ I ⇔ C⁻ ⊆ I; ``circuit_criterion`` tests that on bitmasks, so all 2^r
-subsets of r generators cost 2^r·c mask operations for c circuits.
+C⁺ ⊆ I ⇔ C⁻ ⊆ I; ``circuit_criterion`` tests that on the circuits'
+``sign_masks``, so all 2^r subsets of r generators cost 2^r·c mask
+operations for c circuits.
 ``is_face`` decides a single subset by exact rational Fourier-Motzkin
 elimination and returns an integer witness functional; it is far slower
 and serves as the reference the tests hold the other two to.  All three
@@ -44,6 +45,7 @@ __all__ = [
     "enumerate_faces",
     "face_meet",
     "is_face",
+    "sign_masks",
     "signed_circuits",
     "solve_affine",
 ]
@@ -62,17 +64,6 @@ def _primitive(vec) -> Vector:
     if g > 1:
         return tuple(t // g for t in vec)
     return tuple(vec)
-
-
-def _check_vector(v, dim) -> Vector:
-    out = []
-    for x in v:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise InputError(f"vector entries must be plain ints, got {x!r}")
-        out.append(x)
-    if len(out) != dim:
-        raise InputError(f"vector length {len(out)} does not match dimension {dim}")
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -379,17 +370,19 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     """Build the cone spanned by integer generator vectors.
 
     Duplicate and zero generators are allowed; zero generators lie on every
-    face.  Raises InputError on a dimension mismatch.
+    face.  Raises InputError on a non-int entry or a dimension mismatch.
     """
     if not isinstance(ambient_dim, int) or ambient_dim < 0:
         raise InputError("ambient dimension must be a nonnegative int")
-    gens = tuple(_check_vector(g, ambient_dim) for g in generators)
+    # the lattice layer rejects non-int entries and rows of the wrong width
+    mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
+    gens = mat.entries
     dual_rays, dual_lin = _dd_rays(ambient_dim, list(gens), [])
     facets = tuple(sorted(_primitive(r) for r in dual_rays))
     rays, lin = _dd_rays(ambient_dim, list(facets), list(dual_lin))
     extreme = tuple(sorted(_primitive(r) for r in rays))
     lineality = saturate(Sublattice.span(ambient_dim, lin))
-    dim = rank(IntegerMatrix.from_rows(gens, cols=ambient_dim))
+    dim = rank(mat)
     for w in facets:
         if any(_dot(w, g) < 0 for g in gens):
             raise InternalCheckError("facet inequality cut off a generator")
@@ -471,27 +464,35 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     )
 
 
-def signed_circuits(cone: Cone) -> tuple[tuple[int, int], ...]:
-    """Every signed circuit of the generators, as (positive, negative) masks.
+def sign_masks(vec) -> tuple[int, int]:
+    """Bitmasks of the positive and of the negative entries of a vector."""
+    pos = sum(1 << i for i, c in enumerate(vec) if c > 0)
+    return pos, sum(1 << i for i, c in enumerate(vec) if c < 0)
+
+
+def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
+    """Every signed circuit of the generators, as a primitive integer vector.
 
     A circuit is a linear dependency Σ cᵢgᵢ = 0 whose support is minimal;
-    it is unique up to scale on that support.  Each comes once, oriented so
-    that its lowest index is positive, as the bitmasks of the indices with
-    cᵢ > 0 and with cᵢ < 0; they are sorted by support size.  Zero,
-    duplicate and opposite generators give circuits of size 1 or 2.
+    it is unique up to scale on that support, so it depends only on the
+    kernel.  Each comes once as the primitive vector (c₁, …, c_r), lowest
+    nonzero entry positive, sorted by support size, then ``sign_masks``.
+    Zero, duplicate and opposite generators give circuits of size 1 or 2.
 
     The dependencies form the kernel K of the generator matrix, of
     dimension m = r - rank.  The vectors of K vanishing on m - 1
     coordinates whose coordinate functionals are independent on K form a
     line, whose support is a circuit, and every circuit arises so from
-    coordinates off its support.  Those coordinate sets are walked depth first over one kernel
-    basis, one fraction-free elimination step per column, at most
-    C(r, m - 1) leaves.  Each circuit is checked to sum to zero and to have
-    a support whose generators have rank one less than its size.
+    coordinates off its support.  Those coordinate sets are walked depth
+    first over one kernel basis, one fraction-free elimination step per
+    column, at most C(r, m - 1) leaves.  Each circuit is checked to sum to
+    zero and to have a support whose generators have rank one less than
+    its size.
     """
-    gens = cone.generators
+    mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
+    gens = mat.entries
     r = len(gens)
-    kernel = kernel_lattice(IntegerMatrix.from_rows(gens, cols=cone.ambient_dim))
+    kernel = kernel_lattice(mat)
     found = set()
 
     def vanish(rows, start):
@@ -519,29 +520,28 @@ def signed_circuits(cone: Cone) -> tuple[tuple[int, int], ...]:
         vanish(list(kernel.basis.entries), 0)
     circuits = []
     for vec in found:
-        pos = sum(1 << i for i, c in enumerate(vec) if c > 0)
-        neg = sum(1 << i for i, c in enumerate(vec) if c < 0)
         support = [gens[i] for i, c in enumerate(vec) if c]
         if not support:
             raise InternalCheckError("signed circuit is the zero vector")
-        for t in range(cone.ambient_dim):
+        for t in range(ambient_dim):
             if sum(c * g[t] for c, g in zip(vec, gens)):
                 raise InternalCheckError("signed circuit is not a linear dependency")
-        if rank(IntegerMatrix.from_rows(support, cols=cone.ambient_dim)) != (
+        if rank(IntegerMatrix.from_rows(support, cols=ambient_dim)) != (
             len(support) - 1
         ):
             raise InternalCheckError("signed circuit support is not minimal")
-        circuits.append(((pos | neg).bit_count(), pos, neg))
+        pos, neg = sign_masks(vec)
+        circuits.append(((pos | neg).bit_count(), pos, neg, vec))
     circuits.sort()
-    return tuple((pos, neg) for _, pos, neg in circuits)
+    return tuple(vec for *_, vec in circuits)
 
 
 def circuit_criterion(mask: int, circuits) -> bool:
     """Whether the index set with bitmask ``mask`` respects every circuit.
 
     ``circuits`` holds (positive, negative) mask pairs; the set I passes
-    when each pair has C⁺ ⊆ I exactly when C⁻ ⊆ I.  For the pairs of
-    ``signed_circuits`` the sets passing are exactly the faces.
+    when each pair has C⁺ ⊆ I exactly when C⁻ ⊆ I.  For the ``sign_masks``
+    of the ``signed_circuits`` the sets passing are exactly the faces.
     """
     out = ~mask
     return all((pos & out == 0) == (neg & out == 0) for pos, neg in circuits)

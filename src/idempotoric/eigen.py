@@ -7,8 +7,9 @@ squaring kills the only torsion ℚ* has (±1), so every question below is
 asked about |λᵢ| and answered for λᵢ².
 
 Pipeline, each step once per job: eigen_input → factor → character_data →
-cone and face poset (monoids layer), shared by the envelope, the smallest
-indices, power invariance (which refactors only xⁿ) and the relation checks.
+cone and face poset (monoids layer) and signed circuits (cones layer),
+shared by the envelope, the smallest indices, power invariance (which
+factors only xⁿ), the primitive relations and the relation checks.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import circuit_criterion
+from .cones import circuit_criterion, signed_circuits
 from .errors import InputError, InternalCheckError
-from .lattices import IntegerMatrix, Sublattice, kernel_lattice, lattice_member
+from .lattices import IntegerMatrix, kernel_lattice, lattice_member
 from .monoids import (
     IdempotentPoset,
     WeightMonoid,
@@ -166,37 +167,6 @@ def character_data(t: ExponentTable) -> WeightMonoid:
     return monoid_from_generators(t.matrix, labels=labels)
 
 
-def _bounded_kernel_vectors(ker: Sublattice, bound: int) -> list[tuple[int, ...]]:
-    """All nonzero kernel vectors with ∞-norm ≤ bound.
-
-    The basis is in canonical Hermite form, so each basis row owns a pivot
-    column that no later row touches; walking rows in order, the partial
-    sum at the current pivot confines the coefficient to an interval.  The
-    full vector is re-checked at the leaves for the non-pivot columns.
-    """
-    rows = ker.basis.entries
-    if not rows:
-        return []
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-    width = ker.ambient_rank
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, acc: list[int]) -> None:
-        if i == len(rows):
-            if any(acc) and all(abs(x) <= bound for x in acc):
-                out.append(tuple(acc))
-            return
-        d = rows[i][pivots[i]]
-        cur = acc[pivots[i]]
-        lo = -((bound + cur) // d)
-        hi = (bound - cur) // d
-        for c in range(lo, hi + 1):
-            rec(i + 1, [x + c * y for x, y in zip(acc, rows[i])])
-
-    rec(0, [0] * width)
-    return sorted(out)
-
-
 def _relation_from_vector(z) -> PrimitiveRelation:
     first = next(x for x in z if x)
     if first < 0:
@@ -206,26 +176,25 @@ def _relation_from_vector(z) -> PrimitiveRelation:
     return PrimitiveRelation(lhs, rhs)
 
 
-def primitive_relations(t: ExponentTable, coeff_bound: int = 3):
+def primitive_relations(t: ExponentTable, circuits=None):
     """Multiplicative relations among the |eigenvalues|, found in the
     kernel of the exponent matrix.
 
-    Emits one relation per Hermite basis vector of the kernel plus one per
-    kernel vector of ∞-norm ≤ coeff_bound, oriented so the first involved
-    generator sits on the left, deduplicated and sorted by total degree.
-    Every relation is re-verified numerically on the squared eigenvalues.
+    Emits one relation per Hermite basis vector of the kernel, which
+    generate all relations over Z, plus one per signed circuit of the rows
+    (``cones.signed_circuits``, computed unless passed in; rows with the
+    same kernel, such as the weight monoid's generators, give the same
+    ones), which make ``check_relation_criterion`` exact.  Relations are
+    oriented so the first involved generator sits on the left,
+    deduplicated, sorted by total degree and re-verified numerically on
+    the squared eigenvalues.
     """
-    if isinstance(coeff_bound, bool) or not isinstance(coeff_bound, int):
-        raise InputError("coeff_bound must be an int")
-    if coeff_bound < 1:
-        raise InputError("coeff_bound must be at least 1")
-    mat = IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
-    ker = kernel_lattice(mat)
+    if circuits is None:
+        circuits = signed_circuits(len(t.primes), t.matrix)
+    ker = kernel_lattice(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes)))
     seen = set()
     rels = []
-    for z in list(ker.basis.entries) + _bounded_kernel_vectors(ker, coeff_bound):
-        if not any(z):
-            continue
+    for z in [*ker.basis.entries, *circuits]:
         rel = _relation_from_vector(z)
         if rel in seen:
             continue
@@ -257,12 +226,13 @@ def idempotent_set(e: EigenInput) -> IdempotentPoset:
 
 
 def relation_masks(rels) -> list[tuple[int, int]]:
-    """The supports of each relation's sides as bitmasks (lhs, rhs), bit i
-    standing for generator i."""
-    return [
-        (sum(1 << i for i, _ in rel.lhs), sum(1 << j for j, _ in rel.rhs))
-        for rel in rels
-    ]
+    """The supports of each relation's sides as bitmasks (lhs, rhs), bit
+    i - 1 standing for generator i, as in ``cones.sign_masks``."""
+
+    def side(terms):
+        return sum(1 << (i - 1) for i, _ in terms)
+
+    return [(side(rel.lhs), side(rel.rhs)) for rel in rels]
 
 
 def check_relation_criterion(index_set, rels) -> bool:
@@ -273,11 +243,12 @@ def check_relation_criterion(index_set, rels) -> bool:
 
     An empty right side (product = 1) therefore forces the left support
     into I.  The condition is necessary for any relations; it is exact,
-    accepting precisely the faces, when the relations are the signed
+    accepting precisely the faces, when the relations include the signed
     circuits of the generators (``cones.signed_circuits``: a relation's
-    lhs and rhs are a circuit's positive and negative parts).
+    lhs and rhs are a circuit's positive and negative parts), as those of
+    ``primitive_relations`` do.
     """
-    chosen = sum(1 << i for i in set(index_set))
+    chosen = sum(1 << (i - 1) for i in set(index_set))
     return circuit_criterion(chosen, relation_masks(rels))
 
 
@@ -305,17 +276,18 @@ def smallest_idempotent_indices(
     return inside
 
 
-def power_invariance(e: EigenInput, n: int, table=None) -> bool:
+def power_invariance(e: EigenInput, n: int, w=None) -> bool:
     """Whether the closure of x and of xⁿ present the same weight monoid.
 
     True for every n ≥ 1: raising to the n-th power scales the exponent
     lattice and its generators together, so the canonical forms coincide.
     Exposed as a check rather than a constant because it exercises the
-    whole re-coordinatization path; ``table`` may carry ``factor(e)``.
+    whole re-coordinatization path; ``w`` may carry the weight monoid
+    ``character_data(factor(e))``, and only xⁿ is then factored.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError("power must be an int >= 1")
+    if w is None:
+        w = character_data(factor(e))
     powered = eigen_input([q**n for q in e.eigenvalues])
-    return canonical_form(character_data(table or factor(e))) == canonical_form(
-        character_data(factor(powered))
-    )
+    return canonical_form(w) == canonical_form(character_data(factor(powered)))

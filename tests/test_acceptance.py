@@ -252,11 +252,11 @@ def test_criterion_10_relation_filter_consistency():
     t0 = time.perf_counter()
     for values in random_eigen_lists(SEED_FILTER, 100, max_len=6, bound=50):
         t = factor(eigen_input(values))
-        rels = primitive_relations(t, coeff_bound=3)
+        rels = primitive_relations(t)
         p = idempotents(character_data(t))
         for e in p.elements:
             assert check_relation_criterion(e.index_set, rels)
-    rejected = primitive_relations(factor(eigen_input([2, 3, 6])), coeff_bound=3)
+    rejected = primitive_relations(factor(eigen_input([2, 3, 6])))
     assert not check_relation_criterion((1, 2), rejected)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

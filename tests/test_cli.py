@@ -81,11 +81,16 @@ def test_document_validation():
         run(eigen_doc(["2"]) | {"payload": {"eigenvalues": ["2"], "junk": 0}})
 
 
-def test_relation_bound_forwarded_and_validated():
-    rep = run(eigen_doc(["2", "3", "6"]), relation_bound=2)
-    assert rep["relation_bound"] == 2
-    with pytest.raises(InputError):
-        run(eigen_doc(["2"]), relation_bound=0)
+def test_schema_v1_and_v2_are_read_and_v2_is_written():
+    for schema in ("idempotoric/v1", "idempotoric/v2"):
+        rep = run(eigen_doc(["2", "3", "6"]) | {"schema": schema})
+        assert rep["schema"] == SCHEMA == "idempotoric/v2"
+        assert "relation_bound" not in rep
+        assert rep["primitive_relations"] == [
+            {"lhs": [[1, 1], [2, 1]], "rhs": [[3, 1]]}
+        ]
+    with pytest.raises(InputError, match="this build reads v1 and v2"):
+        run(eigen_doc(["2"]) | {"schema": "idempotoric/v3"})
 
 
 # -- run(): monoid, cone, finite ----------------------------------------------
@@ -259,14 +264,38 @@ def test_main_text_format(tmp_path, capsys):
     assert "t1*t2 = t3" in out
 
 
-def test_main_relation_bound_flag(tmp_path, capsys):
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({"eigenvalues": ["2", "3", "6"]}))
-    code, out = run_main(
-        ["eigen", "--input", str(path), "--relation-bound", "5"], capsys
-    )
-    assert code == 0
-    assert json.loads(out)["relation_bound"] == 5
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eigen", "--bogus"], "idempotoric: unrecognized arguments: --bogus"),
+        (
+            ["eigen", "--relation-bound", "3"],
+            "idempotoric: unrecognized arguments: --relation-bound 3",
+        ),
+        (
+            ["eigen", "--format", "xml"],
+            "idempotoric eigen: argument --format: invalid choice: 'xml'",
+        ),
+        ([], "idempotoric: the following arguments are required: mode"),
+    ],
+    ids=["unknown-flag", "relation-bound", "bad-format", "no-mode"],
+)
+def test_main_usage_errors_are_rejected_input(args, message, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert doc["schema"] == SCHEMA
+    assert doc["error"]["kind"] == "input"
+    assert doc["error"]["message"].startswith(message)
+    assert captured.err.startswith("usage: idempotoric")
+
+
+def test_main_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen", "-h"])
+    assert exc.value.code == 0
+    assert "--no-crosscheck" in capsys.readouterr().out
 
 
 def test_main_selftest(capsys):
@@ -323,11 +352,21 @@ def test_subset_oracle_catches_a_missing_or_extra_face():
 
 def test_relation_filter_names_the_rejected_face():
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
-    assert _relation_filter_check(p, [PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))])
+    circuits = [(1, 1, -1)]
+    relation = PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))
+    assert _relation_filter_check(p, [relation], circuits) == "ok"
     forced = [PrimitiveRelation(((1, 1),), ())]  # t1 = 1 puts t1 in every face
     with pytest.raises(InternalCheckError) as exc:
-        _relation_filter_check(p, forced)
+        _relation_filter_check(p, forced + [relation], circuits)
     assert str(exc.value) == "face () rejected by the relation filter"
+
+
+def test_relation_filter_needs_every_circuit():
+    # without the circuit t1*t2 = t3 the relations would also accept {1, 2}
+    p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
+    assert _relation_filter_check(p, [], []) == "ok"
+    with pytest.raises(InternalCheckError, match="signed circuit is missing"):
+        _relation_filter_check(p, [], [(1, 1, -1)])
 
 
 def error_of(code, out):

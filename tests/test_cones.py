@@ -14,6 +14,7 @@ from idempotoric.cones import (
     enumerate_faces,
     face_meet,
     is_face,
+    sign_masks,
     signed_circuits,
     solve_affine,
 )
@@ -143,6 +144,12 @@ def test_interior_generator_cone(n):
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
         cone_from_generators(2, [(1, 0, 0)])
+
+
+def test_non_int_entries_rejected():
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(InputError, match="matrix entries must be plain ints"):
+            cone_from_generators(2, [(1, 0), (bad, 1)])
 
 
 # ------------------------------------------------------------------ faces
@@ -315,40 +322,46 @@ def test_construction_is_deterministic():
 # -------------------------------------------------------- signed circuits
 
 
-def bits(*indices):
-    return sum(1 << i for i in indices)
+SQUARE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
+
+
+def circuits_of(cone):
+    return signed_circuits(cone.ambient_dim, cone.generators)
 
 
 def test_square_cone_has_one_circuit():
     # t1 + t4 = t2 + t3 over the unit square at height 1
-    square = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
-    assert signed_circuits(square) == ((bits(0, 3), bits(1, 2)),)
-    assert signed_circuits(QUADRANT) == ((bits(0, 1), bits(2)),)
+    assert signed_circuits(3, SQUARE) == ((1, -1, -1, 1),)
+    assert circuits_of(QUADRANT) == ((1, 1, -1),)
+    # primitive, with the coefficients kept: 3·(2,0) + 2·(0,3) = 6·(1,1)
+    assert signed_circuits(2, [(2, 0), (0, 3), (1, 1)]) == ((3, 2, -6),)
 
 
 def test_degenerate_generators_give_small_circuits():
-    zero = cone_from_generators(2, [(1, 0), (0, 0), (0, 1)])
-    assert signed_circuits(zero) == ((bits(1), 0),)
-    duplicate = cone_from_generators(2, [(1, 2), (0, 1), (1, 2)])
-    assert signed_circuits(duplicate) == ((bits(0), bits(2)),)
-    opposite = cone_from_generators(2, [(1, 2), (0, 1), (-1, -2)])
-    assert signed_circuits(opposite) == ((bits(0, 2), 0),)
-    mixed = cone_from_generators(2, [(0, 0), (1, 2), (1, 2), (-1, -2)])
-    assert signed_circuits(mixed) == (
-        (bits(0), 0),
-        (bits(1), bits(2)),
-        (bits(1, 3), 0),
-        (bits(2, 3), 0),
+    assert signed_circuits(2, [(1, 0), (0, 0), (0, 1)]) == ((0, 1, 0),)
+    assert signed_circuits(2, [(1, 2), (0, 1), (1, 2)]) == ((1, 0, -1),)
+    assert signed_circuits(2, [(1, 2), (0, 1), (-1, -2)]) == ((1, 0, 1),)
+    # sorted by support size, then by the positive and negative masks
+    assert signed_circuits(2, [(0, 0), (1, 2), (1, 2), (-1, -2)]) == (
+        (1, 0, 0, 0),
+        (0, 1, -1, 0),
+        (0, 1, 0, 1),
+        (0, 0, 1, 1),
     )
 
 
 def test_empty_and_all_zero_configurations():
-    assert signed_circuits(cone_from_generators(2, [])) == ()
-    assert signed_circuits(cone_from_generators(0, [])) == ()
-    assert signed_circuits(cone_from_generators(2, [(1, 0), (0, 1)])) == ()
+    assert signed_circuits(2, []) == ()
+    assert signed_circuits(0, []) == ()
+    assert signed_circuits(2, [(1, 0), (0, 1)]) == ()
     for dim in (0, 3):
-        zeros = cone_from_generators(dim, [(0,) * dim] * 3)
-        assert signed_circuits(zeros) == ((bits(0), 0), (bits(1), 0), (bits(2), 0))
+        zeros = [(0,) * dim] * 3
+        assert signed_circuits(dim, zeros) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_sign_masks():
+    assert sign_masks(()) == (0, 0)
+    assert sign_masks((0, 3, -1, 0, 2)) == (0b10010, 0b00100)
 
 
 @pytest.mark.parametrize(
@@ -359,28 +372,30 @@ def test_circuit_criterion_matches_fourier_motzkin(seed, bound):
     inputs = random_cone_inputs(seed, count=50, max_dim=4, max_gens=7, bound=bound)
     for d, gens in inputs:
         cone = cone_from_generators(d, gens)
-        circuits = signed_circuits(cone)
-        for pos, neg in circuits:
-            support = [i for i in range(len(gens)) if (pos | neg) >> i & 1]
-            assert pos & neg == 0 and support
+        circuits = circuits_of(cone)
+        for z in circuits:
+            support = [i for i, c in enumerate(z) if c]
+            assert support and z[support[0]] > 0
             assert len(support) <= cone.dim + 1
+            assert all(dot(z, col) == 0 for col in zip(*gens))
+        masks = [sign_masks(z) for z in circuits]
+        assert masks == sorted(masks, key=lambda m: ((m[0] | m[1]).bit_count(), m))
         for mask, sub in enumerate(subsets(len(gens))):
             expected = is_face(cone, sub) is not None
-            assert circuit_criterion(mask, circuits) == expected, (d, gens, sub)
+            assert circuit_criterion(mask, masks) == expected, (d, gens, sub)
 
 
 def test_circuit_guards_trip(monkeypatch):
-    square = cone_from_generators(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
     monkeypatch.setattr("idempotoric.cones.rank", lambda m: m.rows)
     with pytest.raises(InternalCheckError, match="not minimal"):
-        signed_circuits(square)
+        signed_circuits(3, SQUARE)
     monkeypatch.undo()
     monkeypatch.setattr(
         "idempotoric.cones.kernel_lattice",
         lambda m: Sublattice.span(m.rows, [(1, -1, -1, 2)]),
     )
     with pytest.raises(InternalCheckError, match="not a linear dependency"):
-        signed_circuits(square)
+        signed_circuits(3, SQUARE)
 
 
 # ----------------------------------------------------------- solve_affine

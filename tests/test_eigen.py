@@ -18,6 +18,7 @@ from idempotoric.eigen import (
     smallest_idempotent_indices,
 )
 from idempotoric.errors import InputError
+from idempotoric.lattices import IntegerMatrix, kernel_lattice
 from idempotoric.monoids import canonical_form, cone_and_poset
 
 from conftest import random_eigen_lists, subsets
@@ -108,34 +109,49 @@ def test_character_data_roots_of_unity_are_points():
 
 
 def rel_pairs(rels):
-    return {(r.lhs, r.rhs) for r in rels}
+    return [(r.lhs, r.rhs) for r in rels]
+
+
+def relation_of(z):
+    """The relation a kernel vector names, first generator on the left."""
+    if next(c for c in z if c) < 0:
+        z = [-c for c in z]
+    return PrimitiveRelation(
+        tuple((i + 1, c) for i, c in enumerate(z) if c > 0),
+        tuple((i + 1, -c) for i, c in enumerate(z) if c < 0),
+    )
 
 
 def test_relation_t1_t2_equals_t3():
-    rels = primitive_relations(factor(eigen_input([2, 3, 6])), 3)
-    assert (((1, 1), (2, 1)), ((3, 1),)) in rel_pairs(rels)
+    rels = primitive_relations(factor(eigen_input([2, 3, 6])))
+    assert rel_pairs(rels) == [(((1, 1), (2, 1)), ((3, 1),))]
 
 
 def test_relation_with_empty_right_side():
-    rels = primitive_relations(factor(eigen_input([2, Fraction(1, 2)])), 3)
-    assert (((1, 1), (2, 1)), ()) in rel_pairs(rels)
+    rels = primitive_relations(factor(eigen_input([2, Fraction(1, 2)])))
+    assert rel_pairs(rels) == [(((1, 1), (2, 1)), ())]
 
 
 def test_relation_with_squared_exponent():
-    rels = primitive_relations(factor(eigen_input([4, 6, 9])), 3)
-    assert (((1, 1), (3, 1)), ((2, 2),)) in rel_pairs(rels)
+    rels = primitive_relations(factor(eigen_input([4, 6, 9])))
+    assert rel_pairs(rels) == [(((1, 1), (3, 1)), ((2, 2),))]
 
 
-def test_relation_bound_validation():
-    t = factor(eigen_input([2, 3]))
-    with pytest.raises(InputError):
-        primitive_relations(t, 0)
+def test_relations_are_the_hermite_basis_and_the_circuits():
+    for vals in random_eigen_lists(seed=1312, count=25):
+        t = factor(eigen_input(vals))
+        rels = primitive_relations(t)
+        mat = IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
+        basis = kernel_lattice(mat).basis.entries
+        circuits = signed_circuits(len(t.primes), t.matrix)
+        assert set(rels) == {relation_of(z) for z in basis + circuits}, vals
+        assert len(rels) == len(set(rels))
 
 
 def test_relations_verify_on_squared_values():
     for vals in random_eigen_lists(seed=808, count=40):
         e = eigen_input(vals)
-        rels = primitive_relations(factor(e), 3)
+        rels = primitive_relations(factor(e))
         for rel in rels:
             lhs_sup = {i for i, _ in rel.lhs}
             rhs_sup = {j for j, _ in rel.rhs}
@@ -151,7 +167,7 @@ def test_relations_verify_on_squared_values():
 
 def test_relations_deterministic():
     t = factor(eigen_input([2, 3, 6, 12]))
-    assert primitive_relations(t, 3) == primitive_relations(t, 3)
+    assert primitive_relations(t) == primitive_relations(t)
 
 
 # -- idempotent poset and criteria -------------------------------------------
@@ -173,47 +189,40 @@ def test_idempotent_set_single_ray():
 
 
 def test_relation_criterion_frozen_cases():
-    rels = primitive_relations(factor(eigen_input([2, 3, 6])), 3)
+    rels = primitive_relations(factor(eigen_input([2, 3, 6])))
     assert not check_relation_criterion((1, 2), rels)
     assert check_relation_criterion((1, 2, 3), rels)
-    grp = primitive_relations(factor(eigen_input([2, Fraction(1, 2)])), 3)
+    grp = primitive_relations(factor(eigen_input([2, Fraction(1, 2)])))
     assert check_relation_criterion((1, 2), grp)
     assert not check_relation_criterion((1,), grp)
 
 
+def accepted_sets(r, rels):
+    sets = (tuple(i + 1 for i in s) for s in subsets(r))
+    return {s for s in sets if check_relation_criterion(s, rels)}
+
+
 def test_faces_pass_relation_filter():
-    for vals in random_eigen_lists(seed=1010, count=25, max_len=5):
+    # the primitive relations accept exactly the faces, not merely a
+    # superset of them, up to the subset oracle's 10 generators
+    spectra = random_eigen_lists(seed=1010, count=25, max_len=5)
+    spectra += random_eigen_lists(seed=1314, count=25, max_len=10, bound=12)
+    for vals in spectra:
         e = eigen_input(vals)
-        rels = primitive_relations(factor(e), 3)
+        rels = primitive_relations(factor(e))
         faces = {x.index_set for x in idempotent_set(e).elements}
-        r = len(e.eigenvalues)
-        accepted = {
-            tuple(i + 1 for i in s)
-            for s in subsets(r)
-            if check_relation_criterion(tuple(i + 1 for i in s), rels)
-        }
-        assert faces <= accepted
+        assert accepted_sets(len(e.eigenvalues), rels) == faces, vals
 
 
 def test_circuit_relations_make_the_criterion_exact():
-    # fed the signed circuits as relations, the criterion accepts exactly
-    # the faces, not merely a superset of them
+    # fed the signed circuits alone as relations, the criterion accepts
+    # exactly the faces
     for vals in random_eigen_lists(seed=1011, count=25, max_len=7, bound=12):
         e = eigen_input(vals)
         cone, p = cone_and_poset(character_data(factor(e)))
-        r = len(e.eigenvalues)
-        rels = [
-            PrimitiveRelation(
-                tuple((i + 1, 1) for i in range(r) if pos >> i & 1),
-                tuple((i + 1, 1) for i in range(r) if neg >> i & 1),
-            )
-            for pos, neg in signed_circuits(cone)
-        ]
-        accepted = {
-            tuple(i + 1 for i in s)
-            for s in subsets(r)
-            if check_relation_criterion(tuple(i + 1 for i in s), rels)
-        }
+        circuits = signed_circuits(cone.ambient_dim, cone.generators)
+        rels = [relation_of(z) for z in circuits]
+        accepted = accepted_sets(len(e.eigenvalues), rels)
         assert accepted == {x.index_set for x in p.elements}, vals
 
 

@@ -1,9 +1,11 @@
 """One pass per job: an eigen or monoid job factors its spectrum, builds its
-cone and enumerates its faces once and shares them with the envelope, the
-smallest-index check and power invariance; the checks in those functions
-still fire on the shared objects."""
+weight monoid, its cone, its faces and its signed circuits once and shares
+them with the envelope, the smallest-index check, power invariance, the
+relations and the cross-checks; the checks in those functions still fire
+on the shared objects."""
 
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -12,11 +14,13 @@ import pytest
 from conftest import random_eigen_lists
 
 from idempotoric import cli, cones, eigen
+from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
     character_data,
     eigen_input,
     factor,
     power_invariance,
+    primitive_relations,
     smallest_idempotent_indices,
 )
 from idempotoric.errors import InternalCheckError
@@ -27,6 +31,8 @@ COUNTED = {
     "factor": eigen.factor,
     "cone_from_generators": cones.cone_from_generators,
     "enumerate_faces": cones.enumerate_faces,
+    "character_data": eigen.character_data,
+    "signed_circuits": cones.signed_circuits,
 }
 
 
@@ -58,18 +64,31 @@ def run_job(tmp_path, capsys, mode, payload):
     return code, json.loads(capsys.readouterr().out)
 
 
+TWELVE = [
+    str(2**a * 3**b * 5**c)
+    for a, b, c in itertools.product((0, 1), (0, 1), (1, 2, 3))
+]
+WIDE = [[1, k] for k in range(11)]
+
+
 @pytest.mark.parametrize(
     "mode, payload, expected",
     [
         # a unit pair 2, 1/2: the envelope projects out a line and needs a
         # second cone of its own
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 2, 2)),
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 2, 2, 2, 1)),
         # pointed: the envelope monoid is the weight monoid itself
-        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1)),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 2, 2)),
+         (0, 2, 2, 0, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
-         (0, 1, 1)),
+         (0, 1, 1, 0, 1)),
+        # past the subset oracle's 10 generators: an eigen job still needs
+        # its circuits for the relations, a cone or monoid job does not
+        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 2, 1)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0)),
+        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1)),
     ],
 )
 def test_job_builds_each_object_once(
@@ -78,12 +97,9 @@ def test_job_builds_each_object_once(
     calls = count_calls(monkeypatch)
     code, rep = run_job(tmp_path, capsys, mode, payload)
     assert code == 0 and "error" not in rep
-    # factor: the spectrum once, and the squared spectrum for power invariance
-    assert (
-        calls["factor"],
-        calls["cone_from_generators"],
-        calls["enumerate_faces"],
-    ) == expected
+    # factor and character_data: the spectrum once, and the squared
+    # spectrum for power invariance
+    assert tuple(calls.values()) == expected
 
 
 def test_shared_objects_give_the_standalone_results():
@@ -96,7 +112,11 @@ def test_shared_objects_give_the_standalone_results():
         assert smallest_idempotent_indices(e, w, cone, poset) == (
             smallest_idempotent_indices(e)
         )
-        assert power_invariance(e, 3, t)
+        assert power_invariance(e, 3, w)
+        # the generators and the exponent rows share their kernel
+        circuits = signed_circuits(cone.ambient_dim, cone.generators)
+        assert circuits == signed_circuits(len(t.primes), t.matrix)
+        assert primitive_relations(t, circuits) == primitive_relations(t)
 
 
 def wrong_lineality(cone):
