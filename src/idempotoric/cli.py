@@ -328,10 +328,7 @@ def _run_finite(payload, crosscheck):
     s = validate_table([list(row) for row in rows])
     idems = idempotent_elements(s)
     g = greens_classes(s)
-    periods = []
-    for x in range(s.size):
-        ip = index_period(s, x)
-        periods.append([x, ip.index, ip.period])
+    ips = [index_period(s, x) for x in range(s.size)]
     report = {
         "schema": SCHEMA,
         "mode": "finite",
@@ -341,7 +338,7 @@ def _run_finite(payload, crosscheck):
         "smallest_idempotent": (
             smallest_idempotent_commutative(s) if s.commutative else None
         ),
-        "index_period": periods,
+        "index_period": [[ip.element, ip.index, ip.period] for ip in ips],
         "greens": {
             "l_classes": [list(c) for c in g.l_classes],
             "r_classes": [list(c) for c in g.r_classes],
@@ -351,8 +348,8 @@ def _run_finite(payload, crosscheck):
         "criterion": {str(e): check_smallest_criterion(s, e) for e in idems},
     }
     if crosscheck:
-        for x in range(s.size):
-            idempotent_power(s, x)
+        for x, ip in enumerate(ips):
+            idempotent_power(s, x, ip)
         report["crosschecks"] = {"idempotent_powers": "ok"}
     return report, None
 

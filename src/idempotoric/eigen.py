@@ -247,8 +247,16 @@ def check_relation_criterion(index_set, rels) -> bool:
     circuits of the generators (``cones.signed_circuits``: a relation's
     lhs and rhs are a circuit's positive and negative parts), as those of
     ``primitive_relations`` do.
+
+    Each index must be an int >= 1.  Indices above the number of
+    generators r are the caller's to rule out: the relations do not
+    carry r.
     """
-    chosen = sum(1 << (i - 1) for i in set(index_set))
+    chosen = 0
+    for i in index_set:
+        if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+            raise InputError(f"index {i!r} must be an int >= 1")
+        chosen |= 1 << (i - 1)
     return circuit_criterion(chosen, relation_masks(rels))
 
 

@@ -1,15 +1,20 @@
 """Finite semigroups as explicit multiplication tables.
 
-Everything here is brute force on purpose: this layer is the desk-scale
-oracle against which the geometric layers' structure claims are checked.
-Tables are validated associative on construction; the enumeration
-functions generate every associative (or commutative) table of a given
-size by backtracking with incremental associativity pruning.
+This layer is the desk-scale oracle against which the geometric layers'
+structure claims are checked.  Tables are validated associative on
+construction by Light's test, and Green's classes come from the Cayley
+graphs, both over a small generating set at O(n²·|A|) cost; the plain
+n³ associativity scan and the principal-ideal Green's classes they
+replace live on in ``tests/test_finite.py`` as ``reference_validate``
+and ``reference_greens``, which the test suite compares them with.  The
+enumeration functions generate every associative (or commutative) table
+of a given size by backtracking with incremental associativity pruning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InputError, InternalCheckError
 
@@ -85,9 +90,18 @@ class PeirceSets:
 
 
 def validate_table(table) -> FiniteSemigroup:
-    """Check squareness, entry range, and associativity (all n³ triples).
+    """Check squareness, entry range and associativity.
 
-    A non-associative table is rejected with a violating triple named.
+    A generating set A is found greedily: the least element not yet
+    reached joins A, and the reached set is closed under right
+    multiplication by A; the closure is checked to reach all n elements.
+    Associativity is then Light's test over A (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, §1.2): (x·a)·y = x·(a·y) for all
+    x, y and every a ∈ A, at O(n²·|A|) cost.  It is exact even before
+    associativity is known: the elements that pass form a set closed
+    under the product, and every element is a left-bracketed product of
+    generators.  Only when it fails is the full n³ scan run, so that the
+    rejection names the lexicographically first violating triple.
     """
     rows = [tuple(r) for r in table]
     n = len(rows)
@@ -100,6 +114,27 @@ def validate_table(table) -> FiniteSemigroup:
             if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
                 raise InputError(f"table entry {x!r} outside 0..{n - 1}")
     t = tuple(rows)
+    if not _light_test(t, _generators(t)):
+        _first_violation(t)
+    return FiniteSemigroup(n, t, tuple(zip(*t)) == t)
+
+
+def _light_test(t, gens) -> bool:
+    """(x·a)·y = x·(a·y) for all x, y and every a in ``gens``, one row at
+    a time: row x·a of the table against row x read through row a."""
+    if len(t) == 1:
+        return True  # associative; and itemgetter(i) returns an item, not a tuple
+    for a in gens:
+        through_a = itemgetter(*t[a])
+        if [t[row[a]] for row in t] != list(map(through_a, t)):
+            return False
+    return True
+
+
+def _first_violation(t) -> None:
+    """Raise ``InputError`` naming the first (a, b, c) in lexicographic
+    order with (a·b)·c ≠ a·(b·c); the caller has seen that one exists."""
+    n = len(t)
     for a in range(n):
         for b in range(n):
             ab = t[a][b]
@@ -109,8 +144,46 @@ def validate_table(table) -> FiniteSemigroup:
                         f"table is not associative at ({a}, {b}, {c}): "
                         f"({a}·{b})·{c} = {t[ab][c]} but {a}·({b}·{c}) = {t[a][t[b][c]]}"
                     )
-    comm = all(t[a][b] == t[b][a] for a in range(n) for b in range(a))
-    return FiniteSemigroup(n, t, comm)
+    raise InternalCheckError("Light's test failed on an associative table")
+
+
+def _right_closure(t, gens, start) -> bytearray:
+    """Membership flags of the elements reached from ``start`` by right
+    multiplication with members of ``gens``, ``start`` included."""
+    seen = bytearray(len(t))
+    todo = list(start)
+    for x in todo:
+        seen[x] = 1
+    while todo:
+        row = t[todo.pop()]
+        for a in gens:
+            y = row[a]
+            if not seen[y]:
+                seen[y] = 1
+                todo.append(y)
+    return seen
+
+
+def _greedy_generators(t) -> tuple[int, ...]:
+    """Take the least element not yet reached as the next generator and
+    close the reached set under right multiplication by the generators."""
+    gens: list[int] = []
+    seen = bytearray(len(t))
+    for g in range(len(t)):
+        if not seen[g]:
+            gens.append(g)
+            reached = [x for x, hit in enumerate(seen) if hit]
+            seen = _right_closure(t, gens, reached + [g])
+    return tuple(gens)
+
+
+def _generators(t) -> tuple[int, ...]:
+    """A generating set of the table: every element is a left-bracketed
+    product of its members.  O(n·|A|²); the closure is checked again."""
+    gens = _greedy_generators(t)
+    if not all(_right_closure(t, gens, gens)):
+        raise InternalCheckError("generating set does not reach every element")
+    return gens
 
 
 def _check_element(s: FiniteSemigroup, x) -> int:
@@ -156,13 +229,17 @@ def index_period(s: FiniteSemigroup, x: int) -> IndexPeriod:
     return IndexPeriod(x, i, k - i)
 
 
-def idempotent_power(s: FiniteSemigroup, x: int) -> int:
+def idempotent_power(s: FiniteSemigroup, x: int, ip: IndexPeriod | None = None) -> int:
     """The unique idempotent among the powers of x.
 
     x^k with k the sole multiple of the period inside one full cycle
     [index, index + period); the result is verified to square to itself.
+    ``ip``, x's ``index_period`` if the caller has it, is reused.
     """
-    ip = index_period(s, x)
+    if ip is None:
+        ip = index_period(s, x)
+    elif ip.element != x:
+        raise InputError(f"index and period are for element {ip.element}, not {x!r}")
     k = -(-ip.index // ip.period) * ip.period
     y = x
     for _ in range(k - 1):
@@ -173,22 +250,34 @@ def idempotent_power(s: FiniteSemigroup, x: int) -> int:
 
 
 def greens_classes(s: FiniteSemigroup) -> GreensClasses:
-    """L, R, J, H by exhaustive principal-ideal generation.
+    """L, R, J, H from the Cayley graphs over a generating set A.
 
-    The adjoined identity is implicit: each ideal contains its generator.
+    y lies in xS¹ exactly when a path x → x·a → … over a ∈ A reaches y,
+    so the R-classes are the strongly connected components of the right
+    Cayley graph and the L-classes those of the left one, x → a·x (an
+    iterative Tarjan, O(n·|A|) each).  D = R ∨ L is joined by union-find,
+    and J = D because S is finite (Froidure & Pin, "Algorithms for
+    computing finite semigroups", 1997; Howie, *Fundamentals of Semigroup
+    Theory*, §2.1); H = L ∧ R.  Classes and partitions come sorted.
     """
     n = s.size
     t = s.table
-    left = []
-    right = []
-    two = []
-    for x in range(n):
-        lx = {x} | {t[a][x] for a in range(n)}
-        rx = {x} | {t[x][a] for a in range(n)}
-        jx = lx | rx | {t[a][t[x][b]] for a in range(n) for b in range(n)}
-        left.append(frozenset(lx))
-        right.append(frozenset(rx))
-        two.append(frozenset(jx))
+    gens = _generators(t)
+    r_comp = _components([tuple(row[a] for a in gens) for row in t])
+    l_comp = _components(list(zip(*(t[a] for a in gens))))
+
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for comp in (r_comp, l_comp):
+        first: dict[int, int] = {}
+        for x in range(n):
+            parent[find(x)] = find(first.setdefault(comp[x], x))
 
     def partition(key):
         groups: dict = {}
@@ -197,11 +286,54 @@ def greens_classes(s: FiniteSemigroup) -> GreensClasses:
         return tuple(sorted(tuple(g) for g in groups.values()))
 
     return GreensClasses(
-        partition(lambda x: left[x]),
-        partition(lambda x: right[x]),
-        partition(lambda x: two[x]),
-        partition(lambda x: (left[x], right[x])),
+        partition(l_comp.__getitem__),
+        partition(r_comp.__getitem__),
+        partition(find),
+        partition(lambda x: (l_comp[x], r_comp[x])),
     )
+
+
+def _components(succ) -> list[int]:
+    """Strongly connected components of the graph x → succ[x] by an
+    iterative Tarjan (no recursion, so any depth): a component number for
+    each vertex."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return comp
 
 
 def peirce_sets(s: FiniteSemigroup, e: int) -> PeirceSets:

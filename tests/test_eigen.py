@@ -197,6 +197,13 @@ def test_relation_criterion_frozen_cases():
     assert not check_relation_criterion((1,), grp)
 
 
+@pytest.mark.parametrize("bad", [True, False, 0, -1, "1", 1.0, None])
+def test_relation_criterion_rejects_bad_indices(bad):
+    rels = primitive_relations(factor(eigen_input([2, 3, 6])))
+    with pytest.raises(InputError, match="must be an int >= 1"):
+        check_relation_criterion((1, bad), rels)
+
+
 def accepted_sets(r, rels):
     sets = (tuple(i + 1 for i in s) for s in subsets(r))
     return {s for s in sets if check_relation_criterion(s, rels)}

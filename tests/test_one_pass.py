@@ -2,7 +2,8 @@
 weight monoid, its cone, its faces and its signed circuits once and shares
 them with the envelope, the smallest-index check, power invariance, the
 relations and the cross-checks; the checks in those functions still fire
-on the shared objects."""
+on the shared objects.  A finite job takes each element's index and
+period once, for its report and its idempotent-power cross-check."""
 
 import dataclasses
 import itertools
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import random_eigen_lists
 
-from idempotoric import cli, cones, eigen
+from idempotoric import cli, cones, eigen, finite
 from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
     character_data,
@@ -36,16 +37,16 @@ COUNTED = {
 }
 
 
-def count_calls(monkeypatch):
-    """Count calls to the COUNTED functions, rebinding each in every module
-    of the package that imported it by name."""
-    calls = dict.fromkeys(COUNTED, 0)
+def count_calls(monkeypatch, functions=COUNTED):
+    """Count calls to ``functions`` (name to function), rebinding each in
+    every module of the package that imported it by name."""
+    calls = dict.fromkeys(functions, 0)
     modules = [
         m
         for n, m in sys.modules.items()
         if m is not None and (n == "idempotoric" or n.startswith("idempotoric."))
     ]
-    for name, original in COUNTED.items():
+    for name, original in functions.items():
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -100,6 +101,15 @@ def test_job_builds_each_object_once(
     # factor and character_data: the spectrum once, and the squared
     # spectrum for power invariance
     assert tuple(calls.values()) == expected
+
+
+def test_finite_job_takes_each_index_period_once(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, {"index_period": finite.index_period})
+    table = [list(row) for row in finite.zmod_times(12).table]
+    code, rep = run_job(tmp_path, capsys, "finite", {"table": table})
+    assert code == 0 and rep["crosschecks"] == {"idempotent_powers": "ok"}
+    # once per element for the report; the cross-check reuses them
+    assert calls == {"index_period": 12}
 
 
 def test_shared_objects_give_the_standalone_results():
