@@ -6,10 +6,12 @@ A job document selects a mode and carries one payload:
      "payload": {"eigenvalues": ["2", "3", "6"]}}
 
 Rationals travel as exact "p/q" strings (or plain integers); floats are
-rejected outright so nothing is silently rounded.  Reports are emitted
-with sorted keys and fixed indentation, so the same job always produces
-the same bytes.  Input documents may name schema v1 or v2: the payloads
-are the same, and only the reports changed.
+rejected outright so nothing is silently rounded.  Tables and generator
+rows go unchecked to the layer that validates them (``validate_table``,
+``IntegerMatrix.from_rows``), and the cross-checks always run.  Reports
+are emitted with sorted keys and fixed indentation, so the same job
+always produces the same bytes.  Input documents may name schema v1 or
+v2: the payloads are the same, and only the reports changed.
 """
 
 import argparse
@@ -51,6 +53,7 @@ from .finite import (
     validate_table,
     zmod_times,
 )
+from .lattices import IntegerMatrix
 from .monoids import (
     IdempotentPoset,
     cone_and_poset,
@@ -106,17 +109,6 @@ def _expect_keys(payload, allowed) -> None:
     missing = sorted(set(allowed) - set(payload))
     if missing:
         raise InputError(f"missing payload keys: {', '.join(missing)}")
-
-
-def _int_rows(raw, what):
-    if not isinstance(raw, list):
-        raise InputError(f"{what} must be an array of arrays")
-    rows = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise InputError(f"{what}[{i}] must be an array")
-        rows.append(tuple(_int(x, f"{what}[{i}] entry") for x in row))
-    return rows
 
 
 # -- serialization helpers -------------------------------------------------------
@@ -206,7 +198,7 @@ def _relation_filter_check(poset, rels, circuits) -> str:
 # -- mode handlers -----------------------------------------------------------------
 
 
-def _run_eigen(payload, crosscheck):
+def _run_eigen(payload):
     _expect_keys(payload, {"eigenvalues"})
     raw = payload["eigenvalues"]
     if not isinstance(raw, list) or not raw:
@@ -241,14 +233,13 @@ def _run_eigen(payload, crosscheck):
         "chain_length": maximal_chain_length(p),
         "envelope": _envelope_doc(env),
         "power_invariance_squared": True,
-    }
-    if crosscheck:
-        report["crosschecks"] = {
+        "crosschecks": {
             "subset_oracle": _subset_oracle(
                 cone, {e.index_set for e in p.elements}, 1, circuits
             ),
             "relation_filter": _relation_filter_check(p, rels, circuits),
-        }
+        },
+    }
     return report, p
 
 
@@ -257,16 +248,10 @@ def _generator_rows(payload):
     dim = _int(payload["ambient_dim"], "ambient_dim")
     if dim < 0:
         raise InputError("ambient_dim must be nonnegative")
-    rows = _int_rows(payload["generators"], "generators")
-    for i, row in enumerate(rows):
-        if len(row) != dim:
-            raise InputError(
-                f"generators[{i}] has length {len(row)}, expected ambient_dim={dim}"
-            )
-    return dim, rows
+    return dim, IntegerMatrix.from_rows(payload["generators"], cols=dim).entries
 
 
-def _run_monoid(payload, crosscheck):
+def _run_monoid(payload):
     dim, rows = _generator_rows(payload)
     w = monoid_from_generators(rows)
     cone, p = cone_and_poset(w)
@@ -283,15 +268,14 @@ def _run_monoid(payload, crosscheck):
         "largest_index_set": list(p.elements[p.largest].index_set),
         "chain_length": maximal_chain_length(p),
         "envelope": _envelope_doc(env),
-    }
-    if crosscheck:
-        report["crosschecks"] = {
+        "crosschecks": {
             "subset_oracle": _subset_oracle(cone, {e.index_set for e in p.elements}, 1)
-        }
+        },
+    }
     return report, p
 
 
-def _run_cone(payload, crosscheck):
+def _run_cone(payload):
     dim, rows = _generator_rows(payload)
     cone = cone_from_generators(dim, rows)
     poset = enumerate_faces(cone)
@@ -312,23 +296,21 @@ def _run_cone(payload, crosscheck):
         "hasse_edges": [list(edge) for edge in poset.hasse_edges],
         "bottom": poset.bottom,
         "top": poset.top,
+        "crosschecks": {
+            "subset_oracle": _subset_oracle(cone, {f.index_set for f in poset.faces}, 0)
+        },
     }
-    if crosscheck:
-        report["crosschecks"] = {
-            "subset_oracle": _subset_oracle(
-                cone, {f.index_set for f in poset.faces}, 0
-            )
-        }
     return report, poset
 
 
-def _run_finite(payload, crosscheck):
+def _run_finite(payload):
     _expect_keys(payload, {"table"})
-    rows = _int_rows(payload["table"], "table")
-    s = validate_table([list(row) for row in rows])
+    s = validate_table(payload["table"])
     idems = idempotent_elements(s)
     g = greens_classes(s)
     ips = [index_period(s, x) for x in range(s.size)]
+    for x, ip in enumerate(ips):
+        idempotent_power(s, x, ip)
     report = {
         "schema": SCHEMA,
         "mode": "finite",
@@ -346,11 +328,8 @@ def _run_finite(payload, crosscheck):
             "h_classes": [list(c) for c in g.h_classes],
         },
         "criterion": {str(e): check_smallest_criterion(s, e) for e in idems},
+        "crosschecks": {"idempotent_powers": "ok"},
     }
-    if crosscheck:
-        for x, ip in enumerate(ips):
-            idempotent_power(s, x, ip)
-        report["crosschecks"] = {"idempotent_powers": "ok"}
     return report, None
 
 
@@ -487,7 +466,7 @@ def run_selftest() -> dict:
 # -- document dispatch -------------------------------------------------------------
 
 
-def _execute(doc, crosscheck):
+def _execute(doc):
     if not isinstance(doc, dict):
         raise InputError("job document must be a JSON object")
     unknown = sorted(set(doc) - {"schema", "mode", "payload"})
@@ -513,12 +492,12 @@ def _execute(doc, crosscheck):
         "cone": _run_cone,
         "finite": _run_finite,
     }[mode]
-    return handler(payload, crosscheck)
+    return handler(payload)
 
 
-def run(doc, crosscheck: bool = True) -> dict:
+def run(doc) -> dict:
     """Execute a job document and return the report as a JSON-ready dict."""
-    report, _ = _execute(doc, crosscheck)
+    report, _ = _execute(doc)
     return report
 
 
@@ -709,15 +688,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(mode, help=helps[mode])
         p.add_argument("--input", default="-", help="JSON file path, or - for stdin")
         p.add_argument("--format", choices=("json", "dot", "text"), default="json")
-        p.add_argument(
-            "--no-crosscheck",
-            action="store_true",
-            help="skip the independent subset-oracle and filter cross-checks",
-        )
     try:
         args = parser.parse_args(argv)
         doc = _load_document(args.mode, args.input)
-        report, poset = _execute(doc, not args.no_crosscheck)
+        report, poset = _execute(doc)
         if args.format == "dot":
             if poset is None:
                 raise InputError(f"mode {args.mode!r} has no poset to draw")

@@ -370,11 +370,12 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     """Build the cone spanned by integer generator vectors.
 
     Duplicate and zero generators are allowed; zero generators lie on every
-    face.  Raises InputError on a non-int entry or a dimension mismatch.
+    face.  Raises InputError unless ``ambient_dim`` is a nonnegative int
+    (not a bool) and ``IntegerMatrix.from_rows`` accepts the generators.
     """
-    if not isinstance(ambient_dim, int) or ambient_dim < 0:
+    dim_is_int = isinstance(ambient_dim, int) and not isinstance(ambient_dim, bool)
+    if not dim_is_int or ambient_dim < 0:
         raise InputError("ambient dimension must be a nonnegative int")
-    # the lattice layer rejects non-int entries and rows of the wrong width
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
     dual_rays, dual_lin = _dd_rays(ambient_dim, list(gens), [])

@@ -90,7 +90,8 @@ class PeirceSets:
 
 
 def validate_table(table) -> FiniteSemigroup:
-    """Check squareness, entry range and associativity.
+    """The one validator of a table, in this order: an array of arrays,
+    nonempty, square, int entries (not bool) in 0..n-1, associative.
 
     A generating set A is found greedily: the least element not yet
     reached joins A, and the reached set is closed under right
@@ -103,17 +104,26 @@ def validate_table(table) -> FiniteSemigroup:
     generators.  Only when it fails is the full n³ scan run, so that the
     rejection names the lexicographically first violating triple.
     """
-    rows = [tuple(r) for r in table]
-    n = len(rows)
+    if not isinstance(table, (list, tuple)):
+        raise InputError("table must be an array of arrays")
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"table[{i}] must be an array")
+    n = len(table)
     if n == 0:
         raise InputError("multiplication table must be nonempty")
-    for r in rows:
-        if len(r) != n:
-            raise InputError("multiplication table must be square")
-        for x in r:
-            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
-                raise InputError(f"table entry {x!r} outside 0..{n - 1}")
-    t = tuple(rows)
+    if any(len(row) != n for row in table):
+        raise InputError("multiplication table must be square")
+    t = tuple(map(tuple, table))
+    for i, row in enumerate(t):
+        if not set(map(type, row)) <= {int}:
+            # name the first entry that is not an int (subclasses pass)
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise InputError(f"table[{i}] entry must be an integer, got {x!r}")
+    if min(map(min, t)) < 0 or max(map(max, t)) >= n:
+        x = next(x for row in t for x in row if not 0 <= x < n)
+        raise InputError(f"table entry {x!r} outside 0..{n - 1}")
     if not _light_test(t, _generators(t)):
         _first_violation(t)
     return FiniteSemigroup(n, t, tuple(zip(*t)) == t)

@@ -46,13 +46,30 @@ class IntegerMatrix:
     def __post_init__(self) -> None:
         if self.cols < 0:
             raise InputError("negative column count")
-        for row in self.entries:
+        for i, row in enumerate(self.entries):
             if len(row) != self.cols:
-                raise InputError("ragged matrix rows")
+                raise InputError(
+                    f"matrix row {i} has length {len(row)}, expected {self.cols}"
+                )
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntegerMatrix":
-        data = tuple(tuple(_check_entry(x) for x in row) for row in rows)
+        """The one validator of integer rows: an array of arrays of ints
+        (not bool), each ``cols`` long (default: the first row's length);
+        each fault is an InputError naming the row."""
+        if not isinstance(rows, (list, tuple)):
+            raise InputError("matrix rows must be an array of arrays")
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise InputError(f"matrix row {i} must be an array")
+            if not set(map(type, row)) <= {int}:
+                # name the first entry that is not an int (subclasses pass)
+                for x in row:
+                    if isinstance(x, bool) or not isinstance(x, int):
+                        raise InputError(
+                            f"matrix entries must be plain ints, got {x!r} in row {i}"
+                        )
+        data = tuple(map(tuple, rows))
         if cols is None:
             if not data:
                 raise InputError("column count required for a matrix with no rows")

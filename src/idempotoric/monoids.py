@@ -100,13 +100,13 @@ def monoid_from_generators(raw, labels=None) -> WeightMonoid:
     result's ambient_rank equals the rank actually spanned.  All-zero
     input is allowed and yields the rank-0 trivial monoid.
     """
-    vecs = [tuple(v) for v in raw]
-    if not vecs:
+    if isinstance(raw, (list, tuple)) and not raw:
         raise InputError("need at least one generator vector")
-    # the lattice layer rejects non-int entries and ragged rows
-    lam = Sublattice.span(len(vecs[0]), vecs)
+    # the lattice layer rejects non-array rows, non-int entries and ragged rows
+    mat = IntegerMatrix.from_rows(raw)
+    lam = Sublattice.span(mat.cols, mat.entries)
     gens = []
-    for v in vecs:
+    for v in mat.entries:
         coords = lattice_member(lam, v)
         if coords is None:
             raise InternalCheckError("generator escaped its own span")
@@ -119,9 +119,6 @@ def monoid_from_generators(raw, labels=None) -> WeightMonoid:
 
 
 def _validate(w: WeightMonoid) -> None:
-    for g in w.generators:
-        if len(g) != w.ambient_rank:
-            raise InputError("generator width does not match ambient_rank")
     mat = IntegerMatrix.from_rows(w.generators, cols=w.ambient_rank)
     if rank(mat) != w.ambient_rank:
         raise InputError(

@@ -1,5 +1,6 @@
 """CLI surface: payload validation, reports, DOT export, exit codes."""
 
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_cone_inputs, subsets
 
@@ -23,6 +25,8 @@ from idempotoric.cli import (
 from idempotoric.cones import cone_from_generators, enumerate_faces
 from idempotoric.eigen import PrimitiveRelation, power_invariance
 from idempotoric.errors import InputError, InternalCheckError
+from idempotoric.finite import all_associative_tables, validate_table
+from idempotoric.lattices import IntegerMatrix
 from idempotoric.monoids import Idempotent, IdempotentPoset, idempotents, monoid_from_generators
 
 
@@ -138,6 +142,118 @@ def test_finite_report():
 def test_finite_non_associative_rejected():
     with pytest.raises(InputError, match="associative"):
         run({"mode": "finite", "payload": {"table": [[0, 0], [1, 0]]}})
+
+
+# -- malformed payloads: each layer is the one validator of its values ----------
+
+
+@pytest.mark.parametrize(
+    "mode, payload, message",
+    [
+        ("finite", {"table": 5}, "table must be an array of arrays"),
+        ("finite", {"table": [[0, 0], None]}, "table[1] must be an array"),
+        ("finite", {"table": [0]}, "table[0] must be an array"),
+        (
+            "finite",
+            {"table": [[0, "1"], [1, 0]]},
+            "table[0] entry must be an integer, got '1'",
+        ),
+        (
+            "finite",
+            {"table": [[0, 0], [0, True]]},
+            "table[1] entry must be an integer, got True",
+        ),
+        ("finite", {"table": [[0, 2], [1, 0]]}, "table entry 2 outside 0..1"),
+        ("finite", {"table": [[0, 1], [1]]}, "multiplication table must be square"),
+        ("finite", {"table": []}, "multiplication table must be nonempty"),
+        (
+            "cone",
+            {"ambient_dim": 2, "generators": [[1, 0], [1]]},
+            "matrix row 1 has length 1, expected 2",
+        ),
+        (
+            "cone",
+            {"ambient_dim": 2, "generators": [None]},
+            "matrix row 0 must be an array",
+        ),
+        (
+            "cone",
+            {"ambient_dim": 2, "generators": 7},
+            "matrix rows must be an array of arrays",
+        ),
+        (
+            "cone",
+            {"ambient_dim": 2, "generators": [[1, "a"]]},
+            "matrix entries must be plain ints, got 'a' in row 0",
+        ),
+        (
+            "cone",
+            {"ambient_dim": True, "generators": [[1]]},
+            "ambient_dim must be an integer, got True",
+        ),
+        (
+            "monoid",
+            {"ambient_dim": -1, "generators": []},
+            "ambient_dim must be nonnegative",
+        ),
+        (
+            "monoid",
+            {"ambient_dim": 3, "generators": [[1, 0]]},
+            "matrix row 0 has length 2, expected 3",
+        ),
+    ],
+    ids=[
+        "table-not-array",
+        "none-row",
+        "int-row",
+        "string-entry",
+        "bool-entry",
+        "out-of-range",
+        "not-square",
+        "empty-table",
+        "wrong-width",
+        "none-generator",
+        "generators-not-array",
+        "string-generator-entry",
+        "bool-ambient-dim",
+        "negative-ambient-dim",
+        "monoid-width",
+    ],
+)
+def test_main_rejects_malformed_payloads(mode, payload, message, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    code = main([mode, "--input", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc == {
+        "schema": SCHEMA,
+        "error": {"kind": "input", "message": message},
+    }
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate_table(None),
+        lambda: validate_table([1, 2]),
+        lambda: IntegerMatrix.from_rows([None], cols=2),
+        lambda: cone_from_generators(2, [None]),
+        lambda: monoid_from_generators([None]),
+        lambda: cone_from_generators(True, [(1,)]),
+    ],
+    ids=[
+        "table-none",
+        "table-of-ints",
+        "matrix-none-row",
+        "cone-none-row",
+        "monoid-none-row",
+        "cone-bool-dim",
+    ],
+)
+def test_library_entry_points_reject_malformed_shapes(call):
+    with pytest.raises(InputError):
+        call()
 
 
 def test_reports_are_deterministic_and_reparse():
@@ -273,12 +389,16 @@ def test_main_text_format(tmp_path, capsys):
             "idempotoric: unrecognized arguments: --relation-bound 3",
         ),
         (
+            ["cone", "--no-crosscheck"],
+            "idempotoric: unrecognized arguments: --no-crosscheck",
+        ),
+        (
             ["eigen", "--format", "xml"],
             "idempotoric eigen: argument --format: invalid choice: 'xml'",
         ),
         ([], "idempotoric: the following arguments are required: mode"),
     ],
-    ids=["unknown-flag", "relation-bound", "bad-format", "no-mode"],
+    ids=["unknown-flag", "relation-bound", "no-crosscheck", "bad-format", "no-mode"],
 )
 def test_main_usage_errors_are_rejected_input(args, message, capsys):
     code = main(args)
@@ -295,7 +415,7 @@ def test_main_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eigen", "-h"])
     assert exc.value.code == 0
-    assert "--no-crosscheck" in capsys.readouterr().out
+    assert "--format" in capsys.readouterr().out
 
 
 def test_main_selftest(capsys):
@@ -424,3 +544,109 @@ def test_main_survives_a_closed_stdout(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+# -- fuzzing main: exit 0 or 1 and a JSON document, never a fault ---------------
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+ASSOCIATIVE = [
+    [list(row) for row in s.table] for n in (1, 2, 3) for s in all_associative_tables(n)
+]
+
+
+def sometimes(draw, good, bad):
+    """``good``, or now and then ``good`` mixed with ``bad``."""
+    return st.one_of(good, bad) if draw(st.integers(0, 3)) == 1 else good
+
+
+@st.composite
+def finite_payloads(draw):
+    n = draw(st.integers(1, 4))
+    entry = sometimes(draw, st.integers(0, n - 1), JUNK)
+    row = sometimes(
+        draw, st.lists(entry, min_size=n, max_size=n), st.lists(entry, max_size=5)
+    )
+    table = sometimes(
+        draw,
+        st.one_of(st.sampled_from(ASSOCIATIVE), st.lists(row, min_size=n, max_size=n)),
+        st.one_of(st.lists(sometimes(draw, row, JUNK), max_size=5), JUNK),
+    )
+    return {"table": draw(table)}
+
+
+@st.composite
+def generator_payloads(draw):
+    dim = draw(st.integers(0, 4))
+    entry = sometimes(draw, st.integers(-3, 3), JUNK)
+    row = sometimes(
+        draw, st.lists(entry, min_size=dim, max_size=dim), st.lists(entry, max_size=5)
+    )
+    gens = sometimes(draw, st.lists(row, max_size=6), st.one_of(JUNK, st.lists(JUNK)))
+    return {
+        "ambient_dim": draw(sometimes(draw, st.just(dim), JUNK)),
+        "generators": draw(gens),
+    }
+
+
+@st.composite
+def eigen_payloads(draw):
+    bound = 10**4
+    value = sometimes(
+        draw,
+        st.one_of(
+            st.integers(1, bound).map(str),
+            st.builds(
+                "{}/{}".format,
+                st.integers(-bound, bound).filter(bool),
+                st.integers(1, bound),
+            ),
+        ),
+        st.one_of(st.integers(-bound, bound), st.just("3/0"), JUNK),
+    )
+    values = sometimes(draw, st.lists(value, min_size=1, max_size=6), JUNK)
+    return {"eigenvalues": draw(values)}
+
+
+@st.composite
+def jobs(draw):
+    mode, payload = draw(
+        st.one_of(
+            st.tuples(st.just("finite"), finite_payloads()),
+            st.tuples(st.sampled_from(["cone", "monoid"]), generator_payloads()),
+            st.tuples(st.just("eigen"), eigen_payloads()),
+        )
+    )
+    if draw(st.integers(0, 9)) == 1:
+        payload = dict(payload, extra=draw(JUNK))
+    return mode, payload
+
+
+def main_on_stdin(mode, text):
+    out = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main([mode])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(jobs())
+def test_main_fuzz_exits_0_or_1_with_a_document(job):
+    mode, payload = job
+    code, out = main_on_stdin(mode, json.dumps(payload))
+    doc = json.loads(out)
+    assert doc["schema"] == SCHEMA
+    if code == 1:
+        assert doc["error"]["kind"] == "input"
+    else:
+        assert code == 0 and "error" not in doc
