@@ -4,7 +4,11 @@ The powers of a diagonalizable matrix with nonzero rational eigenvalues
 land in a commutative algebraic monoid; its character data is the lattice
 generated by the eigenvalue exponent vectors.  Signs are discarded because
 squaring kills the only torsion ℚ* has (±1), so every question below is
-asked about |λᵢ| and answered for λᵢ².
+asked about |λᵢ| and answered for λᵢ².  The exponents are taken over the
+natural coprime base of the values, not over primes: any base of
+multiplicatively independent integers gives the same lattice up to a
+change of coordinates, and so the same cone and idempotents, and this one
+takes only gcds to find.
 
 Pipeline, each step once per job: eigen_input → factor → character_data →
 cone and face poset (monoids layer) and signed circuits (cones layer),
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .cones import circuit_criterion, signed_circuits
 from .errors import InputError, InternalCheckError
@@ -57,10 +62,13 @@ class EigenInput:
 
 @dataclass(frozen=True)
 class ExponentTable:
-    """Prime exponent vectors of the |eigenvalues|.
+    """Exponent vectors of the |eigenvalues| over a coprime base.
 
-    Row i of ``matrix`` holds the exponents of |λᵢ| over ``primes``
-    (denominator primes negative), and signs[i]·∏ p^matrix[i] == λᵢ.
+    ``primes`` holds the natural coprime base (see ``factor``): pairwise
+    coprime integers > 1, ascending, which are primes only when the values
+    force them to be.  Row i of ``matrix`` holds the exponents of |λᵢ|
+    over it (denominator exponents negative), and
+    signs[i]·∏ b^matrix[i] == λᵢ.
     """
 
     primes: tuple[int, ...]
@@ -88,6 +96,8 @@ def eigen_input(values) -> EigenInput:
     the projection itself — pass only the nonzero spectrum.  Floats are
     rejected outright; exactness is the point.
     """
+    if not isinstance(values, (list, tuple)):
+        raise InputError("eigenvalues must be an array")
     vals: list[Fraction] = []
     mult: list[int] = []
     for x in values:
@@ -109,36 +119,63 @@ def eigen_input(values) -> EigenInput:
     return EigenInput(tuple(vals), tuple(mult))
 
 
-def _trial_factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coprime_base(values) -> list[int]:
+    """The natural coprime base of integers > 1, ascending.
+
+    Factor refinement: while two elements a, b share g = gcd(a, b) > 1,
+    replace them by a/g, g and b/g, dropping 1s (equal elements collapse
+    to one).  The product of the elements falls by g at each step, so it
+    ends, and its result does not depend on the order of the values.
+    """
+    base: list[int] = []
+    for n in values:
+        pending = [n]
+        while pending:
+            a = pending.pop()
+            for i, b in enumerate(base):
+                g = gcd(a, b)
+                if g > 1:
+                    del base[i]
+                    pending += [x for x in (a // g, g, b // g) if x > 1]
+                    break
+            else:
+                base.append(a)
+    return sorted(base)
+
+
+def _valuation(n: int, b: int) -> int:
+    k = 0
+    while n % b == 0:
+        n //= b
+        k += 1
+    return k
 
 
 def factor(e: EigenInput) -> ExponentTable:
-    """Exact prime factorization of every |eigenvalue|."""
-    exps: list[dict[int, int]] = []
-    primes: set[int] = set()
+    """Exponent vectors of every |eigenvalue| over the spectrum's natural
+    coprime base.
+
+    The base is what factor refinement (Bach, Driscoll and Shallit, 1993;
+    Bernstein, 2005) leaves of the numerators and denominators > 1:
+    pairwise coprime integers of which each value is a product of powers.
+    Its elements are primes only when the values force them to be: [6]
+    keeps 6, [6, 2] gives 2 and 3, and 12/35 gives 12 and 35.  It takes
+    gcds and exact division alone, so no value is factored into primes.
+    The base is unique, whatever the order of the values, and the base of
+    the n-th powers is the n-th powers of the base, with the same matrix.
+    The table is checked by ``reconstruct``.
+    """
     for q in e.eigenvalues:
         if q == 0:
             raise InputError("zero eigenvalue: pass only the nonzero spectrum")
-        row = _trial_factor(abs(q.numerator))
-        for p, k in _trial_factor(q.denominator).items():
-            row[p] = row.get(p, 0) - k
-        row = {p: k for p, k in row.items() if k}
-        primes.update(row)
-        exps.append(row)
-    cols = tuple(sorted(primes))
+    parts = [(abs(q.numerator), q.denominator) for q in e.eigenvalues]
+    cols = tuple(_coprime_base(x for pair in parts for x in pair if x > 1))
     table = ExponentTable(
         cols,
-        tuple(tuple(row.get(p, 0) for p in cols) for row in exps),
+        tuple(
+            tuple(_valuation(num, b) - _valuation(den, b) for b in cols)
+            for num, den in parts
+        ),
         tuple(1 if q > 0 else -1 for q in e.eigenvalues),
     )
     if reconstruct(table) != e.eigenvalues:
@@ -150,10 +187,13 @@ def reconstruct(t: ExponentTable) -> tuple[Fraction, ...]:
     """Invert factor: the exact eigenvalues encoded by an ExponentTable."""
     out = []
     for row, sign in zip(t.matrix, t.signs):
-        q = Fraction(sign)
-        for p, k in zip(t.primes, row):
-            q *= Fraction(p) ** k
-        out.append(q)
+        num = den = 1
+        for b, k in zip(t.primes, row):
+            if k > 0:
+                num *= b**k
+            elif k < 0:
+                den *= b**-k
+        out.append(Fraction(sign * num, den))
     return tuple(out)
 
 

@@ -44,8 +44,9 @@ class IntegerMatrix:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.cols < 0:
-            raise InputError("negative column count")
+        cols = self.cols
+        if isinstance(cols, bool) or not isinstance(cols, int) or cols < 0:
+            raise InputError(f"column count must be an int >= 0, got {cols!r}")
         for i, row in enumerate(self.entries):
             if len(row) != self.cols:
                 raise InputError(
@@ -384,6 +385,8 @@ def lattice_member(sub: Sublattice, v) -> tuple[int, ...] | None:
     The zero vector of a rank-0 lattice yields ``()``, which is falsy;
     test the result with ``is not None``.
     """
+    if not isinstance(v, (list, tuple)):
+        raise InputError("vector must be an array of ints")
     vec = [_check_entry(x) for x in v]
     if len(vec) != sub.ambient_rank:
         raise InputError(

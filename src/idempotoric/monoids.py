@@ -112,6 +112,8 @@ def monoid_from_generators(raw, labels=None) -> WeightMonoid:
             raise InternalCheckError("generator escaped its own span")
         gens.append(coords)
     if labels is not None:
+        if not isinstance(labels, (list, tuple)):
+            raise InputError("labels must be an array")
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(gens):
             raise InputError("one label per generator required")

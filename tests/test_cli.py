@@ -314,6 +314,17 @@ def test_main_eigen_json(tmp_path, capsys):
     assert rep["chain_length"] == 2
 
 
+def test_main_factors_a_large_semiprime(tmp_path, capsys):
+    n = 998244353 * 1000000007
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"eigenvalues": [str(n)]}))
+    code, out = run_main(["eigen", "--input", str(path)], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["primes"] == [n]
+    assert rep["exponent_matrix"] == [[1]]
+
+
 def test_main_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(json.dumps({"eigenvalues": ["2", "1/2"]}))
@@ -595,17 +606,23 @@ def generator_payloads(draw):
     }
 
 
+# primes above 10**9: their products defeat factoring by trial division
+BIG_PRIMES = [1000000007, 1000000009, 1000000021, 1000000033, 1000000087]
+
+
 @st.composite
 def eigen_payloads(draw):
-    bound = 10**4
+    bound = 10**18
+    part = st.one_of(
+        st.integers(1, bound),
+        st.builds(int.__mul__, st.sampled_from(BIG_PRIMES), st.sampled_from(BIG_PRIMES)),
+    )
     value = sometimes(
         draw,
         st.one_of(
-            st.integers(1, bound).map(str),
+            part.map(str),
             st.builds(
-                "{}/{}".format,
-                st.integers(-bound, bound).filter(bool),
-                st.integers(1, bound),
+                "{}{}/{}".format, st.sampled_from(["", "-"]), part, part
             ),
         ),
         st.one_of(st.integers(-bound, bound), st.just("3/0"), JUNK),

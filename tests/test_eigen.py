@@ -1,11 +1,13 @@
 """Eigenvalue pipeline: factorization, character monoid, relations, poset."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
+    ExponentTable,
     PrimitiveRelation,
     character_data,
     check_relation_criterion,
@@ -18,7 +20,7 @@ from idempotoric.eigen import (
     smallest_idempotent_indices,
 )
 from idempotoric.errors import InputError
-from idempotoric.lattices import IntegerMatrix, kernel_lattice
+from idempotoric.lattices import IntegerMatrix, kernel_lattice, rank
 from idempotoric.monoids import canonical_form, cone_and_poset
 
 from conftest import random_eigen_lists, subsets
@@ -47,6 +49,11 @@ def test_inexact_or_empty_inputs_rejected():
         eigen_input([])
 
 
+def test_non_array_spectrum_rejected():
+    with pytest.raises(InputError, match="must be an array"):
+        eigen_input(None)
+
+
 # -- factorization -----------------------------------------------------------
 
 
@@ -71,15 +78,121 @@ def test_factor_negative_unit():
 
 
 def test_factor_mixed_rational():
+    # nothing splits 12 or 35, so the coprime base keeps them whole
     t = factor(eigen_input([Fraction(12, 35)]))
-    assert t.primes == (2, 3, 5, 7)
-    assert t.matrix == ((2, 1, -1, -1),)
+    assert t.primes == (12, 35)
+    assert t.matrix == ((1, -1),)
 
 
 def test_reconstruct_roundtrip_random():
     for vals in random_eigen_lists(seed=707, count=60):
         e = eigen_input(vals)
         assert reconstruct(factor(e)) == e.eigenvalues
+
+
+# -- the coprime base against the primes -------------------------------------
+
+
+def reference_prime_factor(n: int) -> dict[int, int]:
+    """Trial division: the prime factorization of n >= 1, O(sqrt n)."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def reference_prime_table(e) -> ExponentTable:
+    """The exponent table of e over the primes, the reference base."""
+    rows = []
+    for q in e.eigenvalues:
+        row = reference_prime_factor(abs(q.numerator))
+        for p, k in reference_prime_factor(q.denominator).items():
+            row[p] = row.get(p, 0) - k
+        rows.append(row)
+    primes = tuple(sorted({p for row in rows for p in row}))
+    matrix = tuple(tuple(row.get(p, 0) for p in primes) for row in rows)
+    return ExponentTable(primes, matrix, tuple(1 if q > 0 else -1 for q in e.eigenvalues))
+
+
+def base_spectra():
+    spectra = random_eigen_lists(seed=2024, count=150)
+    spectra += random_eigen_lists(seed=2025, count=50, max_len=8, bound=2000)
+    return spectra
+
+
+def answers(e, t):
+    """What the pipeline reads off an exponent table of e."""
+    w = character_data(t)
+    cone, p = cone_and_poset(w)
+    return (
+        rank(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))),
+        [(x.index_set, x.face_dim) for x in p.elements],
+        smallest_idempotent_indices(e, w, cone, p),
+        primitive_relations(t),
+    )
+
+
+def test_coprime_base_gives_the_prime_answers():
+    for vals in base_spectra():
+        e = eigen_input(vals)
+        assert answers(e, factor(e)) == answers(e, reference_prime_table(e)), vals
+
+
+def test_coprime_base_is_coarser_than_the_primes():
+    for vals in base_spectra():
+        e = eigen_input(vals)
+        t = factor(e)
+        assert list(t.primes) == sorted(t.primes) and all(b > 1 for b in t.primes)
+        primes = set(reference_prime_table(e).primes)
+        owner = {}
+        for b in t.primes:
+            for p in reference_prime_factor(b):
+                assert p in primes, (vals, b)
+                assert owner.setdefault(p, b) == b, (vals, p)
+        assert set(owner) == primes, vals
+
+
+def test_coprime_base_ignores_the_order_of_the_values():
+    rng = random.Random(2026)
+    for vals in base_spectra():
+        t = factor(eigen_input(vals))
+        shuffled = list(vals)
+        rng.shuffle(shuffled)
+        s = factor(eigen_input(shuffled))
+        assert s.primes == t.primes, vals
+        rows = dict(zip(eigen_input(shuffled).eigenvalues, s.matrix))
+        assert tuple(rows[q] for q in eigen_input(vals).eigenvalues) == t.matrix
+
+
+def test_coprime_base_of_powers_is_the_powers_of_the_base():
+    for vals in base_spectra():
+        t = factor(eigen_input(vals))
+        for n in (2, 3):
+            s = factor(eigen_input([q**n for q in vals]))
+            assert s.primes == tuple(b**n for b in t.primes), (vals, n)
+            assert s.matrix == t.matrix, (vals, n)
+
+
+P, Q = 998244353, 1000000007  # primes
+
+
+def test_coprime_base_keeps_a_semiprime_whole():
+    t = factor(eigen_input([P * Q]))
+    assert t.primes == (P * Q,)
+    assert t.matrix == ((1,),)
+    t = factor(eigen_input([P * Q, P]))
+    assert t.primes == (P, Q)
+    assert t.matrix == ((1, 1), (1, 0))
+    t = factor(eigen_input([Fraction(P, Q**2), -Q]))
+    assert t.primes == (P, Q)
+    assert t.matrix == ((1, -2), (0, 1))
+    assert t.signs == (1, -1)
 
 
 # -- character monoid --------------------------------------------------------

@@ -239,6 +239,12 @@ def test_member_dimension_mismatch():
         lattice_member(sub, (1, 0, 0))
 
 
+def test_member_rejects_a_non_array_vector():
+    sub = Sublattice.span(2, [(1, 0)])
+    with pytest.raises(InputError, match="must be an array"):
+        lattice_member(sub, None)
+
+
 @given(matrices())
 @example(IntegerMatrix((), 3))
 @example(M([[], []], cols=0))
@@ -279,6 +285,16 @@ def test_matrix_rejects_non_int_entries():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(InputError):
         M([[1, 2], [3]])
+
+
+def test_matrix_rejects_a_non_int_column_count():
+    with pytest.raises(InputError, match="column count must be an int >= 0"):
+        M([(1,)], cols="a")
+
+
+def test_span_rejects_a_boolean_ambient_rank():
+    with pytest.raises(InputError, match="column count must be an int >= 0"):
+        Sublattice.span(True, [(1,)])
 
 
 def test_determinant_examples():

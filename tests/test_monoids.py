@@ -62,6 +62,11 @@ def test_labels_recorded_and_validated():
         monoid_from_generators([(1, 0)], labels=("t1", "t2"))
 
 
+def test_non_array_labels_rejected():
+    with pytest.raises(InputError, match="labels must be an array"):
+        monoid_from_generators([(1,)], labels=5)
+
+
 def test_empty_generator_list_rejected():
     with pytest.raises(InputError):
         monoid_from_generators([])
