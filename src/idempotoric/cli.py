@@ -12,6 +12,15 @@ rows go unchecked to the layer that validates them (``validate_table``,
 are emitted with sorted keys and fixed indentation, so the same job
 always produces the same bytes.  Input documents may name schema v1 or
 v2: the payloads are the same, and only the reports changed.
+
+An ``eigen`` job is a ``monoid`` job on the exponent rows of its spectrum
+plus facts about the spectrum.  Both modes build the keys they share (the
+weight monoid, its idempotents, the smallest and largest index sets, both
+checked against the poset, the chain length, the envelope and the subset
+oracle) in ``_weight_monoid_report`` from one ``cone_and_poset`` pair;
+the eigen handler adds the spectrum, the relations, power invariance and
+the relation filter.  The selftest runs the mode handlers themselves on
+seeded cases.
 """
 
 import argparse
@@ -57,7 +66,6 @@ from .lattices import IntegerMatrix
 from .monoids import (
     IdempotentPoset,
     cone_and_poset,
-    idempotents,
     largest_idempotent,
     maximal_chain_length,
     monoid_from_generators,
@@ -150,16 +158,6 @@ def _set_text(indices) -> str:
 # -- cross-checks ----------------------------------------------------------------
 
 
-def _accepted_sets(r, masks, shift) -> set:
-    """Index sets, shifted by `shift`, of the subsets of r generators that
-    pass ``circuit_criterion`` against the (positive, negative) masks."""
-    return {
-        tuple(i + shift for i in range(r) if mask >> i & 1)
-        for mask in range(1 << r)
-        if circuit_criterion(mask, masks)
-    }
-
-
 def _subset_oracle(cone, poset_sets, shift, circuits=None) -> str:
     """Compare enumerated faces against the signed-circuit face test.
 
@@ -175,7 +173,13 @@ def _subset_oracle(cone, poset_sets, shift, circuits=None) -> str:
         return "skipped: more than 10 generators"
     if circuits is None:
         circuits = signed_circuits(cone.ambient_dim, cone.generators)
-    if _accepted_sets(r, [sign_masks(z) for z in circuits], shift) != poset_sets:
+    masks = [sign_masks(z) for z in circuits]
+    accepted = {
+        tuple(i + shift for i in range(r) if mask >> i & 1)
+        for mask in range(1 << r)
+        if circuit_criterion(mask, masks)
+    }
+    if accepted != poset_sets:
         raise InternalCheckError("subset oracle disagrees with face enumeration")
     return "ok"
 
@@ -198,6 +202,30 @@ def _relation_filter_check(poset, rels, circuits) -> str:
 # -- mode handlers -----------------------------------------------------------------
 
 
+def _weight_monoid_report(mode, w, cone, p, circuits=None) -> dict:
+    """The report keys an ``eigen`` and a ``monoid`` job share, read off
+    the weight monoid ``w`` and its ``cone_and_poset`` pair, with the
+    smallest and largest index sets checked against the poset."""
+    env = toric_envelope(w, cone, p)
+    return {
+        "schema": SCHEMA,
+        "mode": mode,
+        "lattice_rank": w.ambient_rank,
+        "generators": [list(g) for g in w.generators],
+        "labels": list(w.labels),
+        "idempotents": _poset_doc(p),
+        "smallest_index_set": list(smallest_idempotent_indices(w, cone, p)),
+        "largest_index_set": list(largest_idempotent(p).index_set),
+        "chain_length": maximal_chain_length(p),
+        "envelope": _envelope_doc(env),
+        "crosschecks": {
+            "subset_oracle": _subset_oracle(
+                cone, {e.index_set for e in p.elements}, 1, circuits
+            ),
+        },
+    }
+
+
 def _run_eigen(payload):
     _expect_keys(payload, {"eigenvalues"})
     raw = payload["eigenvalues"]
@@ -210,36 +238,19 @@ def _run_eigen(payload):
     # the generators have the exponent rows' kernel, so the same circuits
     circuits = signed_circuits(cone.ambient_dim, cone.generators)
     rels = primitive_relations(t, circuits)
-    env = toric_envelope(w, cone, p)
-    small = smallest_idempotent_indices(e, w, cone, p)
-    large = largest_idempotent(p).index_set
+    report = _weight_monoid_report("eigen", w, cone, p, circuits)
     if not power_invariance(e, 2, w):
         raise InternalCheckError("squaring the spectrum changed the weight monoid")
-    report = {
-        "schema": SCHEMA,
-        "mode": "eigen",
+    report |= {
         "eigenvalues": [str(q) for q in e.eigenvalues],
         "multiplicities": list(e.multiplicities),
         "primes": list(t.primes),
         "signs": list(t.signs),
         "exponent_matrix": [list(row) for row in t.matrix],
-        "lattice_rank": w.ambient_rank,
-        "generators": [list(g) for g in w.generators],
-        "labels": list(w.labels),
         "primitive_relations": [_relation_doc(r) for r in rels],
-        "idempotents": _poset_doc(p),
-        "smallest_index_set": list(small),
-        "largest_index_set": list(large),
-        "chain_length": maximal_chain_length(p),
-        "envelope": _envelope_doc(env),
         "power_invariance_squared": True,
-        "crosschecks": {
-            "subset_oracle": _subset_oracle(
-                cone, {e.index_set for e in p.elements}, 1, circuits
-            ),
-            "relation_filter": _relation_filter_check(p, rels, circuits),
-        },
     }
+    report["crosschecks"]["relation_filter"] = _relation_filter_check(p, rels, circuits)
     return report, p
 
 
@@ -253,25 +264,10 @@ def _generator_rows(payload):
 
 def _run_monoid(payload):
     dim, rows = _generator_rows(payload)
-    w = monoid_from_generators(rows)
+    w = monoid_from_generators(rows, [f"g{i}" for i in range(1, len(rows) + 1)])
     cone, p = cone_and_poset(w)
-    env = toric_envelope(w, cone, p)
-    report = {
-        "schema": SCHEMA,
-        "mode": "monoid",
-        "ambient_dim": dim,
-        "lattice_rank": w.ambient_rank,
-        "generators": [list(g) for g in w.generators],
-        "labels": [f"g{i}" for i in range(1, len(w.generators) + 1)],
-        "idempotents": _poset_doc(p),
-        "smallest_index_set": list(p.elements[p.smallest].index_set),
-        "largest_index_set": list(p.elements[p.largest].index_set),
-        "chain_length": maximal_chain_length(p),
-        "envelope": _envelope_doc(env),
-        "crosschecks": {
-            "subset_oracle": _subset_oracle(cone, {e.index_set for e in p.elements}, 1)
-        },
-    }
+    report = _weight_monoid_report("monoid", w, cone, p)
+    report["ambient_dim"] = dim
     return report, p
 
 
@@ -401,10 +397,9 @@ def run_selftest() -> dict:
         checks.append(check)
 
     def face_oracle(job):
+        # the cone handler runs the subset oracle on every job
         dim, gens = job
-        cone = cone_from_generators(dim, gens)
-        poset = enumerate_faces(cone)
-        _subset_oracle(cone, {f.index_set for f in poset.faces}, 0)
+        _run_cone({"ambient_dim": dim, "generators": gens})
 
     run_cases("face_oracle", _random_cone_jobs(1, 15), face_oracle, seed=1)
 
@@ -422,13 +417,8 @@ def run_selftest() -> dict:
     )
 
     def rel_filter(values):
-        # the relations alone accept exactly the idempotents' index sets
-        t = factor(eigen_input(values))
-        masks = relation_masks(primitive_relations(t))
-        p = idempotents(character_data(t))
-        assert _accepted_sets(len(t.matrix), masks, 1) == {
-            e.index_set for e in p.elements
-        }
+        # the eigen handler checks the relations against the idempotents
+        _run_eigen({"eigenvalues": [str(q) for q in values]})
 
     run_cases("relation_filter", _random_spectra(3, 12), rel_filter, seed=3)
 

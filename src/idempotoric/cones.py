@@ -66,6 +66,16 @@ def _primitive(vec) -> Vector:
     return tuple(vec)
 
 
+def _check_index_array(index_set) -> None:
+    """Reject an index set that is not an array (list or tuple) of plain
+    ints; bools are not indices."""
+    if not isinstance(index_set, (list, tuple)):
+        raise InputError(f"an index set must be an array, got {index_set!r}")
+    for i in index_set:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise InputError(f"index {i!r} must be an int")
+
+
 # --------------------------------------------------------------------------
 # exact affine feasibility (Fourier-Motzkin with witness recovery)
 # --------------------------------------------------------------------------
@@ -360,6 +370,7 @@ class FacePoset:
         return {f.index_set: i for i, f in enumerate(self.faces)}
 
     def index_of(self, index_set) -> int:
+        _check_index_array(index_set)
         key = tuple(sorted(index_set))
         if key not in self._positions:
             raise InputError(f"no face with index set {key}")
@@ -558,9 +569,10 @@ def is_face(cone: Cone, index_set) -> Vector | None:
     is kept as the reference the tests hold the other face algorithms to.
     """
     r = len(cone.generators)
+    _check_index_array(index_set)
     chosen = set()
     for i in index_set:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < r:
+        if not 0 <= i < r:
             raise InputError(f"generator index {i!r} out of range")
         chosen.add(i)
     eqs = [(cone.generators[i], 0) for i in sorted(chosen)]
@@ -580,9 +592,11 @@ def is_face(cone: Cone, index_set) -> Vector | None:
 
 
 def face_meet(poset: FacePoset, i: int, j: int) -> int:
-    """Index of the meet (largest common face) of two faces."""
+    """Index of the meet (largest common face) of two faces, each named by
+    its int index into ``poset.faces``."""
     n = len(poset.faces)
-    if not (0 <= i < n and 0 <= j < n):
-        raise InputError("face index out of range")
+    for k in (i, j):
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < n:
+            raise InputError(f"face index {k!r} is not an int in 0..{n - 1}")
     meet = set(poset.faces[i].index_set) & set(poset.faces[j].index_set)
     return poset.index_of(tuple(sorted(meet)))

@@ -301,17 +301,17 @@ def check_relation_criterion(index_set, rels) -> bool:
 
 
 def smallest_idempotent_indices(
-    e: EigenInput, w=None, cone=None, poset=None
+    w: WeightMonoid, cone=None, poset=None
 ) -> tuple[int, ...]:
-    """1-based indices of eigenvalues whose exponent row is a unit
-    direction — exactly the invertible coordinates of the closure.
+    """1-based indices of the generators of ``w`` that lie in the lineality
+    space of their cone: for an eigenvalue list, the eigenvalues whose
+    exponent row is a unit direction, exactly the invertible coordinates
+    of the closure.
 
     Computed by lattice membership in the lineality space and checked
-    against the minimum of the idempotent poset.  The weight monoid ``w``
-    of ``e`` and its ``cone_and_poset`` pair are reused when passed in.
+    against the minimum of the idempotent poset.  The ``cone_and_poset``
+    pair of ``w`` is reused when passed in.
     """
-    if w is None:
-        w = character_data(factor(e))
     if cone is None or poset is None:
         cone, poset = cone_and_poset(w)
     inside = tuple(

@@ -181,6 +181,18 @@ def test_face_meet_examples():
     assert face_meet(faces, faces.top, faces.top) == faces.top
 
 
+def test_face_meet_rejects_a_float_index():
+    faces = enumerate_faces(QUADRANT)
+    with pytest.raises(InputError, match="face index 1.0 is not an int"):
+        face_meet(faces, 1.0, 0)
+
+
+def test_face_meet_rejects_a_boolean_index():
+    faces = enumerate_faces(QUADRANT)
+    with pytest.raises(InputError, match="face index True is not an int"):
+        face_meet(faces, True, 0)
+
+
 # ---------------------------------------------------------------- is_face
 
 
@@ -201,6 +213,11 @@ def test_is_face_validates_indices():
         is_face(QUADRANT, (3,))
     with pytest.raises(InputError):
         is_face(QUADRANT, (-1,))
+
+
+def test_is_face_rejects_a_missing_index_set():
+    with pytest.raises(InputError, match="an index set must be an array"):
+        is_face(QUADRANT, None)
 
 
 def test_dual_oracle_agreement_on_random_cones():
@@ -309,6 +326,16 @@ def test_index_lookup_leaves_equality_and_repr_alone():
     assert repr(used) == text == repr(fresh)
     with pytest.raises(InputError):
         used.index_of((0, 1))
+
+
+def test_index_of_rejects_a_missing_index_set():
+    with pytest.raises(InputError, match="an index set must be an array"):
+        enumerate_faces(QUADRANT).index_of(None)
+
+
+def test_index_of_rejects_a_bare_int():
+    with pytest.raises(InputError, match="an index set must be an array"):
+        enumerate_faces(QUADRANT).index_of(5)
 
 
 def test_construction_is_deterministic():

@@ -133,7 +133,7 @@ def answers(e, t):
     return (
         rank(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))),
         [(x.index_set, x.face_dim) for x in p.elements],
-        smallest_idempotent_indices(e, w, cone, p),
+        smallest_idempotent_indices(w, cone, p),
         primitive_relations(t),
     )
 
@@ -347,9 +347,12 @@ def test_circuit_relations_make_the_criterion_exact():
 
 
 def test_smallest_idempotent_indices_frozen():
-    assert smallest_idempotent_indices(eigen_input([2, 3, 6])) == ()
-    assert smallest_idempotent_indices(eigen_input([2, Fraction(1, 2)])) == (1, 2)
-    assert smallest_idempotent_indices(eigen_input([1, 5])) == (1,)
+    def smallest(values):
+        return smallest_idempotent_indices(character_data(factor(eigen_input(values))))
+
+    assert smallest([2, 3, 6]) == ()
+    assert smallest([2, Fraction(1, 2)]) == (1, 2)
+    assert smallest([1, 5]) == (1,)
 
 
 def test_power_invariance_frozen():

@@ -119,8 +119,8 @@ def test_shared_objects_give_the_standalone_results():
         w = character_data(t)
         cone, poset = cone_and_poset(w)
         assert toric_envelope(w, cone, poset) == toric_envelope(w)
-        assert smallest_idempotent_indices(e, w, cone, poset) == (
-            smallest_idempotent_indices(e)
+        assert smallest_idempotent_indices(w, cone, poset) == (
+            smallest_idempotent_indices(w)
         )
         assert power_invariance(e, 3, w)
         # the generators and the exponent rows share their kernel
@@ -152,11 +152,15 @@ def test_smallest_indices_check_the_shared_poset():
     w = character_data(factor(e))
     cone, poset = cone_and_poset(w)
     with pytest.raises(InternalCheckError, match="disagrees with the poset minimum"):
-        smallest_idempotent_indices(e, w, cone, minimum_moved_to_the_top(poset))
+        smallest_idempotent_indices(w, cone, minimum_moved_to_the_top(poset))
 
 
-def internal_error(tmp_path, capsys):
-    code, doc = run_job(tmp_path, capsys, "eigen", {"eigenvalues": ["2", "1/2", "3"]})
+EIGEN_JOB = {"eigenvalues": ["2", "1/2", "3"]}
+MONOID_JOB = {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]}
+
+
+def internal_error(tmp_path, capsys, mode="eigen", payload=EIGEN_JOB):
+    code, doc = run_job(tmp_path, capsys, mode, payload)
     return code, doc["error"]["kind"], doc["error"]["message"]
 
 
@@ -177,12 +181,44 @@ def test_main_reports_a_corrupted_shared_cone(tmp_path, capsys, monkeypatch):
 def test_main_reports_a_corrupted_shared_poset(tmp_path, capsys, monkeypatch):
     real = cli.smallest_idempotent_indices
 
-    def smallest(e, w, cone, poset):
-        return real(e, w, cone, minimum_moved_to_the_top(poset))
+    def smallest(w, cone, poset):
+        return real(w, cone, minimum_moved_to_the_top(poset))
 
     monkeypatch.setattr(cli, "smallest_idempotent_indices", smallest)
     assert internal_error(tmp_path, capsys) == (
         2,
         "internal",
         "lineality membership disagrees with the poset minimum",
+    )
+
+
+def maximum_moved_to_the_bottom(poset):
+    return dataclasses.replace(poset, largest=poset.smallest)
+
+
+def test_monoid_job_checks_its_smallest_index_set(tmp_path, capsys, monkeypatch):
+    real = cli.smallest_idempotent_indices
+
+    def smallest(w, cone, poset):
+        return real(w, cone, minimum_moved_to_the_top(poset))
+
+    monkeypatch.setattr(cli, "smallest_idempotent_indices", smallest)
+    assert internal_error(tmp_path, capsys, "monoid", MONOID_JOB) == (
+        2,
+        "internal",
+        "lineality membership disagrees with the poset minimum",
+    )
+
+
+def test_monoid_job_checks_its_largest_index_set(tmp_path, capsys, monkeypatch):
+    real = cli.largest_idempotent
+
+    def largest(poset):
+        return real(maximum_moved_to_the_bottom(poset))
+
+    monkeypatch.setattr(cli, "largest_idempotent", largest)
+    assert internal_error(tmp_path, capsys, "monoid", MONOID_JOB) == (
+        2,
+        "internal",
+        "recorded maximum does not dominate the poset",
     )

@@ -1,0 +1,89 @@
+"""Report bytes pinned by digest.
+
+For each (mode, format) one SHA-256 over the exit code and stdout of
+``idempotoric <mode> --format <format>`` on every case of the mode, in
+order: the README's command-line examples, 40 seeded random cones in
+``monoid`` and ``cone`` mode, 40 seeded random spectra in ``eigen`` mode,
+and the selftest.  Rejected cases (a monoid with no generators) count
+with their error documents.  A refactor that keeps the reports keeps
+these digests; a change to any report byte must declare itself by
+updating them.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from conftest import random_cone_inputs, random_eigen_lists
+
+from idempotoric.cli import main
+
+README_PAYLOADS = {
+    "eigen": [{"eigenvalues": ["2", "3", "6"]}],
+    "cone": [{"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]}],
+    "finite": [{"table": [[0, 0], [0, 1]]}],
+}
+
+FORMATS = {
+    "eigen": ("json", "text", "dot"),
+    "monoid": ("json", "text", "dot"),
+    "cone": ("json", "text", "dot"),
+    "finite": ("json", "text"),
+    "selftest": ("json", "text"),
+}
+
+GOLDEN = {
+    ("eigen", "json"): "480cd1eda945898bf4d4974be7402991e1465602984e5b08fd061da8d7b6c290",
+    ("eigen", "text"): "035b6207d62c5efc6d3dce4fc62be636d2d3a6b2218e59f958c264264d88576e",
+    ("eigen", "dot"): "c735bf144faba69df823416fc04efc7efde09f25276da9df998282a58fb63e67",
+    ("monoid", "json"): "4fcf180d6fbbbd76c2ee17a1c1cebf633fb103bf0bf368bb479da37451302304",
+    ("monoid", "text"): "412a907356c36d8c2e35c51c5a1f1da999ddd658189cdd1c9e347fc719ed1ffa",
+    ("monoid", "dot"): "21eabb8b3597d22bd6b76f90141e5ac5c6ea9d85b3b94011da90c6ceb95b8141",
+    ("cone", "json"): "d515b86ea2a3ac39d32102b6602dbfe6bbcbd97af0dd155947f50c3d69b657c2",
+    ("cone", "text"): "b0e4946c57017337c2157d9f31bbfeea151a457f8923e203c28147566424d7a0",
+    ("cone", "dot"): "7415c13c99b99f234c784d5d3dcbc1aa42ad793d44ce73207acfe20584a2bb9a",
+    ("finite", "json"): "f79e42bb2b417b4e5281c5783378faa5beb633100aed8cef984b064834a6ef30",
+    ("finite", "text"): "ae4ef36493b533cbbef2c34322ab8fa5223b5151397979605715fb6ed01f06ba",
+    ("selftest", "json"): "78b81c544ba9fb99e9c678c1378059b8b1fc4eab652e6034a5158b1d88ad0e34",
+    ("selftest", "text"): "a2d412d85c4baa1776d37751e72b7ed33ab9a10846c59c7605093318c3968e0e",
+}
+
+
+def payloads(mode):
+    cones = [
+        {"ambient_dim": d, "generators": [list(g) for g in gens]}
+        for d, gens in random_cone_inputs(seed=1717, count=40)
+    ]
+    spectra = [
+        {"eigenvalues": [str(q) for q in vals]}
+        for vals in random_eigen_lists(seed=1717, count=40)
+    ]
+    random_cases = {"monoid": cones, "cone": cones, "eigen": spectra}
+    return README_PAYLOADS.get(mode, []) + random_cases.get(mode, [])
+
+
+def digest(mode, fmt, tmp_path):
+    """SHA-256 over the exit code and stdout of every case of ``mode``."""
+    h = hashlib.sha256()
+    jobs = payloads(mode) if mode != "selftest" else [None]
+    for k, payload in enumerate(jobs):
+        argv = [mode, "--format", fmt]
+        if payload is not None:
+            path = tmp_path / f"{mode}-{k}.json"
+            path.write_text(json.dumps(payload))
+            argv += ["--input", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        h.update(f"{code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "mode, fmt", [(m, f) for m, fmts in FORMATS.items() for f in fmts]
+)
+def test_report_bytes_match_the_golden_digest(mode, fmt, tmp_path):
+    assert digest(mode, fmt, tmp_path) == GOLDEN[mode, fmt]
