@@ -11,7 +11,10 @@ Faces are identified with the subsets of generator indices they contain.
 bitmasks of facet incidences: the faces are the intersections of facet
 incidence masks, closed one facet at a time in O(F·m) mask operations for
 F faces and m facets, and the lower covers of a face H are the maximal
-masks among H's meets with the m facets, O(F·m²) in all.
+masks among H's meets with the m facets, O(F·m²) in all.  A face's exact
+dimension extends the echelon basis of one of its lower covers by the
+generators off that cover, so no face is eliminated from scratch; the top
+face's rank is checked against ``cone.dim``.
 
 Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
@@ -406,6 +409,29 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     return Cone(ambient_dim, gens, extreme, facets, lineality, dim)
 
 
+def _extend_echelon(rows, vectors):
+    """Extend an echelon basis by ``vectors``, fraction-free.
+
+    ``rows`` is a list of (pivot column, primitive row) pairs in which each
+    row vanishes on the pivots of the rows before it, so one pass over the
+    rows clears every pivot of a vector.  A nonzero remainder is
+    independent of the rows; it joins them, made primitive, pivoting on its
+    first nonzero entry.  Returns a new list, leaving ``rows`` alone, whose
+    length is the rank of the rows and the vectors together.
+    """
+    out = list(rows)
+    for v in vectors:
+        for p, row in out:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            out.append((pivot, _primitive(v)))
+    return out
+
+
 def enumerate_faces(cone: Cone) -> FacePoset:
     """Every face of the cone, as a graded poset.
 
@@ -416,34 +442,56 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     O(F·m) mask operations for F faces and m facets.  Every facet of a face
     H is H's meet with some facet of the cone, so the lower covers of H are
     the maximal masks among ``{H & inc} - {H}``: O(F·m²) bit operations in
-    all, in the spirit of Kaibel & Pfetsch (CGTA 2002).  Each face's
-    dimension is the exact rank of its generators, one fraction-free
-    elimination per face, and its witness functional is the sum of the
-    facet normals through it.  Gradedness of every cover and the bottom
-    face (the generators in the lineality space) are checked.
+    all, in the spirit of Kaibel & Pfetsch (CGTA 2002).
+
+    Faces are visited by increasing number of generators, so a face's lower
+    covers come before it.  Each face's dimension is the length of an exact
+    echelon basis of its generators' span, built from the basis of its
+    first lower cover by reducing only the generators off that cover; the
+    bottom face reduces all of its own.  Every cover edge must raise the
+    dimension by one, the bottom face must carry exactly the generators in
+    the lineality space, and the top face's rank must equal ``cone.dim``.
+    Each face's witness functional is the sum of the facet normals through
+    it.
     """
-    r = len(cone.generators)
+    gens = cone.generators
+    r = len(gens)
     top = (1 << r) - 1
     incidences = []
     for w in cone.facets:
         inc = 0
-        for i, g in enumerate(cone.generators):
+        for i, g in enumerate(gens):
             if _dot(w, g) == 0:
                 inc |= 1 << i
         incidences.append(inc)
     masks = {top}
     for inc in incidences:
         masks |= {s & inc for s in masks}
+    bases = {}
+    covers_of = {}
     faces = []
-    for s in masks:
-        members = tuple(i for i in range(r) if s >> i & 1)
-        rows = [cone.generators[i] for i in members]
-        dim = rank(IntegerMatrix.from_rows(rows, cols=cone.ambient_dim))
+    for s in sorted(masks, key=int.bit_count):
+        # largest first: a non-maximal meet lies under a cover already kept
+        below = {s & inc for inc in incidences} - {s}
+        covers = []
+        for c in sorted(below, key=int.bit_count, reverse=True):
+            if not any(c & d == c for d in covers):
+                covers.append(c)
+        rows, new = (bases[covers[0]], s & ~covers[0]) if covers else ([], s)
+        basis = _extend_echelon(rows, [gens[i] for i in range(r) if new >> i & 1])
+        dim = len(basis)
+        for c in covers:
+            if dim != len(bases[c]) + 1:
+                raise InternalCheckError("face poset is not graded by dimension")
+        bases[s] = basis
+        covers_of[s] = covers
         wit = [0] * cone.ambient_dim
         for inc, w in zip(incidences, cone.facets):
             if s & inc == s:
                 wit = [a + b for a, b in zip(wit, w)]
-        faces.append((dim, members, s, tuple(wit)))
+        faces.append((dim, tuple(i for i in range(r) if s >> i & 1), s, tuple(wit)))
+    if len(bases[top]) != cone.dim:
+        raise InternalCheckError("top face rank differs from the cone's dimension")
     faces.sort()
     position = {s: k for k, (_, _, s, _) in enumerate(faces)}
     # the unique smallest face is the lineality space, carrying exactly the
@@ -454,20 +502,9 @@ def enumerate_faces(cone: Cone) -> FacePoset:
         expected_bottom &= inc
     if faces[bottom][2] != expected_bottom:
         raise InternalCheckError("bottom face does not match the lineality span")
-    edges = []
-    for j, (dim, _, s, _) in enumerate(faces):
-        # largest first: a non-maximal meet lies under a cover already kept
-        below = {s & inc for inc in incidences} - {s}
-        covers = []
-        for c in sorted(below, key=int.bit_count, reverse=True):
-            if any(c & d == c for d in covers):
-                continue
-            covers.append(c)
-            i = position[c]
-            if dim != faces[i][0] + 1:
-                raise InternalCheckError("face poset is not graded by dimension")
-            edges.append((i, j))
-    edges.sort()
+    edges = sorted(
+        (position[c], position[s]) for s, covers in covers_of.items() for c in covers
+    )
     return FacePoset(
         tuple(Face(members, dim, wit) for dim, members, _, wit in faces),
         tuple(edges),

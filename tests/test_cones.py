@@ -9,6 +9,7 @@ from idempotoric.cones import (
     Cone,
     Face,
     FacePoset,
+    _extend_echelon,
     circuit_criterion,
     cone_from_generators,
     enumerate_faces,
@@ -277,6 +278,8 @@ def test_meet_is_lattice_meet():
 
 def test_enumerate_faces_matches_reference_on_random_cones():
     cases = random_cone_inputs(seed=606, count=60, max_dim=5, max_gens=8)
+    # entries in -1..1: zero, repeated and opposite generators, lineality
+    cases += random_cone_inputs(seed=607, count=60, max_dim=5, max_gens=8, bound=1)
     cases += [
         (3, []),
         (3, [(0, 0, 0), (0, 0, 0)]),
@@ -311,9 +314,23 @@ def test_seven_cube_cone_closed_form_counts():
 
 def test_non_graded_poset_is_reported(monkeypatch):
     # a wrong rank must trip the gradedness check rather than pass silently
-    monkeypatch.setattr("idempotoric.cones.rank", lambda m: min(m.rows, 1))
+    monkeypatch.setattr(
+        "idempotoric.cones._extend_echelon",
+        lambda rows, vectors: _extend_echelon(rows, vectors)[:1],
+    )
     with pytest.raises(InternalCheckError, match="graded"):
         enumerate_faces(QUADRANT)
+
+    # one spurious row in the bottom face's basis raises every rank by one,
+    # which each cover edge accepts; the top rank against cone.dim does not
+    def repeat_bottom_row(rows, vectors):
+        out = _extend_echelon(rows, vectors)
+        return out if rows else out + out[:1]
+
+    monkeypatch.setattr("idempotoric.cones._extend_echelon", repeat_bottom_row)
+    half_plane = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
+    with pytest.raises(InternalCheckError, match="top face rank"):
+        enumerate_faces(half_plane)
 
 
 def test_index_lookup_leaves_equality_and_repr_alone():
