@@ -8,13 +8,16 @@ as primitive integer vectors.
 
 Faces are identified with the subsets of generator indices they contain.
 ``enumerate_faces`` lists every face with its Hasse covers, working on
-bitmasks of facet incidences: the faces are the intersections of facet
-incidence masks, closed one facet at a time in O(F·m) mask operations for
-F faces and m facets, and the lower covers of a face H are the maximal
-masks among H's meets with the m facets, O(F·m²) in all.  A face's exact
+bitmasks of the generator-facet incidences.  The faces are the
+intersections of the facets' generator masks and, dually, of the
+generators' facet masks, so the lattice is closed over whichever side is
+smaller: O(F·min(r, m)) mask operations for F faces, r generators and m
+facets, and the lower covers of a set are the maximal masks among its
+meets with that side's masks, O(F·min(r, m)²) in all.  A face's exact
 dimension extends the echelon basis of one of its lower covers by the
 generators off that cover, so no face is eliminated from scratch; the top
-face's rank is checked against ``cone.dim``.
+face's rank is checked against ``cone.dim``.  Its witness sums the normals
+of the facets through it.
 
 Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .errors import InputError, InternalCheckError
 from .lattices import IntegerMatrix, Sublattice, kernel_lattice, rank, saturate
@@ -57,7 +61,7 @@ Vector = tuple[int, ...]
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _primitive(vec) -> Vector:
@@ -250,7 +254,13 @@ def _dd_rays(dim, ineqs, eqs):
     Returns (rays, lineality_rows), both lists of primitive integer tuples.
     Rays carry bitmasks of the inequalities they satisfy with equality; the
     standard combinatorial adjacency test keeps the ray list minimal at
-    every step.
+    every step.  Before that scan, a (positive, negative) pair is dropped
+    when its rays share fewer than ``cut - 2`` tight inequalities, where
+    ``cut`` counts the inequalities so far that cut the lineality space
+    (their rank on the solutions of ``eqs``): two rays are adjacent only
+    when their common tight set cuts out a 2-face, which takes rank
+    ``cut - 2`` (Fukuda & Prodon 1996).  Every pair that passes still goes
+    through the scan, which decides.
     """
     if eqs:
         mat = IntegerMatrix.from_rows(eqs, cols=dim)
@@ -258,12 +268,14 @@ def _dd_rays(dim, ineqs, eqs):
     else:
         lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rays: list[tuple[Vector, int]] = []
+    cut = 0
     for idx, a in enumerate(ineqs):
         bit = 1 << idx
         hit = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
         if hit is not None:
             # the constraint cuts the lineality space: one basis vector
             # becomes a ray, the rest get projected into the hyperplane
+            cut += 1
             l0 = lin.pop(hit)
             if _dot(a, l0) < 0:
                 l0 = [-t for t in l0]
@@ -282,23 +294,23 @@ def _dd_rays(dim, ineqs, eqs):
             rays = new_rays
             continue
         pos, neg, zero = [], [], []
-        for vec, tight in rays:
+        for k, (vec, tight) in enumerate(rays):
             d = _dot(a, vec)
             if d > 0:
-                pos.append((vec, tight, d))
+                pos.append((k, vec, tight, d))
             elif d < 0:
-                neg.append((vec, tight, d))
+                neg.append((k, vec, tight, d))
             else:
                 zero.append((vec, tight))
-        new_rays = [(v, t) for v, t, _ in pos] + [(v, t | bit) for v, t in zero]
-        for pvec, pt, pd in pos:
-            for nvec, nt, nd in neg:
+        new_rays = [(v, t) for _, v, t, _ in pos] + [(v, t | bit) for v, t in zero]
+        for pk, pvec, pt, pd in pos:
+            for nk, nvec, nt, nd in neg:
                 common = pt & nt
+                if common.bit_count() < cut - 2:
+                    continue
                 adjacent = True
-                for ovec, ot in rays:
-                    if ovec == pvec or ovec == nvec:
-                        continue
-                    if ot & common == common:
+                for k, (_, ot) in enumerate(rays):
+                    if ot & common == common and k != pk and k != nk:
                         adjacent = False
                         break
                 if not adjacent:
@@ -432,17 +444,44 @@ def _extend_echelon(rows, vectors):
     return out
 
 
+def _closed_sets(full, masks):
+    """Every intersection of ``masks`` with its lower covers.
+
+    The empty intersection is ``full``.  The family is closed one mask at a
+    time, ``closed |= {s & mask for s in closed}``, and every lower cover of
+    a set s is s's meet with one of the masks, so the covers are the
+    maximal sets among ``{s & mask} - {s}``.  Returns a dict from each set,
+    by increasing number of bits, to its list of lower covers.
+    """
+    closed = {full}
+    for mask in masks:
+        closed |= {s & mask for s in closed}
+    covers_of = {}
+    for s in sorted(closed, key=int.bit_count):
+        # largest first: a non-maximal meet lies under a cover already kept
+        covers = []
+        below = {s & mask for mask in masks} - {s}
+        for c in sorted(below, key=int.bit_count, reverse=True):
+            if not any(c & d == c for d in covers):
+                covers.append(c)
+        covers_of[s] = covers
+    return covers_of
+
+
 def enumerate_faces(cone: Cone) -> FacePoset:
     """Every face of the cone, as a graded poset.
 
-    A face is stored as the bitmask of the generators on it; each facet
-    contributes its incidence mask.  The faces are the intersections of
-    facet incidences (the empty intersection is the cone itself), so the
-    family is closed facet by facet: ``faces |= {f & inc for f in faces}``,
-    O(F·m) mask operations for F faces and m facets.  Every facet of a face
-    H is H's meet with some facet of the cone, so the lower covers of H are
-    the maximal masks among ``{H & inc} - {H}``: O(F·m²) bit operations in
-    all, in the spirit of Kaibel & Pfetsch (CGTA 2002).
+    A face is stored as the bitmask of the generators on it and the bitmask
+    T of the facets through it.  The faces are the intersections of facet
+    incidences (the empty intersection is the cone itself), and dually the
+    intersections of the generators' facet sets Gᵢ (the empty one is the
+    lineality space, on every facet), so the lattice is closed by
+    ``_closed_sets`` over whichever of the r generators and m facets is
+    fewer: O(F·min(r, m)) mask operations for the closure and
+    O(F·min(r, m)²) for the covers, in the spirit of Kaibel & Pfetsch
+    (CGTA 2002).  Closed over the Gᵢ, the sets are the faces' T, a face's
+    generators are {i : Gᵢ ⊇ T}, and the lower covers of T are the face's
+    upper covers.
 
     Faces are visited by increasing number of generators, so a face's lower
     covers come before it.  Each face's dimension is the length of an exact
@@ -451,45 +490,56 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     bottom face reduces all of its own.  Every cover edge must raise the
     dimension by one, the bottom face must carry exactly the generators in
     the lineality space, and the top face's rank must equal ``cone.dim``.
-    Each face's witness functional is the sum of the facet normals through
-    it.
+    Each face's witness functional is the sum of the facet normals over T.
     """
     gens = cone.generators
-    r = len(gens)
-    top = (1 << r) - 1
-    incidences = []
-    for w in cone.facets:
-        inc = 0
+    r, m = len(gens), len(cone.facets)
+    top, full = (1 << r) - 1, (1 << m) - 1
+    incidences = [0] * m  # generators on each facet
+    facet_sets = [0] * r  # facets through each generator
+    for j, w in enumerate(cone.facets):
         for i, g in enumerate(gens):
             if _dot(w, g) == 0:
-                inc |= 1 << i
-        incidences.append(inc)
-    masks = {top}
-    for inc in incidences:
-        masks |= {s & inc for s in masks}
+                incidences[j] |= 1 << i
+                facet_sets[i] |= 1 << j
+    if m <= r:
+        covers_of = _closed_sets(top, incidences)
+    else:
+        dual = _closed_sets(full, facet_sets)
+        gens_on = {
+            t: sum(1 << i for i, f in enumerate(facet_sets) if f & t == t) for t in dual
+        }
+        covers_of = {gens_on[t]: [] for t in dual}
+        for t, above in dual.items():
+            for c in above:
+                covers_of[gens_on[c]].append(gens_on[t])
     bases = {}
-    covers_of = {}
+    through = {}
     faces = []
-    for s in sorted(masks, key=int.bit_count):
-        # largest first: a non-maximal meet lies under a cover already kept
-        below = {s & inc for inc in incidences} - {s}
-        covers = []
-        for c in sorted(below, key=int.bit_count, reverse=True):
-            if not any(c & d == c for d in covers):
-                covers.append(c)
-        rows, new = (bases[covers[0]], s & ~covers[0]) if covers else ([], s)
-        basis = _extend_echelon(rows, [gens[i] for i in range(r) if new >> i & 1])
+    zero = (0,) * cone.ambient_dim
+    for s in sorted(covers_of, key=int.bit_count):
+        covers = covers_of[s]
+        if covers:
+            rows, t, new = bases[covers[0]], through[covers[0]], s & ~covers[0]
+        else:
+            rows, t, new = [], full, s
+        added = [i for i in range(r) if new >> i & 1]
+        for i in added:
+            t &= facet_sets[i]
+        basis = _extend_echelon(rows, [gens[i] for i in added])
         dim = len(basis)
         for c in covers:
             if dim != len(bases[c]) + 1:
                 raise InternalCheckError("face poset is not graded by dimension")
         bases[s] = basis
-        covers_of[s] = covers
-        wit = [0] * cone.ambient_dim
-        for inc, w in zip(incidences, cone.facets):
-            if s & inc == s:
-                wit = [a + b for a, b in zip(wit, w)]
-        faces.append((dim, tuple(i for i in range(r) if s >> i & 1), s, tuple(wit)))
+        through[s] = t
+        normals = []
+        while t:
+            low = t & -t
+            normals.append(cone.facets[low.bit_length() - 1])
+            t ^= low
+        wit = tuple(map(sum, zip(zero, *normals)))
+        faces.append((dim, tuple(i for i in range(r) if s >> i & 1), s, wit))
     if len(bases[top]) != cone.dim:
         raise InternalCheckError("top face rank differs from the cone's dimension")
     faces.sort()

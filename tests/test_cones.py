@@ -4,12 +4,15 @@ from math import comb
 
 import pytest
 from conftest import random_cone_inputs, subsets
+from hypothesis import given, settings, strategies as st
 
 from idempotoric.cones import (
     Cone,
     Face,
     FacePoset,
+    _dd_rays,
     _extend_echelon,
+    _primitive,
     circuit_criterion,
     cone_from_generators,
     enumerate_faces,
@@ -20,11 +23,69 @@ from idempotoric.cones import (
     solve_affine,
 )
 from idempotoric.errors import InputError, InternalCheckError
-from idempotoric.lattices import IntegerMatrix, Sublattice, hermite_normal_form
+from idempotoric.lattices import (
+    IntegerMatrix,
+    Sublattice,
+    hermite_normal_form,
+    kernel_lattice,
+)
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def reference_dd_rays(dim, ineqs, eqs):
+    """Double description with the unfiltered adjacency scan: every
+    (positive, negative) pair is tested against every other ray.  Slow,
+    kept to check _dd_rays against."""
+    if eqs:
+        mat = IntegerMatrix.from_rows(eqs, cols=dim)
+        lin = [list(r) for r in kernel_lattice(mat.transpose()).basis.entries]
+    else:
+        lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rays = []
+    for idx, a in enumerate(ineqs):
+        bit = 1 << idx
+        hit = next((i for i, l in enumerate(lin) if dot(a, l)), None)
+        if hit is not None:
+            l0 = lin.pop(hit)
+            if dot(a, l0) < 0:
+                l0 = [-t for t in l0]
+            al0 = dot(a, l0)
+            lin = [
+                list(_primitive([al0 * x - dot(a, l) * y for x, y in zip(l, l0)]))
+                for l in lin
+            ]
+            rays = [
+                (_primitive([al0 * x - dot(a, v) * y for x, y in zip(v, l0)]), t | bit)
+                for v, t in rays
+            ]
+            rays.append((_primitive(l0), bit - 1))
+            continue
+        pos = [(v, t, dot(a, v)) for v, t in rays if dot(a, v) > 0]
+        neg = [(v, t, dot(a, v)) for v, t in rays if dot(a, v) < 0]
+        new_rays = [(v, t) for v, t, _ in pos]
+        new_rays += [(v, t | bit) for v, t in rays if dot(a, v) == 0]
+        for pvec, pt, pd in pos:
+            for nvec, nt, nd in neg:
+                common = pt & nt
+                others = [t for v, t in rays if v not in (pvec, nvec)]
+                if not any(ot & common == common for ot in others):
+                    combo = _primitive([pd * x - nd * y for x, y in zip(nvec, pvec)])
+                    new_rays.append((combo, common | bit))
+        rays = new_rays
+    return [tuple(v) for v, _ in rays], [tuple(l) for l in lin]
+
+
+def assert_dd_matches_reference(dim, gens):
+    # the dual pass on the generators, then the primal pass on the facets
+    # with the dual lineality as equations, as cone_from_generators runs them
+    dual = _dd_rays(dim, gens, [])
+    assert dual == reference_dd_rays(dim, gens, []), (dim, gens)
+    facets = sorted(dual[0])
+    primal = _dd_rays(dim, facets, dual[1])
+    assert primal == reference_dd_rays(dim, facets, dual[1]), (dim, gens)
 
 
 def reference_faces(cone):
@@ -255,6 +316,28 @@ def test_generators_reproduce_from_rays_and_lineality():
             assert sol is not None, (d, gens, g)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(
+                st.tuples(*[st.integers(min_value=-2, max_value=2)] * d), max_size=10
+            ),
+        )
+    )
+)
+def test_dd_rays_match_the_unfiltered_scan(case):
+    assert_dd_matches_reference(*case)
+
+
+def test_dd_rays_match_the_unfiltered_scan_on_random_cones():
+    # entries in -1..1: repeated and opposite generators, lineality
+    cases = random_cone_inputs(seed=708, count=150, max_dim=6, max_gens=12, bound=1)
+    for d, gens in cases:
+        assert_dd_matches_reference(d, gens)
+
+
 def test_face_posets_are_graded():
     for d, gens in random_cone_inputs(seed=303, count=60, max_dim=5, max_gens=7):
         faces = enumerate_faces(cone_from_generators(d, gens))
@@ -287,6 +370,11 @@ def test_enumerate_faces_matches_reference_on_random_cones():
         (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 0)]),
         (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)]),
     ]
+    # the cyclic 4-polytope on n vertices has n(n - 3)/2 > n facets, so its
+    # lattice is closed over the generators; once more with a line
+    for n in (6, 7, 8, 9):
+        gens = [(1, t, t * t, t**3, t**4, 0) for t in range(-(n // 2), n - n // 2)]
+        cases += [(6, gens), (6, gens + [(0,) * 5 + (1,), (0,) * 5 + (-1,)])]
     for d, gens in cases:
         cone = cone_from_generators(d, gens)
         assert enumerate_faces(cone) == reference_faces(cone), (d, gens)
@@ -312,25 +400,65 @@ def test_seven_cube_cone_closed_form_counts():
     assert poset.faces[poset.top].index_set == tuple(range(128))
 
 
-def test_non_graded_poset_is_reported(monkeypatch):
+def test_eight_cross_polytope_closed_form_counts():
+    # r = 16 generators, m = 256 facets: closed over the generators
+    poset = enumerate_faces(cross_polytope_cone(8))
+    assert len(poset.faces) == 3**8 + 1 == 6562
+    dims = [f.dim for f in poset.faces]
+    for k in range(9):
+        # the cone over a (k - 1)-face of the cross-polytope has dimension k
+        assert dims.count(k) == comb(8, k) * 2**k
+    assert dims.count(9) == 1
+    assert len(poset.hasse_edges) == 8 * 2 * 3**7 + 2**8 == 35248
+    assert poset.faces[poset.bottom].index_set == ()
+    assert poset.faces[poset.top].index_set == tuple(range(16))
+
+
+def cross_polytope_times_line(d):
+    """The cone over the d-cross-polytope times a line: generators (1, ±e_i, 0)
+    and (0, ..., 0, ±1)."""
+    gens = [(*g, 0) for g in cross_polytope_cone(d).generators]
+    gens += [(0,) * (d + 1) + (1,), (0,) * (d + 1) + (-1,)]
+    return cone_from_generators(d + 2, gens)
+
+
+# one pointed cone and one with a lineality line on each side of
+# enumerate_faces: closed over the facets (m <= r) or over the generators
+@pytest.mark.parametrize(
+    "pointed, with_line, over_facets",
+    [
+        (QUADRANT, cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)]), True),
+        (cross_polytope_cone(3), cross_polytope_times_line(4), False),
+    ],
+    ids=["over_facets", "over_generators"],
+)
+def test_non_graded_poset_is_reported(monkeypatch, pointed, with_line, over_facets):
+    for cone in (pointed, with_line):
+        assert (len(cone.facets) <= len(cone.generators)) == over_facets
+    assert pointed.lineality.rank == 0 and with_line.lineality.rank == 1
+
     # a wrong rank must trip the gradedness check rather than pass silently
     monkeypatch.setattr(
         "idempotoric.cones._extend_echelon",
         lambda rows, vectors: _extend_echelon(rows, vectors)[:1],
     )
-    with pytest.raises(InternalCheckError, match="graded"):
-        enumerate_faces(QUADRANT)
+    for cone in (pointed, with_line):
+        with pytest.raises(InternalCheckError, match="graded"):
+            enumerate_faces(cone)
 
     # one spurious row in the bottom face's basis raises every rank by one,
-    # which each cover edge accepts; the top rank against cone.dim does not
+    # which each cover edge accepts; the top rank against cone.dim does not.
+    # A pointed cone's bottom basis is empty, so there the atoms get the
+    # spurious row and the gradedness check catches it first.
     def repeat_bottom_row(rows, vectors):
         out = _extend_echelon(rows, vectors)
         return out if rows else out + out[:1]
 
     monkeypatch.setattr("idempotoric.cones._extend_echelon", repeat_bottom_row)
-    half_plane = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
+    with pytest.raises(InternalCheckError, match="graded"):
+        enumerate_faces(pointed)
     with pytest.raises(InternalCheckError, match="top face rank"):
-        enumerate_faces(half_plane)
+        enumerate_faces(with_line)
 
 
 def test_index_lookup_leaves_equality_and_repr_alone():
