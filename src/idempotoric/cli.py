@@ -5,13 +5,22 @@ A job document selects a mode and carries one payload:
     {"schema": "idempotoric/v2", "mode": "eigen",
      "payload": {"eigenvalues": ["2", "3", "6"]}}
 
-Rationals travel as exact "p/q" strings (or plain integers); floats are
-rejected outright so nothing is silently rounded.  Tables and generator
-rows go unchecked to the layer that validates them (``validate_table``,
-``IntegerMatrix.from_rows``), and the cross-checks always run.  Reports
-are emitted with sorted keys and fixed indentation, so the same job
-always produces the same bytes.  Input documents may name schema v1 or
+Rationals travel as exact "p/q" strings (or plain integers); floats,
+``NaN`` and ``Infinity`` included, are rejected outright so nothing is
+silently rounded.  Tables and generator rows go unchecked to the layer
+that validates them (``validate_table``, ``IntegerMatrix.from_rows``),
+and the cross-checks always run.  Input documents may name schema v1 or
 v2: the payloads are the same, and only the reports changed.
+
+Reports and error documents are written with sorted keys and an indent
+of two, so the same job always produces the same bytes.  ``_dump``
+writes them: it gives the bytes of ``json.dumps(v, sort_keys=True,
+indent=2)``, whose encoder falls back to pure Python whenever ``indent``
+is set and costs more than most jobs' computation.  ``_dump`` builds the
+text from C string functions, escaping strings with the ``json`` module's
+own escaper, and it accepts only the JSON types the reports hold, so a
+float or a Fraction that reached a report is an internal fault, not a
+rounded number.  The argument parser is built once per process.
 
 An ``eigen`` job is a ``monoid`` job on the exponent rows of its spectrum
 plus facts about the spectrum.  Both modes build the keys they share (the
@@ -24,6 +33,7 @@ seeded cases.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -120,6 +130,39 @@ def _expect_keys(payload, allowed) -> None:
 
 
 # -- serialization helpers -------------------------------------------------------
+
+
+_escape = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _dump(v, indent="\n") -> str:
+    """``json.dumps(v, sort_keys=True, indent=2)``, byte for byte, for a
+    value built of dicts with str keys, lists, tuples, str, int, bool and
+    None.  Any other value, a float or a Fraction included, raises
+    TypeError."""
+    t = type(v)
+    if t is str:
+        return _escape(v)
+    if t is int:
+        return int.__repr__(v)
+    if v is None or v is True or v is False:
+        return _CONSTANTS[v]
+    inner = indent + "  "
+    if t is dict:
+        if not v:
+            return "{}"
+        items = [_escape(k) + ": " + _dump(v[k], inner) for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        if set(map(type, v)) == {int}:
+            items = map(int.__repr__, v)
+        else:
+            items = [_dump(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"{t.__name__} is not a report value")
 
 
 def _poset_doc(p: IdempotentPoset) -> dict:
@@ -613,11 +656,7 @@ def _reject_float(text):
 
 
 def _error_doc(kind, message) -> str:
-    return json.dumps(
-        {"schema": SCHEMA, "error": {"kind": kind, "message": message}},
-        sort_keys=True,
-        indent=2,
-    )
+    return _dump({"schema": SCHEMA, "error": {"kind": kind, "message": message}})
 
 
 def _load_document(mode, input_arg):
@@ -628,7 +667,9 @@ def _load_document(mode, input_arg):
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}")
     try:
-        data = json.loads(raw, parse_float=_reject_float)
+        data = json.loads(
+            raw, parse_float=_reject_float, parse_constant=_reject_float
+        )
     except InputError:
         raise
     except json.JSONDecodeError as exc:
@@ -661,7 +702,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls."""
     parser = _Parser(
         prog="idempotoric",
         description="idempotent structure of commutative algebraic semigroups",
@@ -678,8 +722,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(mode, help=helps[mode])
         p.add_argument("--input", default="-", help="JSON file path, or - for stdin")
         p.add_argument("--format", choices=("json", "dot", "text"), default="json")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         doc = _load_document(args.mode, args.input)
         report, poset = _execute(doc)
         if args.format == "dot":
@@ -689,7 +737,7 @@ def main(argv=None) -> int:
         elif args.format == "text":
             out = _text_report(report)
         else:
-            out = json.dumps(report, sort_keys=True, indent=2)
+            out = _dump(report)
         code = 0 if report.get("ok", True) else 2
     except InputError as exc:
         out, code = _error_doc("input", str(exc)), 1

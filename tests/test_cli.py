@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from conftest import random_cone_inputs, subsets
 
 from idempotoric.cli import (
     SCHEMA,
+    _dump,
+    _parser,
     _random_spectra,
     _relation_filter_check,
     _subset_oracle,
@@ -232,6 +235,28 @@ def test_main_rejects_malformed_payloads(mode, payload, message, tmp_path, capsy
     }
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "mode, template",
+    [
+        ("eigen", '{"eigenvalues": [2, %s]}'),
+        ("cone", '{"ambient_dim": 2, "generators": [[1, %s]]}'),
+        ("finite", '{"table": [[0, %s], [0, 0]]}'),
+    ],
+    ids=["eigen", "cone", "finite"],
+)
+def test_main_rejects_non_finite_literals(mode, template, constant, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(template % constant)
+    code = main([mode, "--input", str(path)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "input",
+        "message": f"floating-point literal {constant!r} not accepted;"
+        " use an exact 'p/q' string",
+    }
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -263,6 +288,46 @@ def test_reports_are_deterministic_and_reparse():
     assert a == b
     again = json.loads(a)
     assert again["schema"] == SCHEMA
+
+
+# -- report writer ---------------------------------------------------------------
+
+INTS = st.one_of(st.integers(), st.sampled_from([0, 1, -1, 10**30, -(10**30)]))
+STRINGS = st.text(
+    st.one_of(
+        st.sampled_from(
+            ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\U0001F600"]
+        ),
+        st.characters(),
+    )
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTS, STRINGS),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(INTS),
+        st.lists(st.one_of(INTS, st.booleans())),
+        st.dictionaries(STRINGS, inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_dump_matches_json_dumps(value):
+    assert _dump(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.5, Fraction(1, 2), {1: "a"}, [1, 2.0], {"a": [Fraction(1, 3)]}],
+    ids=["float", "fraction", "int-key", "float-in-int-list", "nested-fraction"],
+)
+def test_dump_rejects_values_json_would_round_or_coerce(value):
+    with pytest.raises(TypeError):
+        _dump(value)
 
 
 # -- DOT export ----------------------------------------------------------------
@@ -420,6 +485,42 @@ def test_main_usage_errors_are_rejected_input(args, message, capsys):
     assert doc["error"]["kind"] == "input"
     assert doc["error"]["message"].startswith(message)
     assert captured.err.startswith("usage: idempotoric")
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"eigenvalues": ["2", "3", "6"]}))
+    calls = [
+        ["eigen", "--input", str(path), "--format", "text"],
+        ["eigen", "--input", str(path)],
+        ["eigen", "--input", str(path), "--bogus"],
+        ["cone", "--input", str(path)],
+        ["eigen", "--input", str(path)],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    codes, outs = [], []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "idempotoric", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        )
+        codes.append(code)
+        outs.append(captured.out)
+    assert codes == [0, 0, 1, 1, 0]
+    assert outs[1] == outs[4]
+    assert _parser() is _parser()
 
 
 def test_main_help_still_exits_zero(capsys):
