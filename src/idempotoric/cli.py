@@ -40,6 +40,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .cones import (
@@ -157,8 +158,14 @@ def _dump(v, indent="\n") -> str:
     if t is list or t is tuple:
         if not v:
             return "[]"
-        if set(map(type, v)) == {int}:
+        kinds = set(map(type, v))
+        if kinds == {int}:
             items = map(int.__repr__, v)
+        elif kinds == {list} and all(v) and set(map(type, chain(*v))) == {int}:
+            # nonempty rows of ints: Hasse edges, generators, relation sides
+            deeper = inner + "  "
+            sep, close = "," + deeper, inner + "]"
+            items = ["[" + deeper + sep.join(map(int.__repr__, x)) + close for x in v]
         else:
             items = [_dump(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(items) + indent + "]"

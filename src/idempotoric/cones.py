@@ -12,12 +12,16 @@ bitmasks of the generator-facet incidences.  The faces are the
 intersections of the facets' generator masks and, dually, of the
 generators' facet masks, so the lattice is closed over whichever side is
 smaller: O(F·min(r, m)) mask operations for F faces, r generators and m
-facets, and the lower covers of a set are the maximal masks among its
-meets with that side's masks, O(F·min(r, m)²) in all.  A face's exact
-dimension extends the echelon basis of one of its lower covers by the
-generators off that cover, so no face is eliminated from scratch; the top
-face's rank is checked against ``cone.dim``.  Its witness sums the normals
-of the facets through it.
+facets.  The lower covers of a set come from the same meets by the count
+test of Kaibel & Pfetsch (CGTA 2002), also O(F·min(r, m)).  The masks are
+``Cone.incidences``, the tight sets of the double description's dual
+pass, whose final check compares them with every (facet, generator)
+product, so no facet-generator product is taken twice.  A face one
+generator above a lower cover has that cover's dimension plus one, which
+a facet through the cover and off the generator certifies; a face more
+generators above extends the echelon basis of its cover, so no face is
+eliminated from scratch; the top face's rank is checked against
+``cone.dim``.  Its witness sums the normals of the facets through it.
 
 Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
@@ -34,6 +38,7 @@ must agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -251,16 +256,19 @@ def solve_affine(num_vars, equalities, inequalities):
 def _dd_rays(dim, ineqs, eqs):
     """V-description of {x : e @ x == 0 for e in eqs, a @ x >= 0 for a in ineqs}.
 
-    Returns (rays, lineality_rows), both lists of primitive integer tuples.
-    Rays carry bitmasks of the inequalities they satisfy with equality; the
-    standard combinatorial adjacency test keeps the ray list minimal at
-    every step.  Before that scan, a (positive, negative) pair is dropped
-    when its rays share fewer than ``cut - 2`` tight inequalities, where
-    ``cut`` counts the inequalities so far that cut the lineality space
-    (their rank on the solutions of ``eqs``): two rays are adjacent only
-    when their common tight set cuts out a 2-face, which takes rank
-    ``cut - 2`` (Fukuda & Prodon 1996).  Every pair that passes still goes
-    through the scan, which decides.
+    Returns (rays, lineality_rows, tight_sets): the first two are lists of
+    primitive integer tuples, the third gives each ray's bitmask of the
+    inequalities it satisfies with equality.  Rays carry these masks
+    throughout; the standard combinatorial adjacency test keeps the ray
+    list minimal at every step.  Before that scan, a (positive, negative)
+    pair is dropped when its rays share fewer than ``cut - 2`` tight
+    inequalities, where ``cut`` counts the inequalities so far that cut the
+    lineality space (their rank on the solutions of ``eqs``): two rays are
+    adjacent only when their common tight set cuts out a 2-face, which
+    takes rank ``cut - 2`` (Fukuda & Prodon 1996).  Every pair that passes
+    still goes through the scan, which decides.  The final check takes
+    every (ray, inequality) product once: none may be negative, and each
+    ray's zero products must be exactly the tight set it carried.
     """
     if eqs:
         mat = IntegerMatrix.from_rows(eqs, cols=dim)
@@ -320,15 +328,17 @@ def _dd_rays(dim, ineqs, eqs):
         if len({v for v, _ in new_rays}) != len(new_rays):
             raise InternalCheckError("duplicate ray generated")
         rays = new_rays
-    out_rays = [tuple(v) for v, _ in rays]
     out_lin = [tuple(l) for l in lin]
-    for v in out_rays:
-        if any(_dot(e, v) for e in eqs) or any(_dot(a, v) < 0 for a in ineqs):
+    for v, tight in rays:
+        products = [_dot(a, v) for a in ineqs]
+        if any(_dot(e, v) for e in eqs) or any(d < 0 for d in products):
             raise InternalCheckError("double description ray violates a constraint")
+        if sum(1 << i for i, d in enumerate(products) if not d) != tight:
+            raise InternalCheckError("double description lost track of a tight set")
     for l in out_lin:
         if any(_dot(e, l) for e in eqs) or any(_dot(a, l) for a in ineqs):
             raise InternalCheckError("lineality vector violates a constraint")
-    return out_rays, out_lin
+    return [tuple(v) for v, _ in rays], out_lin, [t for _, t in rays]
 
 
 # --------------------------------------------------------------------------
@@ -342,13 +352,16 @@ class Cone:
 
     ``facets`` holds primitive integer normals of the facet-defining valid
     inequalities; it is empty exactly when the cone is a linear subspace.
-    ``lineality`` is the saturated lattice spanning ``cone ∩ -cone``.
+    ``incidences`` holds, for each facet in order, the bitmask of the
+    generators on it.  ``lineality`` is the saturated lattice spanning
+    ``cone ∩ -cone``.
     """
 
     ambient_dim: int
     generators: tuple[Vector, ...]
     extreme_rays: tuple[Vector, ...]
     facets: tuple[Vector, ...]
+    incidences: tuple[int, ...]
     lineality: Sublattice
     dim: int
 
@@ -396,29 +409,32 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     """Build the cone spanned by integer generator vectors.
 
     Duplicate and zero generators are allowed; zero generators lie on every
-    face.  Raises InputError unless ``ambient_dim`` is a nonnegative int
-    (not a bool) and ``IntegerMatrix.from_rows`` accepts the generators.
+    face.  The facets are the rays of the dual pass, which runs on the
+    generators as inequalities, so its final check is the exact sign test
+    of every facet on every generator and its tight sets are the facets'
+    ``incidences``.  Raises InputError unless ``ambient_dim`` is a
+    nonnegative int (not a bool) and ``IntegerMatrix.from_rows`` accepts
+    the generators.
     """
     dim_is_int = isinstance(ambient_dim, int) and not isinstance(ambient_dim, bool)
     if not dim_is_int or ambient_dim < 0:
         raise InputError("ambient dimension must be a nonnegative int")
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
-    dual_rays, dual_lin = _dd_rays(ambient_dim, list(gens), [])
-    facets = tuple(sorted(_primitive(r) for r in dual_rays))
-    rays, lin = _dd_rays(ambient_dim, list(facets), list(dual_lin))
-    extreme = tuple(sorted(_primitive(r) for r in rays))
+    dual_rays, dual_lin, tight = _dd_rays(ambient_dim, list(gens), [])
+    dual = sorted(zip(dual_rays, tight))
+    facets = tuple(w for w, _ in dual)
+    incidences = tuple(t for _, t in dual)
+    rays, lin, _ = _dd_rays(ambient_dim, list(facets), list(dual_lin))
+    extreme = tuple(sorted(rays))
     lineality = saturate(Sublattice.span(ambient_dim, lin))
     dim = rank(mat)
-    for w in facets:
-        if any(_dot(w, g) < 0 for g in gens):
-            raise InternalCheckError("facet inequality cut off a generator")
     span_rows = list(extreme) + list(lineality.basis.entries)
     if rank(IntegerMatrix.from_rows(span_rows, cols=ambient_dim)) != dim:
         raise InternalCheckError("ray plus lineality span has the wrong rank")
     if bool(facets) == (dim == lineality.rank):
         raise InternalCheckError("facet list inconsistent with lineality")
-    return Cone(ambient_dim, gens, extreme, facets, lineality, dim)
+    return Cone(ambient_dim, gens, extreme, facets, incidences, lineality, dim)
 
 
 def _extend_echelon(rows, vectors):
@@ -448,60 +464,74 @@ def _closed_sets(full, masks):
     """Every intersection of ``masks`` with its lower covers.
 
     The empty intersection is ``full``.  The family is closed one mask at a
-    time, ``closed |= {s & mask for s in closed}``, and every lower cover of
-    a set s is s's meet with one of the masks, so the covers are the
-    maximal sets among ``{s & mask} - {s}``.  Returns a dict from each set,
-    by increasing number of bits, to its list of lower covers.
+    time, ``closed |= {s & mask for s in closed}``.  Every lower cover of a
+    set s is s's meet with one of the masks, and by the count test of
+    Kaibel & Pfetsch (CGTA 2002) a meet c ≠ s is a cover exactly when it
+    occurs (masks ⊇ c) − (masks ⊇ s) times: each mask over c and not over s
+    meets s in a closed set between c and s, and every one of them is c
+    only when no closed set lies strictly between.  Sets are visited by
+    increasing number of bits, so each meet's count of masks over it is
+    known.  Returns a dict from each set, in that order, to its list of
+    lower covers.
     """
     closed = {full}
     for mask in masks:
         closed |= {s & mask for s in closed}
+    over = {}
     covers_of = {}
     for s in sorted(closed, key=int.bit_count):
-        # largest first: a non-maximal meet lies under a cover already kept
-        covers = []
-        below = {s & mask for mask in masks} - {s}
-        for c in sorted(below, key=int.bit_count, reverse=True):
-            if not any(c & d == c for d in covers):
-                covers.append(c)
-        covers_of[s] = covers
+        meets = Counter(map(s.__and__, masks))
+        over[s] = n = meets.pop(s, 0)
+        covers_of[s] = [c for c, k in meets.items() if k == over[c] - n]
     return covers_of
+
+
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def enumerate_faces(cone: Cone) -> FacePoset:
     """Every face of the cone, as a graded poset.
 
     A face is stored as the bitmask of the generators on it and the bitmask
-    T of the facets through it.  The faces are the intersections of facet
-    incidences (the empty intersection is the cone itself), and dually the
-    intersections of the generators' facet sets Gᵢ (the empty one is the
-    lineality space, on every facet), so the lattice is closed by
-    ``_closed_sets`` over whichever of the r generators and m facets is
-    fewer: O(F·min(r, m)) mask operations for the closure and
-    O(F·min(r, m)²) for the covers, in the spirit of Kaibel & Pfetsch
-    (CGTA 2002).  Closed over the Gᵢ, the sets are the faces' T, a face's
-    generators are {i : Gᵢ ⊇ T}, and the lower covers of T are the face's
-    upper covers.
+    T of the facets through it.  The faces are the intersections of the
+    facets' ``cone.incidences`` (the empty intersection is the cone
+    itself), and dually the intersections of the generators' facet sets Gᵢ
+    (the empty one is the lineality space, on every facet), so the lattice
+    is closed by ``_closed_sets`` over whichever of the r generators and m
+    facets is fewer: O(F·min(r, m)) mask operations for the closure and the
+    count test for the covers, after Kaibel & Pfetsch (CGTA 2002).  Closed
+    over the Gᵢ, the sets are the faces' T, a face's generators are
+    {i : Gᵢ ⊇ T}, and the lower covers of T are the face's upper covers.
 
     Faces are visited by increasing number of generators, so a face's lower
-    covers come before it.  Each face's dimension is the length of an exact
-    echelon basis of its generators' span, built from the basis of its
-    first lower cover by reducing only the generators off that cover; the
-    bottom face reduces all of its own.  Every cover edge must raise the
-    dimension by one, the bottom face must carry exactly the generators in
-    the lineality space, and the top face's rank must equal ``cone.dim``.
-    Each face's witness functional is the sum of the facet normals over T.
+    covers come before it.  A face that adds one generator g to its largest
+    lower cover c has dimension dim c + 1: some facet through c misses g,
+    so its normal vanishes on the span of c and is positive on g, and the
+    incidences, exact from the double description, show that facet.  A
+    face that adds more generators takes the length of an exact echelon
+    basis of its generators, extended from c's basis, which is built on
+    demand along the same chain of covers; the bottom face reduces all of
+    its own.  Every cover edge must raise the dimension by one, the bottom
+    face must carry exactly the generators in the lineality space, and the
+    top face's rank must equal ``cone.dim``.  Each face's witness
+    functional is the sum of the facet normals over T.
     """
     gens = cone.generators
-    r, m = len(gens), len(cone.facets)
+    incidences = cone.incidences
+    r, m = len(gens), len(incidences)
     top, full = (1 << r) - 1, (1 << m) - 1
-    incidences = [0] * m  # generators on each facet
-    facet_sets = [0] * r  # facets through each generator
-    for j, w in enumerate(cone.facets):
-        for i, g in enumerate(gens):
-            if _dot(w, g) == 0:
-                incidences[j] |= 1 << i
-                facet_sets[i] |= 1 << j
+    # facets through each generator
+    facet_sets = [
+        sum(1 << j for j, inc in enumerate(incidences) if inc >> i & 1)
+        for i in range(r)
+    ]
     if m <= r:
         covers_of = _closed_sets(top, incidences)
     else:
@@ -513,34 +543,51 @@ def enumerate_faces(cone: Cone) -> FacePoset:
         for t, above in dual.items():
             for c in above:
                 covers_of[gens_on[c]].append(gens_on[t])
-    bases = {}
+    lower = {}  # each face's largest lower cover
+    bases = {}  # echelon bases, for the bottom and on demand
+
+    def basis(s):
+        chain = []
+        while s not in bases:
+            chain.append(s)
+            s = lower[s]
+        rows = bases[s]
+        for f in reversed(chain):
+            rows = bases[f] = _extend_echelon(
+                rows, [gens[i] for i in _bits(f & ~lower[f])]
+            )
+        return rows
+
+    dims = {}
     through = {}
     faces = []
     zero = (0,) * cone.ambient_dim
     for s in sorted(covers_of, key=int.bit_count):
         covers = covers_of[s]
         if covers:
-            rows, t, new = bases[covers[0]], through[covers[0]], s & ~covers[0]
-        else:
-            rows, t, new = [], full, s
-        added = [i for i in range(r) if new >> i & 1]
-        for i in added:
+            c = lower[s] = max(covers, key=int.bit_count)
+            t, new = through[c], s & ~c
+        else:  # the bottom face
+            c, t, new = None, full, s
+        for i in _bits(new):
             t &= facet_sets[i]
-        basis = _extend_echelon(rows, [gens[i] for i in added])
-        dim = len(basis)
-        for c in covers:
-            if dim != len(bases[c]) + 1:
+        if c is None:
+            bases[s] = _extend_echelon([], [gens[i] for i in _bits(s)])
+            dim = len(bases[s])
+        elif new & (new - 1):
+            dim = len(basis(s))
+        elif t == through[c]:
+            raise InternalCheckError("face step has no separating facet")
+        else:
+            dim = dims[c] + 1
+        for b in covers:
+            if dim != dims[b] + 1:
                 raise InternalCheckError("face poset is not graded by dimension")
-        bases[s] = basis
+        dims[s] = dim
         through[s] = t
-        normals = []
-        while t:
-            low = t & -t
-            normals.append(cone.facets[low.bit_length() - 1])
-            t ^= low
-        wit = tuple(map(sum, zip(zero, *normals)))
-        faces.append((dim, tuple(i for i in range(r) if s >> i & 1), s, wit))
-    if len(bases[top]) != cone.dim:
+        wit = tuple(map(sum, zip(zero, *(cone.facets[j] for j in _bits(t)))))
+        faces.append((dim, tuple(_bits(s)), s, wit))
+    if dims[top] != cone.dim:
         raise InternalCheckError("top face rank differs from the cone's dimension")
     faces.sort()
     position = {s: k for k, (_, _, s, _) in enumerate(faces)}

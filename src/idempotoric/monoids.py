@@ -206,24 +206,28 @@ def canonical_form(w: WeightMonoid):
 def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeReport:
     """Project along the saturated sublattice spanned by unit generators.
 
-    The generators lying on the lineality face span the unit part; its
-    saturation Λ₀ is split off by a Smith normal form change of basis, and
-    the images of all generators in Λ/Λ₀ define the envelope monoid.  The
-    envelope's idempotent poset must coincide with the original one
-    index-set for index-set, with every face dimension dropping by
-    rank(Λ₀); both facts are checked.
+    The generators on every facet, the lineality face, span the unit part;
+    its saturation Λ₀ must be ``cone.lineality``, and it is split off by a
+    Smith normal form change of basis with a unit diagonal, so the images
+    of all generators in Λ/Λ₀ define the envelope monoid and the
+    projection's kernel is Λ₀ ⊗ Q.  When Λ₀ ≠ 0 the envelope gets a cone
+    of its own, a pointed double description run on the projected
+    generators, and its sorted facet incidence masks must equal the
+    original cone's: the face lattice is a function of that family, so the
+    envelope has the same faces, index set for index set, and the same
+    covers.  Every face contains the lineality face and with it Λ₀ ⊗ Q, so
+    each face's rank drops by exactly k = rank(Λ₀), and the envelope poset
+    is the original one with every ``face_dim`` lowered by k.  The
+    envelope dimension must equal the poset's chain length.
 
-    The pair ``cone_and_poset(w)`` is reused when passed in (else built);
-    the envelope monoid gets a cone and poset of its own only when it
-    differs from ``w``, i.e. when Λ₀ ≠ 0.
+    The pair ``cone_and_poset(w)`` is reused when passed in (else built).
     """
     if cone is None or poset is None:
         cone, poset = cone_and_poset(w)
-    unit_gens = [
-        g
-        for g in w.generators
-        if all(sum(a * b for a, b in zip(f, g)) == 0 for f in cone.facets)
-    ]
+    on_every_facet = (1 << len(w.generators)) - 1
+    for inc in cone.incidences:
+        on_every_facet &= inc
+    unit_gens = [g for i, g in enumerate(w.generators) if on_every_facet >> i & 1]
     lam0 = saturate(Sublattice.span(w.ambient_rank, unit_gens))
     if lam0 != cone.lineality:
         raise InternalCheckError("unit generators do not span the lineality space")
@@ -233,24 +237,19 @@ def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeRepor
         if s.entries[i][i] != 1:
             raise InternalCheckError("saturated unit lattice is not a direct summand")
     projected = tuple(tuple(row_times_matrix(g, v)[k:]) for g in w.generators)
-    env = WeightMonoid(w.ambient_rank - k, projected, w.labels)
-    env_cone, env_poset = (cone, poset) if env == w else cone_and_poset(env)
+    dim = w.ambient_rank - k
+    env = WeightMonoid(dim, projected, w.labels)
+    env_cone = cone if env == w else cone_from_generators(dim, projected)
     if env_cone.lineality.rank != 0:
         raise InternalCheckError("envelope cone is not pointed")
-    if [e.index_set for e in env_poset.elements] != [
-        e.index_set for e in poset.elements
-    ]:
+    if env_cone.dim != dim:
+        raise InternalCheckError("projected generators do not span the quotient")
+    if sorted(env_cone.incidences) != sorted(cone.incidences):
         raise InternalCheckError("envelope faces do not match the original faces")
-    if (
-        env_poset.hasse_edges != poset.hasse_edges
-        or env_poset.smallest != poset.smallest
-        or env_poset.largest != poset.largest
-    ):
-        raise InternalCheckError("envelope poset shape drifted from the original")
-    for a, b in zip(env_poset.elements, poset.elements):
-        if a.face_dim != b.face_dim - k:
-            raise InternalCheckError("envelope face dimensions did not drop by rank")
-    dim = w.ambient_rank - k
     if dim != maximal_chain_length(poset):
         raise InternalCheckError("envelope dimension disagrees with chain length")
+    shifted = tuple(Idempotent(e.index_set, e.face_dim - k) for e in poset.elements)
+    env_poset = IdempotentPoset(
+        shifted, poset.hasse_edges, poset.smallest, poset.largest
+    )
     return ToricEnvelopeReport(dim, lam0, projected, env_poset)

@@ -30,6 +30,7 @@ from idempotoric.finite import (
     zmod_times,
 )
 from idempotoric.monoids import (
+    WeightMonoid,
     idempotents,
     maximal_chain_length,
     monoid_from_generators,
@@ -215,8 +216,13 @@ def test_criterion_06_envelope_isomorphism():
     )
     for w in monoids:
         p = idempotents(w)
-        q = toric_envelope(w).envelope_idempotent_poset
+        rep = toric_envelope(w)
+        q = rep.envelope_idempotent_poset
         assert order_isomorphic(p, q)
+        # the envelope monoid's own idempotents, built from scratch
+        k = rep.unit_lattice.rank
+        env = WeightMonoid(w.ambient_rank - k, rep.projected_generators, w.labels)
+        assert q == idempotents(env)
     announce(6)
 
 

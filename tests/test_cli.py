@@ -308,6 +308,9 @@ JSON_VALUES = st.recursive(
         st.lists(inner).map(tuple),
         st.lists(INTS),
         st.lists(st.one_of(INTS, st.booleans())),
+        # rows of ints, as Hasse edges and generators, some empty or with a bool
+        st.lists(st.lists(INTS, min_size=1)),
+        st.lists(st.lists(st.one_of(INTS, st.booleans()))),
         st.dictionaries(STRINGS, inner),
     ),
     max_leaves=40,
@@ -322,8 +325,15 @@ def test_dump_matches_json_dumps(value):
 
 @pytest.mark.parametrize(
     "value",
-    [0.5, Fraction(1, 2), {1: "a"}, [1, 2.0], {"a": [Fraction(1, 3)]}],
-    ids=["float", "fraction", "int-key", "float-in-int-list", "nested-fraction"],
+    [0.5, Fraction(1, 2), {1: "a"}, [1, 2.0], [[1], [2, 2.0]], {"a": [Fraction(1, 3)]}],
+    ids=[
+        "float",
+        "fraction",
+        "int-key",
+        "float-in-int-list",
+        "float-in-int-row",
+        "nested-fraction",
+    ],
 )
 def test_dump_rejects_values_json_would_round_or_coerce(value):
     with pytest.raises(TypeError):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_cone_inputs, subsets
 from hypothesis import given, settings, strategies as st
 
+from idempotoric import cones
 from idempotoric.cones import (
     Cone,
     Face,
@@ -38,7 +39,7 @@ def dot(a, b):
 def reference_dd_rays(dim, ineqs, eqs):
     """Double description with the unfiltered adjacency scan: every
     (positive, negative) pair is tested against every other ray.  Slow,
-    kept to check _dd_rays against."""
+    kept to check _dd_rays against, tight sets included."""
     if eqs:
         mat = IntegerMatrix.from_rows(eqs, cols=dim)
         lin = [list(r) for r in kernel_lattice(mat.transpose()).basis.entries]
@@ -75,7 +76,7 @@ def reference_dd_rays(dim, ineqs, eqs):
                     combo = _primitive([pd * x - nd * y for x, y in zip(nvec, pvec)])
                     new_rays.append((combo, common | bit))
         rays = new_rays
-    return [tuple(v) for v, _ in rays], [tuple(l) for l in lin]
+    return [tuple(v) for v, _ in rays], [tuple(l) for l in lin], [t for _, t in rays]
 
 
 def assert_dd_matches_reference(dim, gens):
@@ -182,7 +183,7 @@ def test_zero_generator_lies_on_every_face():
 
 
 def test_half_plane_two_faces():
-    c = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
+    c = HALF_PLANE
     assert c.lineality.basis.entries == ((1, 0),)
     assert c.extreme_rays == ((0, 1),)
     faces = enumerate_faces(c)
@@ -338,6 +339,27 @@ def test_dd_rays_match_the_unfiltered_scan_on_random_cones():
         assert_dd_matches_reference(d, gens)
 
 
+def test_lost_tight_set_is_reported(monkeypatch):
+    # the quadrant's dual pass: the third generator (1, 1) meets the ray
+    # (1, 0) with product 1.  Reporting 0 once, when the pass sorts the rays
+    # by sign, files the ray as tight there; the final check, which takes
+    # every product again, must notice.
+    real = cones._dot
+    lies = [((1, 1), (1, 0))]
+
+    def dot_lying_once(a, b):
+        if (tuple(a), tuple(b)) in lies:
+            lies.remove((tuple(a), tuple(b)))
+            return 0
+        return real(a, b)
+
+    assert _dd_rays(2, [(1, 0), (0, 1), (1, 1)], [])[2] == [0b010, 0b001]
+    monkeypatch.setattr(cones, "_dot", dot_lying_once)
+    with pytest.raises(InternalCheckError, match="lost track of a tight set"):
+        cone_from_generators(2, [(1, 0), (0, 1), (1, 1)])
+    assert not lies
+
+
 def test_face_posets_are_graded():
     for d, gens in random_cone_inputs(seed=303, count=60, max_dim=5, max_gens=7):
         faces = enumerate_faces(cone_from_generators(d, gens))
@@ -422,12 +444,20 @@ def cross_polytope_times_line(d):
     return cone_from_generators(d + 2, gens)
 
 
+HALF_PLANE = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
+QUADRANT_TIMES_LINE = cone_from_generators(
+    3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
+)
+
+
 # one pointed cone and one with a lineality line on each side of
-# enumerate_faces: closed over the facets (m <= r) or over the generators
+# enumerate_faces: closed over the facets (m <= r) or over the generators.
+# Each has a face adding two or more generators past its bottom, so the
+# echelon bases are built there.
 @pytest.mark.parametrize(
     "pointed, with_line, over_facets",
     [
-        (QUADRANT, cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)]), True),
+        (QUADRANT, QUADRANT_TIMES_LINE, True),
         (cross_polytope_cone(3), cross_polytope_times_line(4), False),
     ],
     ids=["over_facets", "over_generators"],
@@ -459,6 +489,33 @@ def test_non_graded_poset_is_reported(monkeypatch, pointed, with_line, over_face
         enumerate_faces(pointed)
     with pytest.raises(InternalCheckError, match="top face rank"):
         enumerate_faces(with_line)
+
+
+def test_rank_carried_by_single_generator_steps_is_checked(monkeypatch):
+    # the half-plane eliminates only at its bottom, the line; its top adds
+    # one generator and takes the bottom's rank plus one, so a rank lost at
+    # the bottom reaches the top, where the rank against cone.dim trips
+    assert [f.index_set for f in enumerate_faces(HALF_PLANE).faces] == [
+        (0, 1),
+        (0, 1, 2),
+    ]
+    monkeypatch.setattr(
+        "idempotoric.cones._extend_echelon", lambda rows, vectors: list(rows)
+    )
+    with pytest.raises(InternalCheckError, match="top face rank"):
+        enumerate_faces(HALF_PLANE)
+
+
+def test_single_generator_step_needs_a_separating_facet(monkeypatch):
+    # a cover search that passes off {0}, not a face, as the bottom: the
+    # one facet through it holds generator 1 as well, so no facet shows
+    # that generator 1 leaves the span of {0}
+    monkeypatch.setattr(
+        "idempotoric.cones._closed_sets",
+        lambda full, masks: {0b001: [], 0b011: [0b001], 0b111: [0b011]},
+    )
+    with pytest.raises(InternalCheckError, match="no separating facet"):
+        enumerate_faces(HALF_PLANE)
 
 
 def test_index_lookup_leaves_equality_and_repr_alone():

@@ -1,12 +1,18 @@
 """Monoid layer: re-coordinatization, idempotent posets, the envelope."""
 
+import dataclasses
+
 import pytest
 
-from idempotoric.errors import InputError
+from idempotoric import monoids
+from idempotoric.cones import cone_from_generators
+from idempotoric.eigen import character_data, eigen_input, factor
+from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.monoids import (
     Idempotent,
     WeightMonoid,
     canonical_form,
+    cone_and_poset,
     idempotent_product,
     idempotents,
     largest_idempotent,
@@ -16,11 +22,20 @@ from idempotoric.monoids import (
     toric_envelope,
 )
 
-from conftest import random_cone_inputs
+from conftest import random_cone_inputs, random_eigen_lists
 
 
 def quadrant_monoid():
     return monoid_from_generators([(1, 0), (0, 1), (1, 1)])
+
+
+def reference_envelope_poset(w, rep):
+    """The envelope monoid's idempotents built from scratch: a cone and a
+    face lattice of its own on the projected generators.  Kept to check
+    toric_envelope, which shifts the original poset instead, against."""
+    k = rep.unit_lattice.rank
+    env = WeightMonoid(w.ambient_rank - k, rep.projected_generators, w.labels)
+    return idempotents(env)
 
 
 # -- re-coordinatization -----------------------------------------------------
@@ -178,18 +193,63 @@ def test_envelope_projects_out_lineality_line():
 
 
 def test_envelope_matches_chain_length_and_poset_shape():
-    for dim, gens in random_cone_inputs(seed=606, count=40, max_dim=4, max_gens=6):
-        w = monoid_from_generators(gens or [(0,) * dim])
+    monoids_with_units = 0
+    cases = [
+        monoid_from_generators(gens or [(0,) * dim])
+        for dim, gens in random_cone_inputs(seed=606, count=40, max_dim=4, max_gens=6)
+    ]
+    for values in random_eigen_lists(seed=616, count=20):
+        cases.append(character_data(factor(eigen_input(values))))
+        # with the inverse of its first eigenvalue: a pair of units
+        cases.append(character_data(factor(eigen_input(values + [1 / values[0]]))))
+    for w in cases:
         p = idempotents(w)
         rep = toric_envelope(w)
         assert rep.envelope_dim == maximal_chain_length(p)
         assert rep.envelope_dim == w.ambient_rank - rep.unit_lattice.rank
         env = rep.envelope_idempotent_poset
+        assert env == reference_envelope_poset(w, rep)
         assert [e.index_set for e in env.elements] == [e.index_set for e in p.elements]
         assert env.hasse_edges == p.hasse_edges
         k = rep.unit_lattice.rank
         for a, b in zip(env.elements, p.elements):
             assert a.face_dim == b.face_dim - k
+        monoids_with_units += k > 0
+    # the envelope's own cone is built, and its incidences compared, often
+    assert monoids_with_units == 30
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("loses a facet", "envelope faces do not match"),
+        ("gains a facet", "envelope faces do not match"),
+        ("loses a dimension", "do not span the quotient"),
+    ],
+    ids=["loses-facet", "gains-facet", "loses-dimension"],
+)
+def test_envelope_cone_mismatch_is_reported(monkeypatch, change, message):
+    # a line of units, so the envelope builds a cone of its own
+    w = monoid_from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
+    cone, poset = cone_and_poset(w)
+    assert cone.lineality.rank == 1
+
+    def envelope_cone(dim, generators):
+        c = cone_from_generators(dim, generators)
+        if change == "loses a facet":
+            return dataclasses.replace(
+                c, facets=c.facets[1:], incidences=c.incidences[1:]
+            )
+        if change == "gains a facet":
+            extra = c.incidences[0] & c.incidences[1]
+            return dataclasses.replace(
+                c, facets=c.facets + c.facets[:1], incidences=c.incidences + (extra,)
+            )
+        return dataclasses.replace(c, dim=c.dim - 1)
+
+    monkeypatch.setattr(monoids, "cone_from_generators", envelope_cone)
+    with pytest.raises(InternalCheckError, match=message):
+        toric_envelope(w, cone, poset)
 
 
 # -- canonical form ----------------------------------------------------------

@@ -76,12 +76,13 @@ WIDE = [[1, k] for k in range(11)]
     "mode, payload, expected",
     [
         # a unit pair 2, 1/2: the envelope projects out a line and needs a
-        # second cone of its own
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 2, 2, 2, 1)),
+        # second cone of its own, whose facet incidences it compares, but
+        # no second face lattice
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 2, 1, 2, 1)),
         # pointed: the envelope monoid is the weight monoid itself
         ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 2, 2, 0, 1)),
+         (0, 2, 1, 0, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
          (0, 1, 1, 0, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
