@@ -39,13 +39,15 @@ import os
 import random
 import re
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
 from .cones import (
     FacePoset,
-    circuit_criterion,
+    _bits,
+    _respecting,
     cone_from_generators,
     enumerate_faces,
     sign_masks,
@@ -213,37 +215,54 @@ def _subset_oracle(cone, poset_sets, shift, circuits=None) -> str:
 
     poset_sets holds index sets shifted by `shift` (1 for the idempotent
     layer, 0 for the raw cone layer).  The ``signed_circuits`` of the
-    generators, enumerated here unless passed in, decide every one of the
-    2^r generator subsets by bitmask tests, 2^r·c mask operations for c
-    circuits; both grow exponentially in r, so the oracle is skipped above
-    r = 10.
+    generators, enumerated here unless passed in, decide all 2^r generator
+    subsets at once: subset k is bit k of a 2^r-bit int, and
+    ``_respecting`` takes c·|support| ANDs of such ints for c circuits.
+    The circuits and the ints grow exponentially in r, so the oracle is
+    skipped above r = 10.  A disagreement names the least index set that
+    the faces miss or, if none, the least that they hold in excess.
     """
     r = len(cone.generators)
     if r > 10:
         return "skipped: more than 10 generators"
     if circuits is None:
         circuits = signed_circuits(cone.ambient_dim, cone.generators)
-    masks = [sign_masks(z) for z in circuits]
-    accepted = {
-        tuple(i + shift for i in range(r) if mask >> i & 1)
-        for mask in range(1 << r)
-        if circuit_criterion(mask, masks)
-    }
-    if accepted != poset_sets:
-        raise InternalCheckError("subset oracle disagrees with face enumeration")
+    # has[i]: the subsets k holding generator i, those with bit i set; each
+    # generator doubles the family, the new one holding its upper half
+    has, n = [], 1
+    for _ in range(r):
+        has = [p | p << n for p in has] + [((1 << n) - 1) << n]
+        n <<= 1
+    accepted = _respecting(has, map(sign_masks, circuits), (1 << n) - 1)
+    found = {tuple(i + shift for i in _bits(k)) for k in _bits(accepted)}
+    if found != poset_sets:
+        missing = found - poset_sets
+        if missing:
+            diff = f"missing {min(missing)}"
+        else:
+            diff = f"extra {min(poset_sets - found)}"
+        raise InternalCheckError(
+            f"subset oracle disagrees with face enumeration: {diff}"
+        )
     return "ok"
 
 
 def _relation_filter_check(poset, rels, circuits) -> str:
     """Check that the relations accept exactly the idempotents: each one
     respects every relation, and every signed circuit is a relation, so
-    no other index set respects them all."""
+    no other index set respects them all.  ``_respecting`` tests all F
+    elements at once, element k as bit k of an F-bit int; a failure names
+    the first element rejected, in poset order."""
     sides = relation_masks(rels)
-    for e in poset.elements:
-        if not circuit_criterion(sum(1 << (i - 1) for i in e.index_set), sides):
-            raise InternalCheckError(
-                f"face {e.index_set} rejected by the relation filter"
-            )
+    has = defaultdict(int)  # the elements holding generator i + 1
+    for k, e in enumerate(poset.elements):
+        for i in e.index_set:
+            has[i - 1] |= 1 << k
+    family = (1 << len(poset.elements)) - 1
+    rejected = family & ~_respecting(has, sides, family)
+    if rejected:
+        e = poset.elements[(rejected & -rejected).bit_length() - 1]
+        raise InternalCheckError(f"face {e.index_set} rejected by the relation filter")
     if not set(map(sign_masks, circuits)) <= set(sides):
         raise InternalCheckError("a signed circuit is missing from the relations")
     return "ok"

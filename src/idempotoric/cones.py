@@ -28,8 +28,12 @@ lists the minimal linear dependencies of the generators, and by
 covector/circuit orthogonality (Björner et al., *Oriented Matroids*,
 ch. 3) an index set I is a face exactly when every circuit C has
 C⁺ ⊆ I ⇔ C⁻ ⊆ I; ``circuit_criterion`` tests that on the circuits'
-``sign_masks``, so all 2^r subsets of r generators cost 2^r·c mask
-operations for c circuits.
+``sign_masks`` for one set.  ``_respecting`` tests it for a whole family
+of sets at once, one bit per set: for each index the family members
+containing it form one int, and each circuit costs one AND of those ints
+per index of its support, so all 2^r subsets of r generators cost
+c·|support| ANDs of 2^r-bit ints for c circuits.  Each circuit is
+certified by its column sums and by the rank of its support.
 ``is_face`` decides a single subset by exact rational Fourier-Motzkin
 elimination and returns an integer witness functional; it is far slower
 and serves as the reference the tests hold the other two to.  All three
@@ -632,8 +636,9 @@ def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
     coordinates off its support.  Those coordinate sets are walked depth
     first over one kernel basis, one fraction-free elimination step per
     column, at most C(r, m - 1) leaves.  Each circuit is checked to sum to
-    zero and to have a support whose generators have rank one less than
-    its size.
+    zero, column by column, and to have a support whose generators have
+    rank one less than its size, by the length of their fraction-free
+    echelon basis (``_extend_echelon``).
     """
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
@@ -664,17 +669,15 @@ def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
 
     if kernel.rank:
         vanish(list(kernel.basis.entries), 0)
+    columns = list(zip(*gens))
     circuits = []
     for vec in found:
         support = [gens[i] for i, c in enumerate(vec) if c]
         if not support:
             raise InternalCheckError("signed circuit is the zero vector")
-        for t in range(ambient_dim):
-            if sum(c * g[t] for c, g in zip(vec, gens)):
-                raise InternalCheckError("signed circuit is not a linear dependency")
-        if rank(IntegerMatrix.from_rows(support, cols=ambient_dim)) != (
-            len(support) - 1
-        ):
+        if any(_dot(vec, col) for col in columns):
+            raise InternalCheckError("signed circuit is not a linear dependency")
+        if len(_extend_echelon([], support)) != len(support) - 1:
             raise InternalCheckError("signed circuit support is not minimal")
         pos, neg = sign_masks(vec)
         circuits.append(((pos | neg).bit_count(), pos, neg, vec))
@@ -688,9 +691,33 @@ def circuit_criterion(mask: int, circuits) -> bool:
     ``circuits`` holds (positive, negative) mask pairs; the set I passes
     when each pair has C⁺ ⊆ I exactly when C⁻ ⊆ I.  For the ``sign_masks``
     of the ``signed_circuits`` the sets passing are exactly the faces.
+    This decides one set; ``_respecting`` decides a whole family of sets
+    at once, one bit per set.
     """
     out = ~mask
     return all((pos & out == 0) == (neg & out == 0) for pos, neg in circuits)
+
+
+def _respecting(has, pairs, family):
+    """The members of a family that respect every (C⁺, C⁻) mask pair.
+
+    Members are the set bits of ``family``, and ``has[i]`` holds the
+    members that contain index i, for every index the pairs name.  The
+    members containing a side are the AND of ``has`` over it (all of
+    ``family`` for an empty side), and a member respects a pair when it
+    contains both sides or neither, so the result is the AND over the pairs
+    of ~(AND over C⁺ ^ AND over C⁻): ``circuit_criterion`` for every member
+    at once, in c·|support| ANDs of |family|-bit ints for c pairs.
+    """
+    out = family
+    for pos, neg in pairs:
+        a = b = family
+        for i in _bits(pos):
+            a &= has[i]
+        for i in _bits(neg):
+            b &= has[i]
+        out &= ~(a ^ b)
+    return out
 
 
 def is_face(cone: Cone, index_set) -> Vector | None:

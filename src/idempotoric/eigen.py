@@ -216,6 +216,22 @@ def _relation_from_vector(z) -> PrimitiveRelation:
     return PrimitiveRelation(lhs, rhs)
 
 
+def _relation_holds(values, rel: PrimitiveRelation) -> bool:
+    """Whether Π vᵢ^a over ``rel.lhs`` equals Π vⱼ^b over ``rel.rhs``, for
+    values given as (numerator, positive denominator) pairs.  Exact, by
+    cross-multiplying: Π nᵢ^a · Π dⱼ^b = Π nⱼ^b · Π dᵢ^a."""
+    left = right = 1
+    for i, a in rel.lhs:
+        num, den = values[i - 1]
+        left *= num**a
+        right *= den**a
+    for j, b in rel.rhs:
+        num, den = values[j - 1]
+        right *= num**b
+        left *= den**b
+    return left == right
+
+
 def primitive_relations(t: ExponentTable, circuits=None):
     """Multiplicative relations among the |eigenvalues|, found in the
     kernel of the exponent matrix.
@@ -227,7 +243,7 @@ def primitive_relations(t: ExponentTable, circuits=None):
     ones), which make ``check_relation_criterion`` exact.  Relations are
     oriented so the first involved generator sits on the left,
     deduplicated, sorted by total degree and re-verified numerically on
-    the squared eigenvalues.
+    the squared eigenvalues, in integers (``_relation_holds``).
     """
     if circuits is None:
         circuits = signed_circuits(len(t.primes), t.matrix)
@@ -240,14 +256,9 @@ def primitive_relations(t: ExponentTable, circuits=None):
             continue
         seen.add(rel)
         rels.append(rel)
-    squares = [q * q for q in reconstruct(t)]
+    squares = [(q.numerator**2, q.denominator**2) for q in reconstruct(t)]
     for rel in rels:
-        left = right = Fraction(1)
-        for i, a in rel.lhs:
-            left *= squares[i - 1] ** a
-        for j, b in rel.rhs:
-            right *= squares[j - 1] ** b
-        if left != right:
+        if not _relation_holds(squares, rel):
             raise InternalCheckError("kernel vector failed the numeric relation check")
     def degree(r: PrimitiveRelation) -> int:
         return sum(a for _, a in r.lhs) + sum(b for _, b in r.rhs)

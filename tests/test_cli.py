@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -25,8 +26,14 @@ from idempotoric.cli import (
     main,
     run,
 )
-from idempotoric.cones import cone_from_generators, enumerate_faces
-from idempotoric.eigen import PrimitiveRelation, power_invariance
+from idempotoric.cones import (
+    circuit_criterion,
+    cone_from_generators,
+    enumerate_faces,
+    sign_masks,
+    signed_circuits,
+)
+from idempotoric.eigen import PrimitiveRelation, power_invariance, relation_masks
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.finite import all_associative_tables, validate_table
 from idempotoric.lattices import IntegerMatrix
@@ -577,6 +584,72 @@ def test_selftest_names_its_first_failure(monkeypatch, capsys):
 # -- cross-checks ------------------------------------------------------------------
 
 
+def reference_subset_oracle(cone, shift):
+    """The index sets passing the circuit test, shifted by ``shift``, one
+    ``circuit_criterion`` call per subset: the sweep that the oracle makes
+    bit-parallel."""
+    masks = [sign_masks(z) for z in signed_circuits(cone.ambient_dim, cone.generators)]
+    r = len(cone.generators)
+    return {
+        tuple(i + shift for i in range(r) if mask >> i & 1)
+        for mask in range(1 << r)
+        if circuit_criterion(mask, masks)
+    }
+
+
+# bound 1 gives zero, duplicate and opposite generators
+ORACLE_CONES = [
+    case
+    for seed, bound in ((911, 4), (912, 1))
+    for case in random_cone_inputs(seed, count=40, max_dim=5, max_gens=10, bound=bound)
+]
+
+
+def test_subset_oracle_matches_the_per_subset_sweep():
+    sizes = set()
+    for d, gens in ORACLE_CONES:
+        cone = cone_from_generators(d, gens)
+        sizes.add(len(gens))
+        for shift in (0, 1):
+            faces = reference_subset_oracle(cone, shift)
+            assert _subset_oracle(cone, faces, shift) == "ok"
+    assert sizes == set(range(11))
+
+
+def oracle_error(cone, sets, shift):
+    with pytest.raises(InternalCheckError, match="subset oracle disagrees") as exc:
+        _subset_oracle(cone, sets, shift)
+    return str(exc.value)
+
+
+def test_subset_oracle_names_the_difference():
+    prefix = "subset oracle disagrees with face enumeration: "
+    for d, gens in ORACLE_CONES:
+        if not 1 <= len(gens) <= 6:
+            continue
+        cone = cone_from_generators(d, gens)
+        faces = reference_subset_oracle(cone, 1)
+        every = {tuple(i + 1 for i in s) for s in subsets(len(gens))}
+        for face in faces:
+            assert oracle_error(cone, faces - {face}, 1) == prefix + f"missing {face}"
+            if len(face) > 1:
+                unsorted = faces - {face} | {face[::-1]}
+                assert oracle_error(cone, unsorted, 1) == prefix + f"missing {face}"
+            moved = tuple(i + 1 for i in face)
+            if moved not in faces:
+                wrong = faces - {face} | {moved}
+                assert oracle_error(cone, wrong, 1) == prefix + f"missing {face}"
+        for sub in every - faces:
+            assert oracle_error(cone, faces | {sub}, 1) == prefix + f"extra {sub}"
+        # the whole family shifted by the wrong offset, either way: the
+        # least of the sets missed is named
+        unshifted = reference_subset_oracle(cone, 0)
+        least = min(unshifted - faces)
+        assert oracle_error(cone, faces, 0) == prefix + f"missing {least}"
+        least = min(faces - unshifted)
+        assert oracle_error(cone, unshifted, 1) == prefix + f"missing {least}"
+
+
 def test_subset_oracle_catches_a_missing_or_extra_face():
     for d, gens in random_cone_inputs(seed=909, count=12, max_dim=3, max_gens=5):
         cone = cone_from_generators(d, gens)
@@ -592,6 +665,50 @@ def test_subset_oracle_catches_a_missing_or_extra_face():
     assert _subset_oracle(wide, set(), 0) == "skipped: more than 10 generators"
 
 
+def rejected_elements(poset, rels):
+    """The index sets of the elements the relations reject, in poset order,
+    one ``circuit_criterion`` call each: the relation filter's reference."""
+    sides = relation_masks(rels)
+    return [
+        e.index_set
+        for e in poset.elements
+        if not circuit_criterion(sum(1 << (i - 1) for i in e.index_set), sides)
+    ]
+
+
+def filter_error(index_set):
+    return f"face {index_set} rejected by the relation filter"
+
+
+def test_relation_filter_matches_the_per_element_check():
+    rng = random.Random(1717)
+
+    def side(r):
+        # generator r + 1 lies in no element
+        return tuple((i, 1) for i in range(1, r + 2) if rng.random() < 0.3)
+
+    several = passed = 0
+    for d, gens in random_cone_inputs(seed=1716, count=30, max_dim=4, max_gens=6):
+        if not gens:
+            continue
+        p = idempotents(monoid_from_generators(gens))
+        r = len(gens)
+        for _ in range(10):
+            rels = [
+                PrimitiveRelation(side(r), side(r)) for _ in range(rng.randint(1, 3))
+            ]
+            rejected = rejected_elements(p, rels)
+            if not rejected:
+                assert _relation_filter_check(p, rels, []) == "ok"
+                passed += 1
+                continue
+            with pytest.raises(InternalCheckError) as exc:
+                _relation_filter_check(p, rels, [])
+            assert str(exc.value) == filter_error(rejected[0])
+            several += len(rejected) > 1
+    assert several > 50 and passed > 20
+
+
 def test_relation_filter_names_the_rejected_face():
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
     circuits = [(1, 1, -1)]
@@ -601,6 +718,25 @@ def test_relation_filter_names_the_rejected_face():
     with pytest.raises(InternalCheckError) as exc:
         _relation_filter_check(p, forced + [relation], circuits)
     assert str(exc.value) == "face () rejected by the relation filter"
+
+
+def test_relation_filter_with_a_generator_in_no_element():
+    # the elements are (), (1,), (2,) and (1, 2, 3); no element holds t4
+    p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
+    circuits = [(1, 1, -1)]
+    relation = PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))
+    # no element holds either side
+    absent = PrimitiveRelation(((4, 1),), ((5, 1),))
+    assert _relation_filter_check(p, [relation, absent], circuits) == "ok"
+    cases = {
+        PrimitiveRelation(((4, 1),), ()): (),  # t4 = 1 rejects every element
+        PrimitiveRelation(((1, 1), (4, 1)), ((2, 1),)): (2,),
+    }
+    for bad, first in cases.items():
+        with pytest.raises(InternalCheckError) as exc:
+            _relation_filter_check(p, [relation, bad], circuits)
+        assert str(exc.value) == filter_error(first)
+        assert rejected_elements(p, [relation, bad])[0] == first
 
 
 def test_relation_filter_needs_every_circuit():

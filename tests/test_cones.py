@@ -615,16 +615,34 @@ def test_circuit_criterion_matches_fourier_motzkin(seed, bound):
 
 
 def test_circuit_guards_trip(monkeypatch):
-    monkeypatch.setattr("idempotoric.cones.rank", lambda m: m.rows)
+    # the minimality certificate is the length of the support's echelon
+    # basis; one that keeps every row makes the square's circuit look
+    # independent
+    def keep_every_row(rows, vectors):
+        return [*rows, *((0, tuple(v)) for v in vectors)]
+
+    monkeypatch.setattr("idempotoric.cones._extend_echelon", keep_every_row)
     with pytest.raises(InternalCheckError, match="not minimal"):
         signed_circuits(3, SQUARE)
     monkeypatch.undo()
+    # a dependency that is not minimal: (1, 1, -2) on three equal generators
+    # has support 3 and rank 1
     monkeypatch.setattr(
         "idempotoric.cones.kernel_lattice",
-        lambda m: Sublattice.span(m.rows, [(1, -1, -1, 2)]),
+        lambda m: Sublattice.span(m.rows, [(1, 1, -2)]),
     )
-    with pytest.raises(InternalCheckError, match="not a linear dependency"):
-        signed_circuits(3, SQUARE)
+    with pytest.raises(InternalCheckError, match="not minimal"):
+        signed_circuits(1, [(1,), (1,), (1,)])
+    monkeypatch.undo()
+    # combinations of the square's generators that are not zero: in every
+    # coordinate, then in each coordinate alone
+    for vec in [(1, -1, -1, 2), (1, 0, 0, 0), (-1, 1, 0, 0), (-1, 0, 1, 0)]:
+        monkeypatch.setattr(
+            "idempotoric.cones.kernel_lattice",
+            lambda m, vec=vec: Sublattice.span(m.rows, [vec]),
+        )
+        with pytest.raises(InternalCheckError, match="not a linear dependency"):
+            signed_circuits(3, SQUARE)
 
 
 # ----------------------------------------------------------- solve_affine

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from idempotoric.cli import _random_spectra
 from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
     ExponentTable,
     PrimitiveRelation,
+    _relation_holds,
     character_data,
     check_relation_criterion,
     eigen_input,
@@ -19,7 +21,7 @@ from idempotoric.eigen import (
     reconstruct,
     smallest_idempotent_indices,
 )
-from idempotoric.errors import InputError
+from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.lattices import IntegerMatrix, kernel_lattice, rank
 from idempotoric.monoids import canonical_form, cone_and_poset
 
@@ -276,6 +278,65 @@ def test_relations_verify_on_squared_values():
             for j, b in rel.rhs:
                 right *= e.eigenvalues[j - 1] ** (2 * b)
             assert left == right
+
+
+def fraction_holds(values, rel):
+    """The relation check in rationals: Π vᵢ^a over lhs == Π vⱼ^b over rhs."""
+    left = right = Fraction(1)
+    for i, a in rel.lhs:
+        left *= values[i - 1] ** a
+    for j, b in rel.rhs:
+        right *= values[j - 1] ** b
+    return left == right
+
+
+def bumped(rel):
+    """``rel`` with each of its exponents raised by one in turn."""
+    for side in ("lhs", "rhs"):
+        terms = getattr(rel, side)
+        for k, (i, a) in enumerate(terms):
+            new = terms[:k] + ((i, a + 1),) + terms[k + 1 :]
+            yield PrimitiveRelation(**{"lhs": rel.lhs, "rhs": rel.rhs, side: new})
+
+
+def test_integer_relation_check_matches_fractions():
+    # raw values carry signs and denominators, so the integer products must
+    # agree with the rational ones whichever way the relation goes
+    spectra = [vals for seed in (2, 3) for vals in _random_spectra(seed, 12)]
+    spectra += random_eigen_lists(seed=1415, count=30, max_len=6, bound=30)
+    outcomes = set()
+    for vals in spectra:
+        e = eigen_input(vals)
+        squares = [q * q for q in e.eigenvalues]
+        for rel in primitive_relations(factor(e)):
+            for r in (rel, *bumped(rel)):
+                for values in (e.eigenvalues, squares):
+                    pairs = [(q.numerator, q.denominator) for q in values]
+                    expected = fraction_holds(values, r)
+                    assert _relation_holds(pairs, r) == expected, (vals, r)
+                    outcomes.add((values is squares, expected))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_integer_relation_check_trips_on_a_bumped_exponent():
+    # one exponent of one circuit raised by one is no longer a relation
+    spectra = [[2, 3, 6], [-2, Fraction(3, 5), Fraction(-5, 6)], [4, 6, 9]]
+    spectra += random_eigen_lists(seed=1416, count=20, max_len=7, bound=12)
+    tripped = 0
+    for vals in spectra:
+        t = factor(eigen_input(vals))
+        circuits = signed_circuits(len(t.primes), t.matrix)
+        for k, z in enumerate(circuits):
+            for i, c in enumerate(z):
+                if not c or not any(t.matrix[i]):
+                    continue  # a unit's exponent is free
+                wrong = list(z)
+                wrong[i] += 1 if c > 0 else -1
+                bad = [*circuits[:k], tuple(wrong), *circuits[k + 1 :]]
+                with pytest.raises(InternalCheckError, match="numeric relation"):
+                    primitive_relations(t, bad)
+                tripped += 1
+    assert tripped > 50
 
 
 def test_relations_deterministic():
