@@ -3,8 +3,13 @@
 A cone is built by the double description method run twice: once on the
 generators to get the facet inequalities (extreme rays of the dual cone),
 once on those inequalities to get the extreme rays and lineality space of
-the cone itself.  All arithmetic is exact; rays and facet normals are kept
-as primitive integer vectors.
+the cone itself.  The second pass certifies the first: the listed facets
+cut out a cone that contains the generators' cone, and the two are equal,
+so no facet is missing, when every ray of the second pass is a generator
+modulo the lineality space and the generators in that space span it
+positively.  ``enumerate_faces`` checks that no listed facet is redundant.
+All arithmetic is exact; rays and facet normals are kept as primitive
+integer vectors.
 
 Faces are identified with the subsets of generator indices they contain.
 ``enumerate_faces`` lists every face with its Hasse covers, working on
@@ -416,9 +421,23 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     face.  The facets are the rays of the dual pass, which runs on the
     generators as inequalities, so its final check is the exact sign test
     of every facet on every generator and its tight sets are the facets'
-    ``incidences``.  Raises InputError unless ``ambient_dim`` is a
-    nonnegative int (not a bool) and ``IntegerMatrix.from_rows`` accepts
-    the generators.
+    ``incidences``.
+
+    The primal pass runs on the facets, within the generators' span, and
+    gives the rays and the lineality space L of the cone P they cut out,
+    which contains the generators' cone C; its one check is the rank of the
+    rays and L.  The bottom face B holds the generators on every facet, the
+    ones in L.  P = C, so no facet of C is missing from the list, when (a)
+    for each ray, some generator off B lies on every facet of the ray's
+    tight set T (the AND of their ``incidences``), so that a positive
+    multiple of the ray is that generator minus a vector of L, and (b) B
+    spans L positively: the saturated span of B is ``lineality`` and the
+    nonnegative ``signed_circuits`` of B cover B, which sum to a dependency
+    with every coefficient positive.  That costs O(rays·|T|) ANDs and one
+    circuit search on B, none when the cone is pointed.  ``enumerate_faces``
+    checks that no listed facet is redundant.  Raises InputError unless
+    ``ambient_dim`` is a nonnegative int (not a bool) and
+    ``IntegerMatrix.from_rows`` accepts the generators.
     """
     dim_is_int = isinstance(ambient_dim, int) and not isinstance(ambient_dim, bool)
     if not dim_is_int or ambient_dim < 0:
@@ -429,15 +448,36 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     dual = sorted(zip(dual_rays, tight))
     facets = tuple(w for w, _ in dual)
     incidences = tuple(t for _, t in dual)
-    rays, lin, _ = _dd_rays(ambient_dim, list(facets), list(dual_lin))
+    rays, lin, ray_tight = _dd_rays(ambient_dim, list(facets), list(dual_lin))
     extreme = tuple(sorted(rays))
     lineality = saturate(Sublattice.span(ambient_dim, lin))
     dim = rank(mat)
     span_rows = list(extreme) + list(lineality.basis.entries)
     if rank(IntegerMatrix.from_rows(span_rows, cols=ambient_dim)) != dim:
         raise InternalCheckError("ray plus lineality span has the wrong rank")
-    if bool(facets) == (dim == lineality.rank):
-        raise InternalCheckError("facet list inconsistent with lineality")
+    everything = (1 << len(gens)) - 1
+    bottom = everything
+    for inc in incidences:
+        bottom &= inc
+    # (a) each ray is a generator off the bottom face, modulo the lineality
+    for t in ray_tight:
+        on = everything
+        for j in _bits(t):
+            on &= incidences[j]
+        if not on & ~bottom:
+            raise InternalCheckError("a ray holds no generator")
+    # (b) the bottom face's generators span the lineality space, positively:
+    # their nonnegative circuits cover them
+    units = [gens[i] for i in _bits(bottom)]
+    if saturate(Sublattice.span(ambient_dim, units)) != lineality:
+        raise InternalCheckError("bottom face does not span the lineality space")
+    covered = 0
+    for c in signed_circuits(ambient_dim, units) if units else ():
+        pos, neg = sign_masks(c)
+        if not neg:
+            covered |= pos
+    if covered != (1 << len(units)) - 1:
+        raise InternalCheckError("bottom face is not linear")
     return Cone(ambient_dim, gens, extreme, facets, incidences, lineality, dim)
 
 
@@ -522,10 +562,12 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     face that adds more generators takes the length of an exact echelon
     basis of its generators, extended from c's basis, which is built on
     demand along the same chain of covers; the bottom face reduces all of
-    its own.  Every cover edge must raise the dimension by one, the bottom
-    face must carry exactly the generators in the lineality space, and the
-    top face's rank must equal ``cone.dim``.  Each face's witness
-    functional is the sum of the facet normals over T.
+    its own.  The top face's lower covers must be exactly the facets'
+    masks, so no listed facet is redundant or listed twice; with
+    ``cone_from_generators``'s certificate the facet list is then exact.
+    Every cover edge must raise the dimension by one, and the top face's
+    rank must equal ``cone.dim``.  Each face's witness functional is the
+    sum of the facet normals over T.
     """
     gens = cone.generators
     incidences = cone.incidences
@@ -547,6 +589,8 @@ def enumerate_faces(cone: Cone) -> FacePoset:
         for t, above in dual.items():
             for c in above:
                 covers_of[gens_on[c]].append(gens_on[t])
+    if sorted(covers_of[top]) != sorted(incidences):
+        raise InternalCheckError("a listed facet is not a facet")
     lower = {}  # each face's largest lower cover
     bases = {}  # echelon bases, for the bottom and on demand
 
@@ -595,21 +639,13 @@ def enumerate_faces(cone: Cone) -> FacePoset:
         raise InternalCheckError("top face rank differs from the cone's dimension")
     faces.sort()
     position = {s: k for k, (_, _, s, _) in enumerate(faces)}
-    # the unique smallest face is the lineality space, carrying exactly the
-    # generators that lie in it
-    bottom = min(range(len(faces)), key=lambda k: len(faces[k][1]))
-    expected_bottom = top
-    for inc in incidences:
-        expected_bottom &= inc
-    if faces[bottom][2] != expected_bottom:
-        raise InternalCheckError("bottom face does not match the lineality span")
     edges = sorted(
         (position[c], position[s]) for s, covers in covers_of.items() for c in covers
     )
     return FacePoset(
         tuple(Face(members, dim, wit) for dim, members, _, wit in faces),
         tuple(edges),
-        bottom,
+        0,  # the bottom face, of the least dimension, sorts first
         position[top],
     )
 
@@ -629,46 +665,43 @@ def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
     nonzero entry positive, sorted by support size, then ``sign_masks``.
     Zero, duplicate and opposite generators give circuits of size 1 or 2.
 
-    The dependencies form the kernel K of the generator matrix, of
-    dimension m = r - rank.  The vectors of K vanishing on m - 1
-    coordinates whose coordinate functionals are independent on K form a
-    line, whose support is a circuit, and every circuit arises so from
-    coordinates off its support.  Those coordinate sets are walked depth
-    first over one kernel basis, one fraction-free elimination step per
+    The dependencies form the kernel K of the generator matrix, of dimension
+    m = r - rank.  The vectors of K vanishing on m - 1 coordinates whose
+    coordinate functionals are independent on K form a line, whose support
+    is a circuit, and every circuit arises so from coordinates off its
+    support.  Those coordinate sets are walked depth first over one kernel
+    basis, on an explicit stack, one fraction-free elimination step per
     column, at most C(r, m - 1) leaves.  Each circuit is checked to sum to
-    zero, column by column, and to have a support whose generators have
-    rank one less than its size, by the length of their fraction-free
-    echelon basis (``_extend_echelon``).
+    zero, column by column, and to have a support whose generators have rank
+    one less than its size, by the length of their fraction-free echelon
+    basis (``_extend_echelon``).
     """
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
     r = len(gens)
     kernel = kernel_lattice(mat)
     found = set()
-
-    def vanish(rows, start):
-        # rows span the kernel vectors vanishing on every column chosen so far
+    # each entry: rows spanning the kernel vectors that vanish on every
+    # column chosen so far, and the first column still to choose from
+    stack = [(list(kernel.basis.entries), 0)] if kernel.rank else []
+    while stack:
+        rows, start = stack.pop()
         if len(rows) == 1:
             vec = rows[0]
             first = next((c for c in vec if c), 0)
             found.add(tuple(-c for c in vec) if first < 0 else tuple(vec))
-            return
+            continue
         for col in range(start, r - len(rows) + 2):
             k = next((k for k, row in enumerate(rows) if row[col]), None)
             if k is None:
                 continue
             piv = rows[k]
             p = piv[col]
-            vanish(
-                [
-                    _primitive([p * x - row[col] * y for x, y in zip(row, piv)])
-                    for row in rows[:k] + rows[k + 1 :]
-                ],
-                col + 1,
-            )
-
-    if kernel.rank:
-        vanish(list(kernel.basis.entries), 0)
+            rest = [
+                _primitive([p * x - row[col] * y for x, y in zip(row, piv)])
+                for row in rows[:k] + rows[k + 1 :]
+            ]
+            stack.append((rest, col + 1))
     columns = list(zip(*gens))
     circuits = []
     for vec in found:

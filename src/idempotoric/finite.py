@@ -14,6 +14,7 @@ of a given size by backtracking with incremental associativity pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import InputError, InternalCheckError
@@ -44,11 +45,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """A validated multiplication table: table[x][y] = x·y."""
+    """A validated multiplication table: table[x][y] = x·y.
+
+    Its generating set is found once, when first needed, and shared by
+    ``validate_table`` and ``greens_classes``.
+    """
 
     size: int
     table: tuple[tuple[int, ...], ...]
     commutative: bool
+
+    @cached_property
+    def _generating_set(self) -> tuple[int, ...]:
+        return _generators(self.table)
 
 
 @dataclass(frozen=True)
@@ -124,9 +133,10 @@ def validate_table(table) -> FiniteSemigroup:
     if min(map(min, t)) < 0 or max(map(max, t)) >= n:
         x = next(x for row in t for x in row if not 0 <= x < n)
         raise InputError(f"table entry {x!r} outside 0..{n - 1}")
-    if not _light_test(t, _generators(t)):
+    s = FiniteSemigroup(n, t, tuple(zip(*t)) == t)
+    if not _light_test(t, s._generating_set):
         _first_violation(t)
-    return FiniteSemigroup(n, t, tuple(zip(*t)) == t)
+    return s
 
 
 def _light_test(t, gens) -> bool:
@@ -272,7 +282,7 @@ def greens_classes(s: FiniteSemigroup) -> GreensClasses:
     """
     n = s.size
     t = s.table
-    gens = _generators(t)
+    gens = s._generating_set
     r_comp = _components([tuple(row[a] for a in gens) for row in t])
     l_comp = _components(list(zip(*(t[a] for a in gens))))
 

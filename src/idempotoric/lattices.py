@@ -367,8 +367,11 @@ def saturate(sub: Sublattice) -> Sublattice:
     """Smallest saturated sublattice containing ``sub``.
 
     Computed as the integer points of the rational span, via a double
-    orthogonal complement: two kernel computations.
+    orthogonal complement: two kernel computations.  The zero lattice is
+    its own saturation.
     """
+    if not sub.rank:
+        return sub
     right = kernel_lattice(sub.basis.transpose())
     sat = kernel_lattice(right.basis.transpose())
     if sat.rank != sub.rank:

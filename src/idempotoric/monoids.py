@@ -21,7 +21,6 @@ from .lattices import (
     lattice_member,
     rank,
     row_times_matrix,
-    saturate,
     smith_normal_form,
 )
 
@@ -204,33 +203,27 @@ def canonical_form(w: WeightMonoid):
 
 
 def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeReport:
-    """Project along the saturated sublattice spanned by unit generators.
+    """Project along the lineality space of the generator cone.
 
-    The generators on every facet, the lineality face, span the unit part;
-    its saturation Λ₀ must be ``cone.lineality``, and it is split off by a
-    Smith normal form change of basis with a unit diagonal, so the images
-    of all generators in Λ/Λ₀ define the envelope monoid and the
-    projection's kernel is Λ₀ ⊗ Q.  When Λ₀ ≠ 0 the envelope gets a cone
-    of its own, a pointed double description run on the projected
-    generators, and its sorted facet incidence masks must equal the
-    original cone's: the face lattice is a function of that family, so the
-    envelope has the same faces, index set for index set, and the same
-    covers.  Every face contains the lineality face and with it Λ₀ ⊗ Q, so
-    each face's rank drops by exactly k = rank(Λ₀), and the envelope poset
-    is the original one with every ``face_dim`` lowered by k.  The
-    envelope dimension must equal the poset's chain length.
+    ``cone_from_generators`` certifies that the generators on every facet,
+    the units, span ``cone.lineality`` = Λ₀ positively and that the facet
+    list is complete.  Λ₀ is split off by a Smith normal form change of
+    basis with a unit diagonal, so the images of all generators in Λ/Λ₀
+    define the envelope monoid.  The units must project to zero and the
+    projected generators must have rank dim Λ − k, k = rank(Λ₀), so the
+    projection's kernel is Λ₀ ⊗ Q.  Every facet normal vanishes there and
+    factors through the projection, so the envelope cone has the same
+    facets, meeting the generators as the original ones do: the same
+    faces, index set for index set, and the same covers.  Every face
+    contains Λ₀ ⊗ Q, so each face's rank drops by exactly k, and the
+    envelope poset is the original one with every ``face_dim`` lowered by
+    k.  The envelope dimension must equal the poset's chain length.
 
     The pair ``cone_and_poset(w)`` is reused when passed in (else built).
     """
     if cone is None or poset is None:
         cone, poset = cone_and_poset(w)
-    on_every_facet = (1 << len(w.generators)) - 1
-    for inc in cone.incidences:
-        on_every_facet &= inc
-    unit_gens = [g for i, g in enumerate(w.generators) if on_every_facet >> i & 1]
-    lam0 = saturate(Sublattice.span(w.ambient_rank, unit_gens))
-    if lam0 != cone.lineality:
-        raise InternalCheckError("unit generators do not span the lineality space")
+    lam0 = cone.lineality
     k = lam0.rank
     s, _, v = smith_normal_form(lam0.basis)
     for i in range(k):
@@ -238,14 +231,15 @@ def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeRepor
             raise InternalCheckError("saturated unit lattice is not a direct summand")
     projected = tuple(tuple(row_times_matrix(g, v)[k:]) for g in w.generators)
     dim = w.ambient_rank - k
-    env = WeightMonoid(dim, projected, w.labels)
-    env_cone = cone if env == w else cone_from_generators(dim, projected)
-    if env_cone.lineality.rank != 0:
-        raise InternalCheckError("envelope cone is not pointed")
-    if env_cone.dim != dim:
+    on_every_facet = (1 << len(w.generators)) - 1
+    for inc in cone.incidences:
+        on_every_facet &= inc
+    if any(any(g) for i, g in enumerate(projected) if on_every_facet >> i & 1):
+        raise InternalCheckError("unit generators do not project to zero")
+    # for k = 0 the projection is the identity, whose rank cone_and_poset
+    # checked
+    if k and rank(IntegerMatrix.from_rows(projected, cols=dim)) != dim:
         raise InternalCheckError("projected generators do not span the quotient")
-    if sorted(env_cone.incidences) != sorted(cone.incidences):
-        raise InternalCheckError("envelope faces do not match the original faces")
     if dim != maximal_chain_length(poset):
         raise InternalCheckError("envelope dimension disagrees with chain length")
     shifted = tuple(Idempotent(e.index_set, e.face_dim - k) for e in poset.elements)

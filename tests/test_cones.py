@@ -1,4 +1,6 @@
+import gc
 import itertools
+import json
 from fractions import Fraction
 from math import comb
 
@@ -6,7 +8,7 @@ import pytest
 from conftest import random_cone_inputs, subsets
 from hypothesis import given, settings, strategies as st
 
-from idempotoric import cones
+from idempotoric import cli, cones
 from idempotoric.cones import (
     Cone,
     Face,
@@ -518,6 +520,89 @@ def test_single_generator_step_needs_a_separating_facet(monkeypatch):
         enumerate_faces(HALF_PLANE)
 
 
+# ------------------------------------------------ the facet certificate
+
+# every cone here has more than 10 generators, past the subset oracle, so
+# only the certificate can notice a wrong facet list
+TWELVE_GON = [
+    (x, y, 1)
+    for x, y in [(1, 4), (3, 3), (4, 1), (4, -1), (3, -3), (1, -4)]
+    + [(-1, -4), (-3, -3), (-4, -1), (-4, 1), (-3, 3), (-1, 4)]
+]
+# facets y >= 0, through generator 0 alone, and 10x - y >= 0
+WIDE_QUADRANT = [(1, k) for k in range(11)]
+WIDE_QUADRANT_TIMES_LINE = [(1, k, 0) for k in range(11)] + [(0, 0, 1), (0, 0, -1)]
+# the cone over a 2 x 3 rectangle: 4 facets
+GRID = [(x, y, 1) for x in range(3) for y in range(4)]
+
+
+def without_a_facet_through_generator_0(rays, lin, tight):
+    k = next(k for k, t in enumerate(tight) if t & 1)
+    return rays[:k] + rays[k + 1 :], lin, tight[:k] + tight[k + 1 :]
+
+
+def only_two_opposite_facets(rays, lin, tight):
+    k = next(k for k, t in enumerate(tight) if not t & tight[0])
+    return [rays[0], rays[k]], lin, [tight[0], tight[k]]
+
+
+def with_a_redundant_facet(rays, lin, tight):
+    # the sum of two facet normals, tight where both are
+    extra = tuple(a + b for a, b in zip(rays[0], rays[1]))
+    return rays + [extra], lin, tight + [tight[0] & tight[1]]
+
+
+def run_job(tmp_path, capsys, mode, gens):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"ambient_dim": len(gens[0]), "generators": gens}))
+    code = cli.main([mode, "--input", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("mode", ["cone", "monoid"])
+@pytest.mark.parametrize(
+    "gens, faces, change, message",
+    [
+        (TWELVE_GON, 26, without_a_facet_through_generator_0,
+         "a ray holds no generator"),
+        (WIDE_QUADRANT, 4, without_a_facet_through_generator_0,
+         "bottom face is not linear"),
+        (WIDE_QUADRANT_TIMES_LINE, 4, without_a_facet_through_generator_0,
+         "bottom face is not linear"),
+        (GRID, 10, only_two_opposite_facets,
+         "bottom face does not span the lineality space"),
+        (GRID, 10, with_a_redundant_facet, "a listed facet is not a facet"),
+    ],
+    ids=["12-gon", "quadrant", "quadrant-times-line", "grid-two-facets",
+         "grid-redundant-facet"],
+)
+def test_a_wrong_facet_list_is_reported(
+    tmp_path, capsys, monkeypatch, mode, gens, faces, change, message
+):
+    code, rep = run_job(tmp_path, capsys, mode, gens)
+    assert code == 0
+    listed = rep["faces"] if mode == "cone" else rep["idempotents"]["elements"]
+    assert len(listed) == faces
+    assert rep["crosschecks"]["subset_oracle"].startswith("skipped")
+
+    # the change applies to each cone's first pass, the dual one
+    real = cones._dd_rays
+    passes = []
+
+    def dd_rays(dim, ineqs, eqs):
+        passes.append(dim)
+        out = real(dim, ineqs, eqs)
+        return change(*out) if len(passes) % 2 else out
+
+    monkeypatch.setattr(cones, "_dd_rays", dd_rays)
+    code, rep = run_job(tmp_path, capsys, mode, gens)
+    assert (code, rep["error"]["kind"], rep["error"]["message"]) == (
+        2,
+        "internal",
+        message,
+    )
+
+
 def test_index_lookup_leaves_equality_and_repr_alone():
     fresh = enumerate_faces(QUADRANT)
     used = enumerate_faces(QUADRANT)
@@ -612,6 +697,26 @@ def test_circuit_criterion_matches_fourier_motzkin(seed, bound):
         for mask, sub in enumerate(subsets(len(gens))):
             expected = is_face(cone, sub) is not None
             assert circuit_criterion(mask, masks) == expected, (d, gens, sub)
+
+
+@pytest.mark.parametrize(
+    "dim, gens",
+    [
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]),
+        (2, [(1, 0), (0, 1)]),
+    ],
+    ids=["five-generators", "kernel-rank-0"],
+)
+def test_circuit_search_leaves_no_garbage(dim, gens):
+    # the search holds no reference cycle, so nothing it made waits for
+    # the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        signed_circuits(dim, gens)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_circuit_guards_trip(monkeypatch):

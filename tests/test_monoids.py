@@ -1,13 +1,11 @@
 """Monoid layer: re-coordinatization, idempotent posets, the envelope."""
 
-import dataclasses
-
 import pytest
 
 from idempotoric import monoids
-from idempotoric.cones import cone_from_generators
 from idempotoric.eigen import character_data, eigen_input, factor
 from idempotoric.errors import InputError, InternalCheckError
+from idempotoric.lattices import IntegerMatrix
 from idempotoric.monoids import (
     Idempotent,
     WeightMonoid,
@@ -215,39 +213,37 @@ def test_envelope_matches_chain_length_and_poset_shape():
         for a, b in zip(env.elements, p.elements):
             assert a.face_dim == b.face_dim - k
         monoids_with_units += k > 0
-    # the envelope's own cone is built, and its incidences compared, often
+    # units are projected out often
     assert monoids_with_units == 30
 
 
+def units_off_the_kernel(real):
+    # the transform's columns reversed: the units land in kept coordinates
+    def smith(m):
+        s, u, v = real(m)
+        return s, u, IntegerMatrix(tuple(row[::-1] for row in v.entries), v.cols)
+
+    return smith
+
+
+def last_coordinate_lost(real):
+    return lambda g, m: real(g, m)[:-1] + (0,)
+
+
 @pytest.mark.parametrize(
-    "change, message",
+    "name, corrupt, message",
     [
-        ("loses a facet", "envelope faces do not match"),
-        ("gains a facet", "envelope faces do not match"),
-        ("loses a dimension", "do not span the quotient"),
+        ("smith_normal_form", units_off_the_kernel, "do not project to zero"),
+        ("row_times_matrix", last_coordinate_lost, "do not span the quotient"),
     ],
-    ids=["loses-facet", "gains-facet", "loses-dimension"],
+    ids=["units-off-the-kernel", "loses-dimension"],
 )
-def test_envelope_cone_mismatch_is_reported(monkeypatch, change, message):
-    # a line of units, so the envelope builds a cone of its own
+def test_envelope_projection_faults_are_reported(monkeypatch, name, corrupt, message):
+    # a line of units, projected out
     w = monoid_from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
     cone, poset = cone_and_poset(w)
     assert cone.lineality.rank == 1
-
-    def envelope_cone(dim, generators):
-        c = cone_from_generators(dim, generators)
-        if change == "loses a facet":
-            return dataclasses.replace(
-                c, facets=c.facets[1:], incidences=c.incidences[1:]
-            )
-        if change == "gains a facet":
-            extra = c.incidences[0] & c.incidences[1]
-            return dataclasses.replace(
-                c, facets=c.facets + c.facets[:1], incidences=c.incidences + (extra,)
-            )
-        return dataclasses.replace(c, dim=c.dim - 1)
-
-    monkeypatch.setattr(monoids, "cone_from_generators", envelope_cone)
+    monkeypatch.setattr(monoids, name, corrupt(getattr(monoids, name)))
     with pytest.raises(InternalCheckError, match=message):
         toric_envelope(w, cone, poset)
 

@@ -2,7 +2,8 @@
 weight monoid, its cone, its faces and its signed circuits once and shares
 them with the envelope, the smallest-index check, power invariance, the
 relations and the cross-checks; the checks in those functions still fire
-on the shared objects.  A finite job takes each element's index and
+on the shared objects.  A finite job finds its generating set once, for
+validation and Green's classes, and takes each element's index and
 period once, for its report and its idempotent-power cross-check."""
 
 import dataclasses
@@ -75,14 +76,14 @@ WIDE = [[1, k] for k in range(11)]
 @pytest.mark.parametrize(
     "mode, payload, expected",
     [
-        # a unit pair 2, 1/2: the envelope projects out a line and needs a
-        # second cone of its own, whose facet incidences it compares, but
-        # no second face lattice
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 2, 1, 2, 1)),
+        # a unit pair 2, 1/2: the envelope projects out the cone's own
+        # lineality space, and the cone's certificate takes the circuits of
+        # its two units, the bottom face's generators
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 2, 2)),
         # pointed: the envelope monoid is the weight monoid itself
         ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 2, 1, 0, 1)),
+         (0, 1, 1, 0, 2)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
          (0, 1, 1, 0, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
@@ -111,6 +112,15 @@ def test_finite_job_takes_each_index_period_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and rep["crosschecks"] == {"idempotent_powers": "ok"}
     # once per element for the report; the cross-check reuses them
     assert calls == {"index_period": 12}
+
+
+def test_finite_job_finds_its_generating_set_once(tmp_path, capsys, monkeypatch):
+    table = [list(row) for row in finite.zmod_times(12).table]
+    calls = count_calls(monkeypatch, {"_generators": finite._generators})
+    code, rep = run_job(tmp_path, capsys, "finite", {"table": table})
+    assert code == 0 and "error" not in rep
+    # found by validate_table, reused by greens_classes
+    assert calls == {"_generators": 1}
 
 
 def test_shared_objects_give_the_standalone_results():
@@ -144,7 +154,9 @@ def minimum_moved_to_the_top(poset):
 def test_envelope_checks_the_shared_cone():
     w = monoid_from_generators([(1, 0), (0, 1), (1, 1)])
     cone, poset = cone_and_poset(w)
-    with pytest.raises(InternalCheckError, match="do not span the lineality space"):
+    # a line the cone does not have: no unit projects off zero, but the
+    # envelope loses a dimension its poset keeps
+    with pytest.raises(InternalCheckError, match="disagrees with chain length"):
         toric_envelope(w, wrong_lineality(cone), poset)
 
 
@@ -172,10 +184,11 @@ def test_main_reports_a_corrupted_shared_cone(tmp_path, capsys, monkeypatch):
         return real(w, wrong_lineality(cone), poset)
 
     monkeypatch.setattr(cli, "toric_envelope", envelope)
+    # no lineality: the units 2 and 1/2 are projected by the identity
     assert internal_error(tmp_path, capsys) == (
         2,
         "internal",
-        "unit generators do not span the lineality space",
+        "unit generators do not project to zero",
     )
 
 
