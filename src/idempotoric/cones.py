@@ -21,12 +21,13 @@ facets.  The lower covers of a set come from the same meets by the count
 test of Kaibel & Pfetsch (CGTA 2002), also O(F·min(r, m)).  The masks are
 ``Cone.incidences``, the tight sets of the double description's dual
 pass, whose final check compares them with every (facet, generator)
-product, so no facet-generator product is taken twice.  A face one
-generator above a lower cover has that cover's dimension plus one, which
-a facet through the cover and off the generator certifies; a face more
-generators above extends the echelon basis of its cover, so no face is
-eliminated from scratch; the top face's rank is checked against
-``cone.dim``.  Its witness sums the normals of the facets through it.
+product, so no facet-generator product is taken twice.  Each face's data
+comes from one neighbour in the Hasse diagram: only the bottom face is
+eliminated, every other face has its largest lower cover's dimension
+plus one, which a facet through each lower cover and off the face, and
+the top face's rank against ``cone.dim``, certify; its witness, the sum
+of the normals of the facets through it, is an upper cover's witness
+plus the normals of the facets it adds.
 
 Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import InputError, InternalCheckError
 from .lattices import IntegerMatrix, Sublattice, kernel_lattice, rank, saturate
@@ -374,6 +375,17 @@ class Cone:
     lineality: Sublattice
     dim: int
 
+    @cached_property
+    def _facet_sets(self) -> tuple[int, ...]:
+        """For each generator, the bitmask of the facets through it: the
+        transpose of ``incidences``, one step per set bit."""
+        out = [0] * len(self.generators)
+        for j, inc in enumerate(self.incidences):
+            bit = 1 << j
+            for i in _bits(inc):
+                out[i] |= bit
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Face:
@@ -425,19 +437,23 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
 
     The primal pass runs on the facets, within the generators' span, and
     gives the rays and the lineality space L of the cone P they cut out,
-    which contains the generators' cone C; its one check is the rank of the
-    rays and L.  The bottom face B holds the generators on every facet, the
-    ones in L.  P = C, so no facet of C is missing from the list, when (a)
-    for each ray, some generator off B lies on every facet of the ray's
-    tight set T (the AND of their ``incidences``), so that a positive
-    multiple of the ray is that generator minus a vector of L, and (b) B
-    spans L positively: the saturated span of B is ``lineality`` and the
-    nonnegative ``signed_circuits`` of B cover B, which sum to a dependency
-    with every coefficient positive.  That costs O(rays·|T|) ANDs and one
-    circuit search on B, none when the cone is pointed.  ``enumerate_faces``
-    checks that no listed facet is redundant.  Raises InputError unless
-    ``ambient_dim`` is a nonnegative int (not a bool) and
-    ``IntegerMatrix.from_rows`` accepts the generators.
+    which contains the generators' cone C; the rays and L must have the
+    rank of the generators.  The bottom face B holds the generators on
+    every facet, the ones in L.  P = C, so no facet of C is missing from
+    the list, when (a) for each ray, some generator off B lies on every
+    facet of the ray's tight set T (the AND of their ``incidences``), so
+    that a positive multiple of the ray is that generator minus a vector
+    of L, and (b) B spans L positively: the saturated span of B is
+    ``lineality`` and the nonnegative ``signed_circuits`` of B cover B,
+    which sum to a dependency with every coefficient positive.  That costs
+    O(rays·|T|) ANDs and one circuit search on B, none when the cone is
+    pointed.  No ray is lost when the facets through each generator off B
+    all hold some ray: the smallest face holding the generator holds an
+    extreme ray, and a lost ray's generators lie on no other ray's facets.
+    That is one set lookup per generator, with a scan of the rays only on
+    a miss.  ``enumerate_faces`` checks that no listed facet is redundant.
+    Raises InputError unless ``ambient_dim`` is a nonnegative int (not a
+    bool) and ``IntegerMatrix.from_rows`` accepts the generators.
     """
     dim_is_int = isinstance(ambient_dim, int) and not isinstance(ambient_dim, bool)
     if not dim_is_int or ambient_dim < 0:
@@ -466,6 +482,14 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
             on &= incidences[j]
         if not on & ~bottom:
             raise InternalCheckError("a ray holds no generator")
+    cone = Cone(ambient_dim, gens, extreme, facets, incidences, lineality, dim)
+    # no ray is lost: the facets through each generator off the bottom face
+    # all hold some ray
+    rays_on = set(ray_tight)
+    for i in _bits(everything & ~bottom):
+        g = cone._facet_sets[i]
+        if g not in rays_on and not any(g & t == g for t in ray_tight):
+            raise InternalCheckError("a generator lies on no ray")
     # (b) the bottom face's generators span the lineality space, positively:
     # their nonnegative circuits cover them
     units = [gens[i] for i in _bits(bottom)]
@@ -478,7 +502,7 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
             covered |= pos
     if covered != (1 << len(units)) - 1:
         raise InternalCheckError("bottom face is not linear")
-    return Cone(ambient_dim, gens, extreme, facets, incidences, lineality, dim)
+    return cone
 
 
 def _extend_echelon(rows, vectors):
@@ -551,92 +575,104 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     is closed by ``_closed_sets`` over whichever of the r generators and m
     facets is fewer: O(F·min(r, m)) mask operations for the closure and the
     count test for the covers, after Kaibel & Pfetsch (CGTA 2002).  Closed
-    over the Gᵢ, the sets are the faces' T, a face's generators are
-    {i : Gᵢ ⊇ T}, and the lower covers of T are the face's upper covers.
+    over the Gᵢ, the sets are the faces' T, the lower covers of T are the
+    face's upper covers, and a face's generators are the AND of the
+    incidences over T, taken from one of those covers by the facets T adds.
 
-    Faces are visited by increasing number of generators, so a face's lower
-    covers come before it.  A face that adds one generator g to its largest
-    lower cover c has dimension dim c + 1: some facet through c misses g,
-    so its normal vanishes on the span of c and is positive on g, and the
-    incidences, exact from the double description, show that facet.  A
-    face that adds more generators takes the length of an exact echelon
-    basis of its generators, extended from c's basis, which is built on
-    demand along the same chain of covers; the bottom face reduces all of
-    its own.  The top face's lower covers must be exactly the facets'
-    masks, so no listed facet is redundant or listed twice; with
+    Each face's data comes from one neighbour in the Hasse diagram, so it
+    costs what changes along that edge, not the size of the face.  Faces
+    are visited by increasing number of generators, so a face's lower
+    covers come before it.  Only the bottom face is eliminated, by the
+    length of a fraction-free echelon basis of its generators; every other
+    face s gets dim c + 1 for its largest lower cover c, and T and the
+    sorted generator list grow from c's by the generators s adds.  That is
+    the dimension because of two checks on every cover edge b ⋖ s: some
+    facet through b misses s, and dim s = dim b + 1.  A facet through b and
+    off s vanishes on the span of b and is positive on some generator of s,
+    so every edge raises the true rank by at least one: up the chain of
+    largest covers from the bottom, the true rank is at least the assigned
+    dimension, and down any chain of covers from the top, whose rank must
+    equal ``cone.dim``, it is at most that.  So every face below the top
+    needs an upper cover.  The top face's lower covers must be exactly the
+    facets' masks, so no listed facet is redundant or listed twice; with
     ``cone_from_generators``'s certificate the facet list is then exact.
-    Every cover edge must raise the dimension by one, and the top face's
-    rank must equal ``cone.dim``.  Each face's witness functional is the
-    sum of the facet normals over T.
+    Each face's witness functional is the sum of the facet normals over T,
+    built from the top down: an upper cover's witness plus the normals of
+    the facets T adds to that cover's, taking the cover through the most
+    facets.
     """
     gens = cone.generators
+    normals = cone.facets
     incidences = cone.incidences
     r, m = len(gens), len(incidences)
     top, full = (1 << r) - 1, (1 << m) - 1
-    # facets through each generator
-    facet_sets = [
-        sum(1 << j for j, inc in enumerate(incidences) if inc >> i & 1)
-        for i in range(r)
-    ]
+    facet_sets = cone._facet_sets
     if m <= r:
         covers_of = _closed_sets(top, incidences)
     else:
         dual = _closed_sets(full, facet_sets)
-        gens_on = {
-            t: sum(1 << i for i, f in enumerate(facet_sets) if f & t == t) for t in dual
-        }
+        gens_on = {}
+        for t, above in dual.items():
+            if above:
+                c = max(above, key=int.bit_count)
+                on = gens_on[c]
+            else:
+                c, on = 0, top
+            for j in _bits(t & ~c):
+                on &= incidences[j]
+            gens_on[t] = on
         covers_of = {gens_on[t]: [] for t in dual}
         for t, above in dual.items():
             for c in above:
                 covers_of[gens_on[c]].append(gens_on[t])
     if sorted(covers_of[top]) != sorted(incidences):
         raise InternalCheckError("a listed facet is not a facet")
-    lower = {}  # each face's largest lower cover
-    bases = {}  # echelon bases, for the bottom and on demand
-
-    def basis(s):
-        chain = []
-        while s not in bases:
-            chain.append(s)
-            s = lower[s]
-        rows = bases[s]
-        for f in reversed(chain):
-            rows = bases[f] = _extend_echelon(
-                rows, [gens[i] for i in _bits(f & ~lower[f])]
-            )
-        return rows
-
+    order = sorted(covers_of, key=int.bit_count)
     dims = {}
     through = {}
-    faces = []
-    zero = (0,) * cone.ambient_dim
-    for s in sorted(covers_of, key=int.bit_count):
+    index_sets = {}
+    up = {}  # each face's upper cover through the most facets
+    most = {}  # and their number
+    for s in order:
         covers = covers_of[s]
         if covers:
-            c = lower[s] = max(covers, key=int.bit_count)
-            t, new = through[c], s & ~c
-        else:  # the bottom face
-            c, t, new = None, full, s
-        for i in _bits(new):
-            t &= facet_sets[i]
-        if c is None:
-            bases[s] = _extend_echelon([], [gens[i] for i in _bits(s)])
-            dim = len(bases[s])
-        elif new & (new - 1):
-            dim = len(basis(s))
-        elif t == through[c]:
-            raise InternalCheckError("face step has no separating facet")
-        else:
+            c = max(covers, key=int.bit_count)
+            t, new = through[c], _bits(s & ~c)
             dim = dims[c] + 1
+            index_sets[s] = tuple(sorted(index_sets[c] + tuple(new)))
+        else:  # the bottom face
+            t, new = full, _bits(s)
+            dim = len(_extend_echelon([], [gens[i] for i in new]))
+            index_sets[s] = tuple(new)
+        for i in new:
+            t &= facet_sets[i]
+        n = t.bit_count()
         for b in covers:
-            if dim != dims[b] + 1:
+            if through[b] == t:
+                raise InternalCheckError("face step has no separating facet")
+            if dims[b] + 1 != dim:
                 raise InternalCheckError("face poset is not graded by dimension")
+            if n > most.get(b, -1):
+                most[b], up[b] = n, s
         dims[s] = dim
         through[s] = t
-        wit = tuple(map(sum, zip(zero, *(cone.facets[j] for j in _bits(t)))))
-        faces.append((dim, tuple(_bits(s)), s, wit))
     if dims[top] != cone.dim:
         raise InternalCheckError("top face rank differs from the cone's dimension")
+    witness = {}
+    faces = []
+    for s in reversed(order):
+        t = through[s]
+        if s in up:
+            u = up[s]
+            wit, t = witness[u], t & ~through[u]
+        elif s == top:
+            wit = (0,) * cone.ambient_dim
+        else:
+            raise InternalCheckError("a face below the top has no upper cover")
+        for j in _bits(t):
+            wit = tuple(map(add, wit, normals[j]))
+        witness[s] = wit
+        faces.append((dims[s], index_sets[s], s, wit))
     faces.sort()
     position = {s: k for k, (_, _, s, _) in enumerate(faces)}
     edges = sorted(

@@ -452,14 +452,48 @@ QUADRANT_TIMES_LINE = cone_from_generators(
 )
 
 
+def cube_times_line(d):
+    """The cone over the d-cube times a line: generators (1, ±1, ..., ±1, 0)
+    and (0, ..., 0, ±1)."""
+    gens = [(*g, 0) for g in cube_cone(d).generators]
+    gens += [(0,) * (d + 1) + (1,), (0,) * (d + 1) + (-1,)]
+    return cone_from_generators(d + 2, gens)
+
+
+def losing_middle_faces(count):
+    """A cover search that loses ``count`` of the sets halfway up its
+    lattice (all of them for None) and lists each lost set's covers in its
+    place, so the sets above a lost one cover the sets below it."""
+    real = cones._closed_sets
+
+    def closed_sets(full, masks):
+        covers_of = real(full, masks)
+        height = {}
+        for s, covers in covers_of.items():
+            height[s] = max((height[c] + 1 for c in covers), default=0)
+        middle = max(height.values()) // 2
+        lost = [s for s in covers_of if height[s] == middle][:count]
+        out = {}
+        for s, covers in covers_of.items():
+            if s not in lost:
+                spliced = [
+                    b for c in covers for b in (covers_of[c] if c in lost else [c])
+                ]
+                out[s] = list(dict.fromkeys(spliced))
+        return out
+
+    return closed_sets
+
+
 # one pointed cone and one with a lineality line on each side of
 # enumerate_faces: closed over the facets (m <= r) or over the generators.
-# Each has a face adding two or more generators past its bottom, so the
-# echelon bases are built there.
+# Only the bottom face is eliminated; every other dimension is its largest
+# lower cover's plus one, so a wrong cover search or a wrong bottom rank
+# must be caught by the checks on the cover edges and on the top rank.
 @pytest.mark.parametrize(
     "pointed, with_line, over_facets",
     [
-        (QUADRANT, QUADRANT_TIMES_LINE, True),
+        (cube_cone(3), cube_times_line(3), True),
         (cross_polytope_cone(3), cross_polytope_times_line(4), False),
     ],
     ids=["over_facets", "over_generators"],
@@ -469,28 +503,49 @@ def test_non_graded_poset_is_reported(monkeypatch, pointed, with_line, over_face
         assert (len(cone.facets) <= len(cone.generators)) == over_facets
     assert pointed.lineality.rank == 0 and with_line.lineality.rank == 1
 
-    # a wrong rank must trip the gradedness check rather than pass silently
-    monkeypatch.setattr(
-        "idempotoric.cones._extend_echelon",
-        lambda rows, vectors: _extend_echelon(rows, vectors)[:1],
-    )
+    # one face lost from the middle of the lattice: the faces above it now
+    # cover the faces below it, an edge that skips a dimension
+    monkeypatch.setattr(cones, "_closed_sets", losing_middle_faces(1))
     for cone in (pointed, with_line):
         with pytest.raises(InternalCheckError, match="graded"):
             enumerate_faces(cone)
 
+    # every face of that height lost: each edge still raises the dimension
+    # by one, but every chain is one edge short, so the top's dimension is
+    # one below its rank
+    monkeypatch.setattr(cones, "_closed_sets", losing_middle_faces(None))
+    for cone in (pointed, with_line):
+        with pytest.raises(InternalCheckError, match="top face rank"):
+            enumerate_faces(cone)
+    monkeypatch.undo()
+
     # one spurious row in the bottom face's basis raises every rank by one,
-    # which each cover edge accepts; the top rank against cone.dim does not.
-    # A pointed cone's bottom basis is empty, so there the atoms get the
-    # spurious row and the gradedness check catches it first.
+    # which each cover edge accepts; the top rank against cone.dim does not
     def repeat_bottom_row(rows, vectors):
         out = _extend_echelon(rows, vectors)
-        return out if rows else out + out[:1]
+        return out + out[:1]
 
-    monkeypatch.setattr("idempotoric.cones._extend_echelon", repeat_bottom_row)
-    with pytest.raises(InternalCheckError, match="graded"):
-        enumerate_faces(pointed)
+    monkeypatch.setattr(cones, "_extend_echelon", repeat_bottom_row)
     with pytest.raises(InternalCheckError, match="top face rank"):
         enumerate_faces(with_line)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [cube_cone(6), cross_polytope_cone(6), cube_times_line(3)],
+    ids=["6-cube", "6-cross-polytope", "3-cube-times-line"],
+)
+def test_only_the_bottom_face_is_eliminated(monkeypatch, cone):
+    eliminated = []
+
+    def extend_echelon(rows, vectors):
+        eliminated.append(len(vectors))
+        return _extend_echelon(rows, vectors)
+
+    monkeypatch.setattr(cones, "_extend_echelon", extend_echelon)
+    poset = enumerate_faces(cone)
+    # one call per enumeration, on the bottom face's generators
+    assert eliminated == [len(poset.faces[poset.bottom].index_set)]
 
 
 def test_rank_carried_by_single_generator_steps_is_checked(monkeypatch):
@@ -518,6 +573,57 @@ def test_single_generator_step_needs_a_separating_facet(monkeypatch):
     )
     with pytest.raises(InternalCheckError, match="no separating facet"):
         enumerate_faces(HALF_PLANE)
+
+
+def test_every_cover_edge_needs_a_separating_facet(monkeypatch):
+    # three vertices of the facet x1 = 1 of the cone over the 4-cube, on no
+    # common square of it: they span a 3-dimensional cone, as the facet's
+    # squares do, but lie on no other facet.  A cover search that lists
+    # them, above two of them, below that facet passes every gradedness
+    # check; the facet's largest lower covers are its squares, four
+    # generators each, and only the edge from the three vertices has no
+    # separating facet
+    cone = cube_cone(4)
+    v0, v1, v2 = (
+        cone.generators.index(g)
+        for g in [(1, 1, -1, -1, -1), (1, 1, 1, 1, -1), (1, 1, 1, -1, 1)]
+    )
+    pair, triple = 1 << v0 | 1 << v1, 1 << v0 | 1 << v1 | 1 << v2
+    facet = next(inc for inc in cone.incidences if inc & triple == triple)
+    real = cones._closed_sets
+
+    def closed_sets(full, masks):
+        covers_of = real(full, masks)
+        assert pair not in covers_of and triple not in covers_of
+        assert max(map(int.bit_count, covers_of[facet])) == 4
+        covers_of[pair] = [1 << v0, 1 << v1]
+        covers_of[triple] = [pair]
+        covers_of[facet] = covers_of[facet] + [triple]
+        return dict(sorted(covers_of.items(), key=lambda item: item[0].bit_count()))
+
+    monkeypatch.setattr(cones, "_closed_sets", closed_sets)
+    with pytest.raises(InternalCheckError, match="no separating facet"):
+        enumerate_faces(cone)
+
+
+def test_every_face_below_the_top_needs_an_upper_cover(monkeypatch):
+    # a cover search that adds {2} to the quadrant's lattice above the
+    # bottom and below nothing: generator 2, (1, 1), lies on no facet, so
+    # its edge from the bottom is separated and graded, but no chain of
+    # covers leads from it to the top, whose rank bounds its dimension
+    monkeypatch.setattr(
+        cones,
+        "_closed_sets",
+        lambda full, masks: {
+            0: [],
+            0b001: [0],
+            0b010: [0],
+            0b100: [0],
+            0b111: [0b001, 0b010],
+        },
+    )
+    with pytest.raises(InternalCheckError, match="no upper cover"):
+        enumerate_faces(QUADRANT)
 
 
 # ------------------------------------------------ the facet certificate
@@ -600,6 +706,28 @@ def test_a_wrong_facet_list_is_reported(
         2,
         "internal",
         message,
+    )
+
+
+@pytest.mark.parametrize("mode", ["cone", "monoid"])
+def test_a_lost_ray_is_reported(tmp_path, capsys, monkeypatch, mode):
+    # the primal pass of the 12-gon cone loses one of its 12 rays: the 11
+    # left still have the cone's rank and each holds a generator, but the
+    # two facets through the lost ray's generator hold no other ray
+    real = cones._dd_rays
+    passes = []
+
+    def dd_rays(dim, ineqs, eqs):
+        passes.append(dim)
+        rays, lin, tight = real(dim, ineqs, eqs)
+        return (rays, lin, tight) if len(passes) % 2 else (rays[1:], lin, tight[1:])
+
+    monkeypatch.setattr(cones, "_dd_rays", dd_rays)
+    code, rep = run_job(tmp_path, capsys, mode, TWELVE_GON)
+    assert (code, rep["error"]["kind"], rep["error"]["message"]) == (
+        2,
+        "internal",
+        "a generator lies on no ray",
     )
 
 
