@@ -56,7 +56,15 @@ from math import gcd
 from operator import add, mul
 
 from .errors import InputError, InternalCheckError
-from .lattices import IntegerMatrix, Sublattice, kernel_lattice, rank, saturate
+from .lattices import (
+    IntegerMatrix,
+    Sublattice,
+    _extend_echelon,
+    _primitive,
+    kernel_lattice,
+    rank,
+    saturate,
+)
 
 __all__ = [
     "Cone",
@@ -65,7 +73,6 @@ __all__ = [
     "circuit_criterion",
     "cone_from_generators",
     "enumerate_faces",
-    "face_meet",
     "is_face",
     "sign_masks",
     "signed_circuits",
@@ -77,25 +84,6 @@ Vector = tuple[int, ...]
 
 def _dot(a, b) -> int:
     return sum(map(mul, a, b))
-
-
-def _primitive(vec) -> Vector:
-    g = 0
-    for t in vec:
-        g = gcd(g, t)
-    if g > 1:
-        return tuple(t // g for t in vec)
-    return tuple(vec)
-
-
-def _check_index_array(index_set) -> None:
-    """Reject an index set that is not an array (list or tuple) of plain
-    ints; bools are not indices."""
-    if not isinstance(index_set, (list, tuple)):
-        raise InputError(f"an index set must be an array, got {index_set!r}")
-    for i in index_set:
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise InputError(f"index {i!r} must be an int")
 
 
 # --------------------------------------------------------------------------
@@ -414,17 +402,6 @@ class FacePoset:
     bottom: int
     top: int
 
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {f.index_set: i for i, f in enumerate(self.faces)}
-
-    def index_of(self, index_set) -> int:
-        _check_index_array(index_set)
-        key = tuple(sorted(index_set))
-        if key not in self._positions:
-            raise InputError(f"no face with index set {key}")
-        return self._positions[key]
-
 
 def cone_from_generators(ambient_dim, generators) -> Cone:
     """Build the cone spanned by integer generator vectors.
@@ -503,29 +480,6 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     if covered != (1 << len(units)) - 1:
         raise InternalCheckError("bottom face is not linear")
     return cone
-
-
-def _extend_echelon(rows, vectors):
-    """Extend an echelon basis by ``vectors``, fraction-free.
-
-    ``rows`` is a list of (pivot column, primitive row) pairs in which each
-    row vanishes on the pivots of the rows before it, so one pass over the
-    rows clears every pivot of a vector.  A nonzero remainder is
-    independent of the rows; it joins them, made primitive, pivoting on its
-    first nonzero entry.  Returns a new list, leaving ``rows`` alone, whose
-    length is the rank of the rows and the vectors together.
-    """
-    out = list(rows)
-    for v in vectors:
-        for p, row in out:
-            c = v[p]
-            if c:
-                a = row[p]
-                v = [a * x - c * y for x, y in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is not None:
-            out.append((pivot, _primitive(v)))
-    return out
 
 
 def _closed_sets(full, masks):
@@ -799,7 +753,11 @@ def is_face(cone: Cone, index_set) -> Vector | None:
     is kept as the reference the tests hold the other face algorithms to.
     """
     r = len(cone.generators)
-    _check_index_array(index_set)
+    if not isinstance(index_set, (list, tuple)):
+        raise InputError(f"an index set must be an array, got {index_set!r}")
+    for i in index_set:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise InputError(f"index {i!r} must be an int")
     chosen = set()
     for i in index_set:
         if not 0 <= i < r:
@@ -820,13 +778,3 @@ def is_face(cone: Cone, index_set) -> Vector | None:
             raise InternalCheckError("scaled witness lost its sign pattern")
     return w
 
-
-def face_meet(poset: FacePoset, i: int, j: int) -> int:
-    """Index of the meet (largest common face) of two faces, each named by
-    its int index into ``poset.faces``."""
-    n = len(poset.faces)
-    for k in (i, j):
-        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < n:
-            raise InputError(f"face index {k!r} is not an int in 0..{n - 1}")
-    meet = set(poset.faces[i].index_set) & set(poset.faces[j].index_set)
-    return poset.index_of(tuple(sorted(meet)))

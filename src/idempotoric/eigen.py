@@ -26,11 +26,9 @@ from .cones import circuit_criterion, signed_circuits
 from .errors import InputError, InternalCheckError
 from .lattices import IntegerMatrix, kernel_lattice, lattice_member
 from .monoids import (
-    IdempotentPoset,
     WeightMonoid,
     canonical_form,
     cone_and_poset,
-    idempotents,
     monoid_from_generators,
 )
 
@@ -42,7 +40,6 @@ __all__ = [
     "check_relation_criterion",
     "eigen_input",
     "factor",
-    "idempotent_set",
     "power_invariance",
     "primitive_relations",
     "reconstruct",
@@ -265,15 +262,6 @@ def primitive_relations(t: ExponentTable, circuits=None):
 
     rels.sort(key=lambda r: (degree(r), r.lhs, r.rhs))
     return rels
-
-
-def idempotent_set(e: EigenInput) -> IdempotentPoset:
-    """Idempotents of the closure of the matrix powers.
-
-    Each index set I names the diagonal idempotent with 1 in the
-    eigenspaces listed and 0 elsewhere.
-    """
-    return idempotents(character_data(factor(e)))
 
 
 def relation_masks(rels) -> list[tuple[int, int]]:

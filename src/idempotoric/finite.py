@@ -23,7 +23,6 @@ __all__ = [
     "FiniteSemigroup",
     "GreensClasses",
     "IndexPeriod",
-    "PeirceSets",
     "all_associative_tables",
     "all_commutative_tables",
     "check_smallest_criterion",
@@ -34,7 +33,6 @@ __all__ = [
     "index_period",
     "is_minimum_idempotent",
     "left_zero",
-    "peirce_sets",
     "right_zero",
     "smallest_idempotent_commutative",
     "standard_catalogue",
@@ -80,22 +78,6 @@ class GreensClasses:
     r_classes: tuple[tuple[int, ...], ...]
     j_classes: tuple[tuple[int, ...], ...]
     h_classes: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class PeirceSets:
-    """How an idempotent e acts on each element, side by side.
-
-    Field names read (left action, right action): ``unit`` means e fixes
-    the element from that side (ex = x resp. xe = x), ``zero`` means e
-    absorbs it (ex = e resp. xe = e).  So unit_zero = {x : ex = x, xe = e}
-    and zero_unit = {x : ex = e, xe = x}.
-    """
-
-    unit_unit: tuple[int, ...]
-    unit_zero: tuple[int, ...]
-    zero_unit: tuple[int, ...]
-    zero_zero: tuple[int, ...]
 
 
 def validate_table(table) -> FiniteSemigroup:
@@ -256,6 +238,7 @@ def idempotent_power(s: FiniteSemigroup, x: int, ip: IndexPeriod | None = None) 
     [index, index + period); the result is verified to square to itself.
     ``ip``, x's ``index_period`` if the caller has it, is reused.
     """
+    x = _check_element(s, x)
     if ip is None:
         ip = index_period(s, x)
     elif ip.element != x:
@@ -354,49 +337,6 @@ def _components(succ) -> list[int]:
                             break
                     count += 1
     return comp
-
-
-def peirce_sets(s: FiniteSemigroup, e: int) -> PeirceSets:
-    """Split S by how the idempotent e acts from each side.
-
-    Postconditions checked: all four sets are closed under the product,
-    unit_zero multiplies as the second projection and zero_unit as the
-    first (hence both consist of idempotents).
-    """
-    e = _check_element(s, e)
-    t = s.table
-    if t[e][e] != e:
-        raise InputError(f"element {e} is not idempotent")
-    uu, uz, zu, zz = [], [], [], []
-    for x in range(s.size):
-        lhs, rhs = t[e][x], t[x][e]
-        if lhs == x and rhs == x:
-            uu.append(x)
-        if lhs == x and rhs == e:
-            uz.append(x)
-        if lhs == e and rhs == x:
-            zu.append(x)
-        if lhs == e and rhs == e:
-            zz.append(x)
-    for part in (uu, uz, zu, zz):
-        members = set(part)
-        for x in part:
-            for y in part:
-                if t[x][y] not in members:
-                    raise InternalCheckError("Peirce set not closed under product")
-    for x in uz:
-        if t[x][x] != x:
-            raise InternalCheckError("unit_zero member is not idempotent")
-        for y in uz:
-            if t[x][y] != y:
-                raise InternalCheckError("unit_zero product is not second projection")
-    for x in zu:
-        if t[x][x] != x:
-            raise InternalCheckError("zero_unit member is not idempotent")
-        for y in zu:
-            if t[x][y] != x:
-                raise InternalCheckError("zero_unit product is not first projection")
-    return PeirceSets(tuple(uu), tuple(uz), tuple(zu), tuple(zz))
 
 
 def _is_group(s: FiniteSemigroup, elems) -> bool:

@@ -9,13 +9,13 @@ ints and every algorithm is exact; nothing here ever rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InputError, InternalCheckError
 
 __all__ = [
     "IntegerMatrix",
     "Sublattice",
-    "determinant",
     "hermite_normal_form",
     "kernel_lattice",
     "lattice_member",
@@ -77,10 +77,6 @@ class IntegerMatrix:
             cols = len(data[0])
         return cls(data, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -89,20 +85,6 @@ class IntegerMatrix:
         if not self.entries:
             return IntegerMatrix(tuple(() for _ in range(self.cols)), 0)
         return IntegerMatrix(tuple(zip(*self.entries)), len(self.entries))
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise InputError("matrix shape mismatch in product")
-        cols = other.transpose().entries
-        return IntegerMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            ),
-            other.cols,
-        )
 
 
 def row_times_matrix(v, m: IntegerMatrix) -> tuple[int, ...]:
@@ -277,56 +259,44 @@ def smith_normal_form(
     return _freeze(s, nc), _freeze(u, nr), _freeze(v, nc)
 
 
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise InputError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _primitive(vec) -> tuple[int, ...]:
+    g = 0
+    for t in vec:
+        g = gcd(g, t)
+    if g > 1:
+        return tuple(t // g for t in vec)
+    return tuple(vec)
+
+
+def _extend_echelon(rows, vectors):
+    """Extend an echelon basis by ``vectors``, fraction-free.
+
+    ``rows`` is a list of (pivot column, primitive row) pairs in which each
+    row vanishes on the pivots of the rows before it, so one pass over the
+    rows clears every pivot of a vector.  A nonzero remainder is
+    independent of the rows; it joins them, made primitive, pivoting on its
+    first nonzero entry.  Returns a new list, leaving ``rows`` alone, whose
+    length is the rank of the rows and the vectors together.  This is the
+    package's one exact rank routine: ``rank`` calls it, and so do the cone
+    layer's face dimensions and circuit certificates.
+    """
+    out = list(rows)
+    for v in vectors:
+        for p, row in out:
+            c = v[p]
+            if c:
+                a = row[p]
+                v = [a * x - c * y for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            out.append((pivot, _primitive(v)))
+    return out
 
 
 def rank(m: IntegerMatrix) -> int:
-    """Exact rank by fraction-free (Bareiss) row echelon elimination.
-
-    Each step divides by the previous pivot, which is exact because every
-    entry is a minor of the input; no unimodular transform is built.
-    """
-    a = [list(row) for row in m.entries if any(row)]
-    r = 0
-    prev = 1
-    for col in range(m.cols):
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        for i in range(r + 1, len(a)):
-            c = a[i][col]
-            a[i] = [(x * p - c * y) // prev for x, y in zip(a[i], a[r])]
-        prev = p
-        r += 1
-        if r == len(a):
-            break
-    return r
+    """Exact rank: the length of an echelon basis of the rows, built by
+    ``_extend_echelon``; no unimodular transform is built."""
+    return len(_extend_echelon([], m.entries))
 
 
 @dataclass(frozen=True)

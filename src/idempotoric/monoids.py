@@ -11,7 +11,6 @@ that projects the ambient lattice along the unit part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cones import cone_from_generators, enumerate_faces
 from .errors import InputError, InternalCheckError
@@ -31,12 +30,10 @@ __all__ = [
     "WeightMonoid",
     "canonical_form",
     "cone_and_poset",
-    "idempotent_product",
     "idempotents",
     "largest_idempotent",
     "maximal_chain_length",
     "monoid_from_generators",
-    "smallest_idempotent",
     "toric_envelope",
 ]
 
@@ -73,10 +70,6 @@ class IdempotentPoset:
     hasse_edges: tuple[tuple[int, int], ...]
     smallest: int
     largest: int
-
-    @cached_property
-    def _by_index_set(self) -> dict[tuple[int, ...], Idempotent]:
-        return {e.index_set: e for e in self.elements}
 
 
 @dataclass(frozen=True)
@@ -119,19 +112,16 @@ def monoid_from_generators(raw, labels=None) -> WeightMonoid:
     return WeightMonoid(lam.rank, tuple(gens), labels)
 
 
-def _validate(w: WeightMonoid) -> None:
-    mat = IntegerMatrix.from_rows(w.generators, cols=w.ambient_rank)
-    if rank(mat) != w.ambient_rank:
+def cone_and_poset(w: WeightMonoid):
+    """The generator cone of ``w`` together with its idempotent poset, for
+    callers that need both from one construction.  Raises InputError
+    unless the generators span the lattice, that is unless the cone's
+    dimension is ``w.ambient_rank``."""
+    cone = cone_from_generators(w.ambient_rank, w.generators)
+    if cone.dim != w.ambient_rank:
         raise InputError(
             "generators do not span the lattice; build via monoid_from_generators"
         )
-
-
-def cone_and_poset(w: WeightMonoid):
-    """The generator cone of ``w`` together with its idempotent poset, for
-    callers that need both from one construction."""
-    _validate(w)
-    cone = cone_from_generators(w.ambient_rank, w.generators)
     faces = enumerate_faces(cone)
     elements = tuple(
         Idempotent(tuple(i + 1 for i in f.index_set), f.dim) for f in faces.faces
@@ -143,31 +133,6 @@ def idempotents(w: WeightMonoid) -> IdempotentPoset:
     """The idempotent poset: one element per face of the generator cone,
     ordered by inclusion of (1-based) generator index sets."""
     return cone_and_poset(w)[1]
-
-
-def idempotent_product(p: IdempotentPoset, e: Idempotent, f: Idempotent) -> Idempotent:
-    """Product of two idempotents: the meet, i.e. index-set intersection."""
-    by_set = p._by_index_set
-    try:
-        known = by_set.get(e.index_set) == e and by_set.get(f.index_set) == f
-    except (AttributeError, TypeError):  # not an idempotent of this shape
-        known = False
-    if not known:
-        raise InputError("both idempotents must belong to the poset")
-    key = tuple(sorted(set(e.index_set) & set(f.index_set)))
-    if key not in by_set:
-        raise InternalCheckError("idempotent poset is not closed under meets")
-    return by_set[key]
-
-
-def smallest_idempotent(p: IdempotentPoset) -> Idempotent:
-    """Product of all idempotents; checked against the recorded minimum."""
-    acc = p.elements[p.largest]
-    for e in p.elements:
-        acc = idempotent_product(p, acc, e)
-    if acc != p.elements[p.smallest]:
-        raise InternalCheckError("product of all idempotents missed the minimum")
-    return acc
 
 
 def largest_idempotent(p: IdempotentPoset) -> Idempotent:

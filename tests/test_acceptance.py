@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_cone_inputs, random_eigen_lists, subsets
 from idempotoric.cli import run
-from idempotoric.cones import cone_from_generators, enumerate_faces, face_meet, is_face
+from idempotoric.cones import cone_from_generators, enumerate_faces, is_face
 from idempotoric.eigen import (
     character_data,
     check_relation_criterion,
@@ -228,11 +228,13 @@ def test_criterion_06_envelope_isomorphism():
 
 def test_criterion_07_smallest_idempotent_product(cone_run, finite_run):
     results, _ = cone_run
+    # the product of two idempotents is the meet of their faces, the
+    # intersection of their index sets
     for _, _, _, poset, _, _ in results:
-        met = 0
-        for i in range(len(poset.faces)):
-            met = face_meet(poset, met, i)
-        assert met == poset.bottom
+        met = set(poset.faces[poset.top].index_set)
+        for f in poset.faces:
+            met &= set(f.index_set)
+        assert tuple(sorted(met)) == poset.faces[poset.bottom].index_set
     for smallest, folded, minimums in finite_run["products"]:
         assert smallest == folded
         assert minimums == [smallest]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -19,7 +20,6 @@ from idempotoric.cones import (
     circuit_criterion,
     cone_from_generators,
     enumerate_faces,
-    face_meet,
     is_face,
     sign_masks,
     signed_circuits,
@@ -238,26 +238,6 @@ def test_quadrant_witnesses_are_exact():
             assert (val == 0) if i in inside else (val > 0)
 
 
-def test_face_meet_examples():
-    faces = enumerate_faces(QUADRANT)
-    ix = {f.index_set: i for i, f in enumerate(faces.faces)}
-    assert face_meet(faces, ix[(0,)], ix[(1,)]) == ix[()]
-    assert face_meet(faces, ix[(0,)], ix[(0, 1, 2)]) == ix[(0,)]
-    assert face_meet(faces, faces.top, faces.top) == faces.top
-
-
-def test_face_meet_rejects_a_float_index():
-    faces = enumerate_faces(QUADRANT)
-    with pytest.raises(InputError, match="face index 1.0 is not an int"):
-        face_meet(faces, 1.0, 0)
-
-
-def test_face_meet_rejects_a_boolean_index():
-    faces = enumerate_faces(QUADRANT)
-    with pytest.raises(InputError, match="face index True is not an int"):
-        face_meet(faces, True, 0)
-
-
 # ---------------------------------------------------------------- is_face
 
 
@@ -370,17 +350,16 @@ def test_face_posets_are_graded():
 
 
 def test_meet_is_lattice_meet():
+    # the meet of two faces is the face on the intersection of their index
+    # sets, so the index sets are closed under intersection
     for d, gens in random_cone_inputs(seed=404, count=25, max_dim=4, max_gens=6):
         faces = enumerate_faces(cone_from_generators(d, gens))
-        n = len(faces.faces)
-        for i in range(n):
-            assert face_meet(faces, i, faces.top) == i
-            assert face_meet(faces, i, faces.bottom) == faces.bottom
-            for j in range(n):
-                m = face_meet(faces, i, j)
-                assert m == face_meet(faces, j, i)
-                a = set(faces.faces[i].index_set) & set(faces.faces[j].index_set)
-                assert set(faces.faces[m].index_set) == a
+        sets = [set(f.index_set) for f in faces.faces]
+        keys = {f.index_set for f in faces.faces}
+        for a in sets:
+            assert sets[faces.bottom] <= a <= sets[faces.top]
+            for b in sets:
+                assert tuple(sorted(a & b)) in keys
 
 
 def test_enumerate_faces_matches_reference_on_random_cones():
@@ -732,25 +711,19 @@ def test_a_lost_ray_is_reported(tmp_path, capsys, monkeypatch, mode):
 
 
 def test_index_lookup_leaves_equality_and_repr_alone():
-    fresh = enumerate_faces(QUADRANT)
-    used = enumerate_faces(QUADRANT)
+    # Cone._facet_sets, each generator's facet mask, is cached on a frozen
+    # dataclass: filling the cache must not change equality, hash or repr
+    fresh = dataclasses.replace(QUADRANT)
+    used = dataclasses.replace(QUADRANT)
     text = repr(used)
-    assert used.index_of((2, 1, 0)) == used.top
-    assert used.index_of([]) == used.bottom
+    assert "_facet_sets" not in vars(used)
+    assert used._facet_sets == tuple(
+        sum(1 << j for j, inc in enumerate(used.incidences) if inc >> i & 1)
+        for i in range(len(used.generators))
+    )
+    assert "_facet_sets" in vars(used)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == text == repr(fresh)
-    with pytest.raises(InputError):
-        used.index_of((0, 1))
-
-
-def test_index_of_rejects_a_missing_index_set():
-    with pytest.raises(InputError, match="an index set must be an array"):
-        enumerate_faces(QUADRANT).index_of(None)
-
-
-def test_index_of_rejects_a_bare_int():
-    with pytest.raises(InputError, match="an index set must be an array"):
-        enumerate_faces(QUADRANT).index_of(5)
 
 
 def test_construction_is_deterministic():

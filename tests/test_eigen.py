@@ -15,7 +15,6 @@ from idempotoric.eigen import (
     check_relation_criterion,
     eigen_input,
     factor,
-    idempotent_set,
     power_invariance,
     primitive_relations,
     reconstruct,
@@ -23,7 +22,7 @@ from idempotoric.eigen import (
 )
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.lattices import IntegerMatrix, kernel_lattice, rank
-from idempotoric.monoids import canonical_form, cone_and_poset
+from idempotoric.monoids import canonical_form, cone_and_poset, idempotents
 
 from conftest import random_eigen_lists, subsets
 
@@ -348,17 +347,17 @@ def test_relations_deterministic():
 
 
 def test_idempotent_set_triple():
-    p = idempotent_set(eigen_input([2, 3, 6]))
+    p = idempotents(character_data(factor(eigen_input([2, 3, 6]))))
     assert [e.index_set for e in p.elements] == [(), (1,), (2,), (1, 2, 3)]
 
 
 def test_idempotent_set_group_case():
-    p = idempotent_set(eigen_input([2, Fraction(1, 2)]))
+    p = idempotents(character_data(factor(eigen_input([2, Fraction(1, 2)]))))
     assert [e.index_set for e in p.elements] == [(1, 2)]
 
 
 def test_idempotent_set_single_ray():
-    p = idempotent_set(eigen_input([2]))
+    p = idempotents(character_data(factor(eigen_input([2]))))
     assert [e.index_set for e in p.elements] == [(), (1,)]
 
 
@@ -391,7 +390,7 @@ def test_faces_pass_relation_filter():
     for vals in spectra:
         e = eigen_input(vals)
         rels = primitive_relations(factor(e))
-        faces = {x.index_set for x in idempotent_set(e).elements}
+        faces = {x.index_set for x in idempotents(character_data(factor(e))).elements}
         assert accepted_sets(len(e.eigenvalues), rels) == faces, vals
 
 
@@ -434,11 +433,11 @@ def test_power_invariance_random():
 def test_idempotent_count_symmetries():
     for vals in random_eigen_lists(seed=1111, count=20):
         e = eigen_input(vals)
-        count = len(idempotent_set(e).elements)
+        count = len(idempotents(character_data(factor(e))).elements)
         flipped = eigen_input([1 / q for q in e.eigenvalues])
-        assert len(idempotent_set(flipped).elements) == count
+        assert len(idempotents(character_data(factor(flipped))).elements) == count
         shuffled = eigen_input(list(reversed(e.eigenvalues)))
-        assert len(idempotent_set(shuffled).elements) == count
+        assert len(idempotents(character_data(factor(shuffled))).elements) == count
 
 
 def test_canonical_forms_collapse_power_collisions():

@@ -12,6 +12,7 @@ from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.finite import (
     FiniteSemigroup,
     GreensClasses,
+    IndexPeriod,
     all_associative_tables,
     all_commutative_tables,
     check_smallest_criterion,
@@ -22,7 +23,6 @@ from idempotoric.finite import (
     index_period,
     is_minimum_idempotent,
     left_zero,
-    peirce_sets,
     right_zero,
     smallest_idempotent_commutative,
     standard_catalogue,
@@ -318,6 +318,24 @@ def test_idempotent_power_reuses_a_given_index_period():
         idempotent_power(s, 1, index_period(s, 0))
 
 
+@pytest.mark.parametrize(
+    "x, ip",
+    [
+        # past the table: unchecked, the power loop indexes off its end
+        (99, IndexPeriod(99, 1, 1)),
+        # a boolean is not an element, even though True == 1 matches ip
+        (True, IndexPeriod(1, 1, 1)),
+        # a negative element: unchecked, it indexes the table from the end
+        # and trips the idempotency check, a program fault (exit 2), for
+        # the caller's bad input
+        (-1, IndexPeriod(-1, 1, 1)),
+    ],
+)
+def test_idempotent_power_checks_its_element_with_a_given_index_period(x, ip):
+    with pytest.raises(InputError, match=r"outside 0\.\.3"):
+        idempotent_power(zmod_times(4), x, ip)
+
+
 def test_idempotent_power_exhaustive_small():
     for s in all_associative_tables(3):
         for x in range(s.size):
@@ -351,41 +369,6 @@ def test_greens_zmod6_units():
     g = greens_classes(zmod_times(6))
     unit_class = next(c for c in g.j_classes if 1 in c)
     assert unit_class == (1, 5)
-
-
-# -- Peirce sets ---------------------------------------------------------------
-
-
-def test_peirce_left_zero():
-    p = peirce_sets(left_zero(2), 0)
-    assert p.zero_unit == (0, 1)
-    assert p.unit_zero == (0,)
-    assert p.unit_unit == (0,)
-    assert p.zero_zero == (0,)
-
-
-def test_peirce_commutative_collapses():
-    for e in idempotent_elements(zmod_times(6)):
-        p = peirce_sets(zmod_times(6), e)
-        assert p.unit_zero == (e,)
-        assert p.zero_unit == (e,)
-
-
-def test_peirce_group_identity():
-    p = peirce_sets(cyclic_group(4), 0)
-    assert p.unit_unit == (0, 1, 2, 3)
-    assert p.unit_zero == p.zero_unit == p.zero_zero == (0,)
-
-
-def test_peirce_rejects_non_idempotent():
-    with pytest.raises(InputError):
-        peirce_sets(zmod_times(6), 2)
-
-
-def test_peirce_postconditions_exhaustive_small():
-    for s in all_associative_tables(3):
-        for e in idempotent_elements(s):
-            peirce_sets(s, e)  # internal postcondition checks must pass
 
 
 # -- smallest-idempotent criterion ---------------------------------------------

@@ -7,16 +7,12 @@ from idempotoric.eigen import character_data, eigen_input, factor
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.lattices import IntegerMatrix
 from idempotoric.monoids import (
-    Idempotent,
     WeightMonoid,
     canonical_form,
     cone_and_poset,
-    idempotent_product,
     idempotents,
-    largest_idempotent,
     maximal_chain_length,
     monoid_from_generators,
-    smallest_idempotent,
     toric_envelope,
 )
 
@@ -114,7 +110,7 @@ def test_trivial_monoid_single_idempotent():
     p = idempotents(monoid_from_generators([(0, 0)]))
     assert len(p.elements) == 1
     assert p.elements[0].index_set == (1,)
-    assert smallest_idempotent(p) == largest_idempotent(p)
+    assert p.smallest == p.largest
 
 
 def test_interior_generator_cone_chain():
@@ -122,38 +118,6 @@ def test_interior_generator_cone_chain():
     assert len(p.elements) == 4
     assert (3,) in [e.index_set for e in p.elements]
     assert maximal_chain_length(p) == 2
-
-
-def test_product_is_meet():
-    p = idempotents(quadrant_monoid())
-    by_set = {e.index_set: e for e in p.elements}
-    assert idempotent_product(p, by_set[(1,)], by_set[(2,)]) == by_set[()]
-    top = largest_idempotent(p)
-    for e in p.elements:
-        assert idempotent_product(p, e, top) == e
-        assert idempotent_product(p, e, e) == e
-
-
-def test_product_rejects_foreign_idempotent():
-    p = idempotents(quadrant_monoid())
-    with pytest.raises(InputError):
-        idempotent_product(p, p.elements[0], Idempotent((7,), 1))
-    with pytest.raises(InputError):
-        idempotent_product(p, Idempotent((1,), 0), p.elements[0])  # wrong dim
-    with pytest.raises(InputError):
-        idempotent_product(p, Idempotent([1], 1), p.elements[0])
-    with pytest.raises(InputError):
-        idempotent_product(p, p.elements[0], None)
-
-
-def test_smallest_is_product_of_everything():
-    p = idempotents(quadrant_monoid())
-    assert smallest_idempotent(p).index_set == ()
-    assert largest_idempotent(p).index_set == (1, 2, 3)
-    acc = p.elements[p.largest]
-    for e in p.elements:
-        acc = idempotent_product(p, acc, e)
-    assert acc == smallest_idempotent(p)
 
 
 def test_zero_generator_lies_in_every_idempotent():

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import random_eigen_lists
 
-from idempotoric import cli, cones, eigen, finite
+from idempotoric import cli, cones, eigen, finite, lattices
 from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
     character_data,
@@ -35,6 +35,7 @@ COUNTED = {
     "enumerate_faces": cones.enumerate_faces,
     "character_data": eigen.character_data,
     "signed_circuits": cones.signed_circuits,
+    "rank": lattices.rank,
 }
 
 
@@ -79,19 +80,19 @@ WIDE = [[1, k] for k in range(11)]
         # a unit pair 2, 1/2: the envelope projects out the cone's own
         # lineality space, and the cone's certificate takes the circuits of
         # its two units, the bottom face's generators
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 2, 2)),
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 2, 2, 3)),
         # pointed: the envelope monoid is the weight monoid itself
-        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1)),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1, 2)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 1, 1, 0, 2)),
+         (0, 1, 1, 0, 2, 3)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
-         (0, 1, 1, 0, 1)),
+         (0, 1, 1, 0, 1, 2)),
         # past the subset oracle's 10 generators: an eigen job still needs
         # its circuits for the relations, a cone or monoid job does not
-        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 2, 1)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0)),
-        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1)),
+        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 2, 1, 2)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 2)),
+        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 2)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 2)),
     ],
 )
 def test_job_builds_each_object_once(
@@ -101,7 +102,10 @@ def test_job_builds_each_object_once(
     code, rep = run_job(tmp_path, capsys, mode, payload)
     assert code == 0 and "error" not in rep
     # factor and character_data: the spectrum once, and the squared
-    # spectrum for power invariance
+    # spectrum for power invariance.  rank: the cone's dimension and the
+    # rank of its rays with its lineality space, plus the envelope's rank
+    # of the projected generators when there are units; the weight
+    # monoid's span is checked by the cone's dimension
     assert tuple(calls.values()) == expected
 
 
