@@ -18,7 +18,14 @@ writes them: it gives the bytes of ``json.dumps(v, sort_keys=True,
 indent=2)``, whose encoder falls back to pure Python whenever ``indent``
 is set and costs more than most jobs' computation.  ``_dump`` builds the
 text from C string functions, escaping strings with the ``json`` module's
-own escaper, and it accepts only the JSON types the reports hold, so a
+own escaper, and writes each list a column at a time (``_values``): a
+list of ints in one ``map``, a list of rows as one flattened column cut
+back into rows, and a list of records with one key set (faces,
+idempotents, relations) one key's column at a time into one template per
+record.  Python then steps once per list and once per row, and C
+functions write every int, string and record.  On the benchmark's seed-1
+reports that takes 37-44 % less time than writing item by item (README,
+"Design notes").  It accepts only the JSON types the reports hold, so a
 float or a Fraction that reached a report is an internal fault, not a
 rounded number.  The argument parser is built once per process.
 
@@ -41,7 +48,7 @@ import re
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .cones import (
@@ -89,7 +96,7 @@ SCHEMA = "idempotoric/v2"
 
 _MODES = ("cone", "eigen", "finite", "monoid", "selftest")
 
-_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 # -- payload scalars -----------------------------------------------------------
@@ -137,13 +144,17 @@ def _expect_keys(payload, allowed) -> None:
 
 _escape = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_INTS = frozenset({int})
+_DICTS = frozenset({dict})
+_ROWS = frozenset({list, tuple})
 
 
 def _dump(v, indent="\n") -> str:
     """``json.dumps(v, sort_keys=True, indent=2)``, byte for byte, for a
     value built of dicts with str keys, lists, tuples, str, int, bool and
     None.  Any other value, a float or a Fraction included, raises
-    TypeError."""
+    TypeError.  ``indent`` is the newline and indent that close ``v``; a
+    list's items are written by ``_values``, a column at a time."""
     t = type(v)
     if t is str:
         return _escape(v)
@@ -160,18 +171,52 @@ def _dump(v, indent="\n") -> str:
     if t is list or t is tuple:
         if not v:
             return "[]"
-        kinds = set(map(type, v))
-        if kinds == {int}:
-            items = map(int.__repr__, v)
-        elif kinds == {list} and all(v) and set(map(type, chain(*v))) == {int}:
-            # nonempty rows of ints: Hasse edges, generators, relation sides
-            deeper = inner + "  "
-            sep, close = "," + deeper, inner + "]"
-            items = ["[" + deeper + sep.join(map(int.__repr__, x)) + close for x in v]
-        else:
-            items = [_dump(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return "[" + inner + ("," + inner).join(_values(v, inner)) + indent + "]"
     raise TypeError(f"{t.__name__} is not a report value")
+
+
+def _values(xs, indent):
+    """``[_dump(x, indent) for x in xs]``, with a homogeneous list written
+    in one pass.  Exact ints go through ``int.__repr__`` in one ``map``.
+    Lists and tuples are flattened one level into a single column, which is
+    written by this same rule and then cut back into rows: by ``zip`` when
+    they all have one length, else by slicing at the running sums of their
+    lengths.  Dicts that share one key set are written a key's column at a
+    time and joined by one ``%`` template per record.  Anything else is
+    written item by item.
+    """
+    kinds = set(map(type, xs))
+    if kinds == _INTS:
+        return map(int.__repr__, xs)
+    if kinds and kinds <= _ROWS:
+        inner = indent + "  "
+        sep, head, close = "," + inner, "[" + inner, indent + "]"
+        cells = _values(list(chain.from_iterable(xs)), inner)
+        lengths = list(map(len, xs))
+        n = lengths[0]
+        if lengths.count(n) == len(lengths):
+            if not n:
+                return ["[]"] * len(xs)
+            rows = map(sep.join, zip(*[iter(cells)] * n))
+            return [head + row + close for row in rows]
+        cells = list(cells)
+        ends = list(accumulate(lengths))
+        return [
+            head + sep.join(cells[i:j]) + close if i < j else "[]"
+            for i, j in zip([0, *ends], ends)
+        ]
+    if kinds == _DICTS:
+        keys = xs[0].keys()
+        if all(map(keys.__eq__, map(dict.keys, xs))):
+            if not keys:
+                return ["{}"] * len(xs)
+            inner = indent + "  "
+            keys = sorted(keys)
+            fields = [_escape(k).replace("%", "%%") + ": %s" for k in keys]
+            record = "{" + inner + ("," + inner).join(fields) + indent + "}"
+            columns = [_values([x[k] for x in xs], inner) for k in keys]
+            return map(record.__mod__, zip(*columns))
+    return [_dump(x, indent) for x in xs]
 
 
 def _poset_doc(p: IdempotentPoset) -> dict:

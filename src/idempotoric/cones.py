@@ -501,8 +501,10 @@ def _closed_sets(full, masks):
         closed |= {s & mask for s in closed}
     over = {}
     covers_of = {}
+    meets = Counter()
     for s in sorted(closed, key=int.bit_count):
-        meets = Counter(map(s.__and__, masks))
+        meets.clear()
+        meets.update(map(s.__and__, masks))
         over[s] = n = meets.pop(s, 0)
         covers_of[s] = [c for c, k in meets.items() if k == over[c] - n]
     return covers_of

@@ -1,7 +1,11 @@
-"""Shared helpers: seeded random instances used across test modules."""
+"""Shared helpers: seeded random instances and named cones used across
+test modules."""
 
+import itertools
 import random
 from fractions import Fraction
+
+from idempotoric.cones import cone_from_generators
 
 
 def random_cone_inputs(seed, count, max_dim=5, max_gens=8, bound=4):
@@ -37,3 +41,27 @@ def subsets(n):
     for mask in range(1 << n):
         out.append(tuple(i for i in range(n) if mask >> i & 1))
     return out
+
+
+def cube_cone(d):
+    """The cone over the d-cube: generators (1, ±1, ..., ±1)."""
+    return cone_from_generators(
+        d + 1, [(1, *s) for s in itertools.product((-1, 1), repeat=d)]
+    )
+
+
+def cross_polytope_cone(d):
+    """The cone over the d-cross-polytope: generators (1, ±e_i)."""
+    gens = []
+    for i in range(d):
+        for sign in (1, -1):
+            gens.append((1, *(sign * int(j == i) for j in range(d))))
+    return cone_from_generators(d + 1, gens)
+
+
+def cube_times_line(d):
+    """The cone over the d-cube times a line: generators (1, ±1, ..., ±1, 0)
+    and (0, ..., 0, ±1)."""
+    gens = [(*g, 0) for g in cube_cone(d).generators]
+    gens += [(0,) * (d + 1) + (1,), (0,) * (d + 1) + (-1,)]
+    return cone_from_generators(d + 2, gens)

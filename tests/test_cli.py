@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_cone_inputs, subsets
+from conftest import (
+    cross_polytope_cone,
+    cube_cone,
+    cube_times_line,
+    random_cone_inputs,
+    subsets,
+)
 
 from idempotoric.cli import (
     SCHEMA,
@@ -242,6 +248,23 @@ def test_main_rejects_malformed_payloads(mode, payload, message, tmp_path, capsy
     }
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["\u0663", "\uff13/\uff12", "2/\u0663"],
+    ids=["arabic-indic", "fullwidth", "mixed"],
+)
+def test_main_rejects_non_ascii_digits(text, tmp_path, capsys):
+    # int() reads every Unicode decimal digit; a rational takes ASCII only
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"eigenvalues": [text]}))
+    code = main(["eigen", "--input", str(path)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "input",
+        "message": f"eigenvalue: {text!r} is not an integer or 'p/q' string",
+    }
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize(
     "mode, template",
@@ -308,6 +331,49 @@ STRINGS = st.text(
         st.characters(),
     )
 )
+# keys a record template must escape: its fields are joined by ``%``
+KEYS = st.one_of(STRINGS, st.sampled_from(["%", "%s", "%%", "a%sb", "%(k)s", "dim"]))
+
+
+def _columns(inner):
+    """Lists that the writer renders a column at a time: records that share
+    one key set, rows of equal length, rows that mix lists and tuples, and
+    ragged rows, each with bools next to ints."""
+    cell = st.one_of(INTS, st.booleans())
+    field = st.one_of(
+        cell,
+        STRINGS,
+        st.lists(cell, max_size=4),
+        st.lists(st.lists(INTS, max_size=2), max_size=3),
+        st.dictionaries(KEYS, cell, max_size=2),
+        inner,
+    )
+    records = st.lists(KEYS, unique=True, max_size=4).flatmap(
+        lambda keys: st.lists(
+            st.fixed_dictionaries({k: field for k in keys}), min_size=1, max_size=5
+        )
+    )
+    equal_rows = st.integers(0, 3).flatmap(
+        lambda n: st.lists(
+            st.one_of(
+                st.lists(cell, min_size=n, max_size=n),
+                st.lists(INTS, min_size=n, max_size=n).map(tuple),
+                st.lists(inner, min_size=n, max_size=n),
+            ),
+            min_size=1,
+        )
+    )
+    ragged_rows = st.lists(
+        st.one_of(
+            st.lists(cell, max_size=3),
+            st.lists(INTS, max_size=3).map(tuple),
+            st.lists(st.lists(cell, max_size=2), max_size=2),
+        ),
+        min_size=1,
+    )
+    return st.one_of(records, equal_rows, ragged_rows)
+
+
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), INTS, STRINGS),
     lambda inner: st.one_of(
@@ -319,6 +385,7 @@ JSON_VALUES = st.recursive(
         st.lists(st.lists(INTS, min_size=1)),
         st.lists(st.lists(st.one_of(INTS, st.booleans()))),
         st.dictionaries(STRINGS, inner),
+        _columns(inner),
     ),
     max_leaves=40,
 )
@@ -332,7 +399,75 @@ def test_dump_matches_json_dumps(value):
 
 @pytest.mark.parametrize(
     "value",
-    [0.5, Fraction(1, 2), {1: "a"}, [1, 2.0], [[1], [2, 2.0]], {"a": [Fraction(1, 3)]}],
+    [
+        [[], []],
+        [[1, 2], (3, 4), [5, True]],
+        [[1], [], (2, 3), [], [[4], []]],
+        [[[1, 2], [3, 4]], [[5, 6], [7, 8]]],
+        [{"%": 1, "%s": [2], "a%%b": "%d"}, {"%": True, "%s": [], "a%%b": "%s"}],
+        [
+            {"dim": 0, "index_set": [], "witness": [1, 1]},
+            {"dim": 1, "index_set": [0], "witness": [0, 1]},
+        ],
+        [{"lhs": [[0, 2]], "rhs": [[1, 1], [2, 1]]}, {"lhs": [], "rhs": [[0, 1]]}],
+        [{"a": {"b": [1]}}, {"a": {"b": []}}, {"a": {"c": None}}],
+        [{}, {}],
+        [{"a": 1}, {"b": 1}],
+    ],
+    ids=[
+        "empty-rows",
+        "lists-and-tuples",
+        "ragged-with-empty-rows",
+        "rows-of-rows",
+        "percent-keys",
+        "faces",
+        "relations",
+        "nested-records",
+        "empty-records",
+        "different-key-sets",
+    ],
+)
+def test_dump_matches_json_dumps_on_columns(value):
+    assert _dump(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _cone_payload(cone):
+    return {
+        "ambient_dim": cone.ambient_dim,
+        "generators": [list(g) for g in cone.generators],
+    }
+
+
+@pytest.mark.parametrize("mode", ["cone", "monoid"])
+@pytest.mark.parametrize(
+    "cone",
+    [cube_cone(5), cross_polytope_cone(5), cube_times_line(3)],
+    ids=["cube-5", "cross-polytope-5", "cube-3-times-line"],
+)
+def test_dump_matches_json_dumps_on_reports(mode, cone):
+    report = run({"schema": SCHEMA, "mode": mode, "payload": _cone_payload(cone)})
+    assert _dump(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_dump_matches_json_dumps_on_an_eigen_report_with_units():
+    report = run(eigen_doc(["2", "1/2", "3", "6"]))
+    assert report["envelope"]["unit_lattice_basis"]
+    assert _dump(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0.5,
+        Fraction(1, 2),
+        {1: "a"},
+        [1, 2.0],
+        [[1], [2, 2.0]],
+        {"a": [Fraction(1, 3)]},
+        [{"a": 1}, {"a": 0.5}],
+        [[1, 2], [3, Fraction(1, 2)]],
+        [{1: "a"}, {1: "b"}],
+    ],
     ids=[
         "float",
         "fraction",
@@ -340,6 +475,9 @@ def test_dump_matches_json_dumps(value):
         "float-in-int-list",
         "float-in-int-row",
         "nested-fraction",
+        "float-in-record-column",
+        "fraction-in-equal-length-row",
+        "int-key-in-record",
     ],
 )
 def test_dump_rejects_values_json_would_round_or_coerce(value):

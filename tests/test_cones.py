@@ -6,7 +6,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from conftest import random_cone_inputs, subsets
+from conftest import (
+    cross_polytope_cone,
+    cube_cone,
+    cube_times_line,
+    random_cone_inputs,
+    subsets,
+)
 from hypothesis import given, settings, strategies as st
 
 from idempotoric import cli, cones
@@ -128,22 +134,6 @@ def reference_faces(cone):
     bottom = min(range(len(faces)), key=lambda i: len(sets[i]))
     top_at = next(i for i, s in enumerate(sets) if len(s) == r)
     return FacePoset(tuple(faces), tuple(sorted(edges)), bottom, top_at)
-
-
-def cube_cone(d):
-    """The cone over the d-cube: generators (1, ±1, ..., ±1)."""
-    return cone_from_generators(
-        d + 1, [(1, *s) for s in itertools.product((-1, 1), repeat=d)]
-    )
-
-
-def cross_polytope_cone(d):
-    """The cone over the d-cross-polytope: generators (1, ±e_i)."""
-    gens = []
-    for i in range(d):
-        for sign in (1, -1):
-            gens.append((1, *(sign * int(j == i) for j in range(d))))
-    return cone_from_generators(d + 1, gens)
 
 
 QUADRANT = cone_from_generators(2, [(1, 0), (0, 1), (1, 1)])
@@ -429,14 +419,6 @@ HALF_PLANE = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
 QUADRANT_TIMES_LINE = cone_from_generators(
     3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
 )
-
-
-def cube_times_line(d):
-    """The cone over the d-cube times a line: generators (1, ±1, ..., ±1, 0)
-    and (0, ..., 0, ±1)."""
-    gens = [(*g, 0) for g in cube_cone(d).generators]
-    gens += [(0,) * (d + 1) + (1,), (0,) * (d + 1) + (-1,)]
-    return cone_from_generators(d + 2, gens)
 
 
 def losing_middle_faces(count):
