@@ -35,8 +35,13 @@ weight monoid, its idempotents, the smallest and largest index sets, both
 checked against the poset, the chain length, the envelope and the subset
 oracle) in ``_weight_monoid_report`` from one ``cone_and_poset`` pair;
 the eigen handler adds the spectrum, the relations, power invariance and
-the relation filter.  The selftest runs the mode handlers themselves on
-seeded cases.
+the relation filter.  The idempotent poset is the cone's ``FacePoset``,
+with 0-based index sets; reports name the idempotents by 1-based index
+sets, shifted only where the report is written (``_poset_doc`` and the
+largest index set).  Each handler returns only its report, and every
+output format is rendered from it: JSON by ``_dump``, text by
+``_text_report`` and DOT by ``export_dot``.  The selftest runs the mode
+handlers themselves on seeded cases.
 """
 
 import argparse
@@ -52,7 +57,6 @@ from itertools import accumulate, chain
 from pathlib import Path
 
 from .cones import (
-    FacePoset,
     _bits,
     _respecting,
     cone_from_generators,
@@ -84,10 +88,8 @@ from .finite import (
 )
 from .lattices import IntegerMatrix
 from .monoids import (
-    IdempotentPoset,
     cone_and_poset,
     largest_idempotent,
-    maximal_chain_length,
     monoid_from_generators,
     toric_envelope,
 )
@@ -219,25 +221,28 @@ def _values(xs, indent):
     return [_dump(x, indent) for x in xs]
 
 
-def _poset_doc(p: IdempotentPoset) -> dict:
+def _poset_doc(p, k) -> dict:
+    """The idempotent poset ``p`` as reports write it: 1-based index sets,
+    and each face's dimension lowered by ``k``, the envelope's unit rank
+    (0 for the monoid's own poset)."""
     return {
         "elements": [
-            {"index_set": list(e.index_set), "face_dim": e.face_dim}
-            for e in p.elements
+            {"index_set": [i + 1 for i in f.index_set], "face_dim": f.dim - k}
+            for f in p.faces
         ],
         "hasse_edges": [list(edge) for edge in p.hasse_edges],
-        "smallest": p.smallest,
-        "largest": p.largest,
+        "smallest": p.bottom,
+        "largest": p.top,
     }
 
 
-def _envelope_doc(env) -> dict:
+def _envelope_doc(env, p) -> dict:
     return {
         "envelope_dim": env.envelope_dim,
         "quotient_rank": env.envelope_dim,
         "unit_lattice_basis": [list(row) for row in env.unit_lattice.basis.entries],
         "projected_generators": [list(g) for g in env.projected_generators],
-        "idempotents": _poset_doc(env.envelope_idempotent_poset),
+        "idempotents": _poset_doc(p, env.unit_lattice.rank),
     }
 
 
@@ -255,14 +260,14 @@ def _set_text(indices) -> str:
 # -- cross-checks ----------------------------------------------------------------
 
 
-def _subset_oracle(cone, poset_sets, shift, circuits=None) -> str:
+def _subset_oracle(cone, poset_sets, circuits=None) -> str:
     """Compare enumerated faces against the signed-circuit face test.
 
-    poset_sets holds index sets shifted by `shift` (1 for the idempotent
-    layer, 0 for the raw cone layer).  The ``signed_circuits`` of the
-    generators, enumerated here unless passed in, decide all 2^r generator
-    subsets at once: subset k is bit k of a 2^r-bit int, and
-    ``_respecting`` takes c·|support| ANDs of such ints for c circuits.
+    poset_sets holds the faces' 0-based index sets.  The
+    ``signed_circuits`` of the generators, enumerated here unless passed
+    in, decide all 2^r generator subsets at once: subset k is bit k of a
+    2^r-bit int, and ``_respecting`` takes c·|support| ANDs of such ints
+    for c circuits.
     The circuits and the ints grow exponentially in r, so the oracle is
     skipped above r = 10.  A disagreement names the least index set that
     the faces miss or, if none, the least that they hold in excess.
@@ -279,7 +284,7 @@ def _subset_oracle(cone, poset_sets, shift, circuits=None) -> str:
         has = [p | p << n for p in has] + [((1 << n) - 1) << n]
         n <<= 1
     accepted = _respecting(has, map(sign_masks, circuits), (1 << n) - 1)
-    found = {tuple(i + shift for i in _bits(k)) for k in _bits(accepted)}
+    found = {tuple(_bits(k)) for k in _bits(accepted)}
     if found != poset_sets:
         missing = found - poset_sets
         if missing:
@@ -297,17 +302,18 @@ def _relation_filter_check(poset, rels, circuits) -> str:
     respects every relation, and every signed circuit is a relation, so
     no other index set respects them all.  ``_respecting`` tests all F
     elements at once, element k as bit k of an F-bit int; a failure names
-    the first element rejected, in poset order."""
+    the first element rejected, in poset order, by its 1-based index set."""
     sides = relation_masks(rels)
-    has = defaultdict(int)  # the elements holding generator i + 1
-    for k, e in enumerate(poset.elements):
-        for i in e.index_set:
-            has[i - 1] |= 1 << k
-    family = (1 << len(poset.elements)) - 1
+    has = defaultdict(int)  # the elements holding generator i
+    for k, f in enumerate(poset.faces):
+        for i in f.index_set:
+            has[i] |= 1 << k
+    family = (1 << len(poset.faces)) - 1
     rejected = family & ~_respecting(has, sides, family)
     if rejected:
-        e = poset.elements[(rejected & -rejected).bit_length() - 1]
-        raise InternalCheckError(f"face {e.index_set} rejected by the relation filter")
+        f = poset.faces[(rejected & -rejected).bit_length() - 1]
+        named = tuple(i + 1 for i in f.index_set)
+        raise InternalCheckError(f"face {named} rejected by the relation filter")
     if not set(map(sign_masks, circuits)) <= set(sides):
         raise InternalCheckError("a signed circuit is missing from the relations")
     return "ok"
@@ -319,7 +325,9 @@ def _relation_filter_check(poset, rels, circuits) -> str:
 def _weight_monoid_report(mode, w, cone, p, circuits=None) -> dict:
     """The report keys an ``eigen`` and a ``monoid`` job share, read off
     the weight monoid ``w`` and its ``cone_and_poset`` pair, with the
-    smallest and largest index sets checked against the poset."""
+    smallest and largest index sets checked against the poset.  The chain
+    length is the envelope's dimension, which ``toric_envelope`` checks
+    against the poset's graded walk."""
     env = toric_envelope(w, cone, p)
     return {
         "schema": SCHEMA,
@@ -327,14 +335,14 @@ def _weight_monoid_report(mode, w, cone, p, circuits=None) -> dict:
         "lattice_rank": w.ambient_rank,
         "generators": [list(g) for g in w.generators],
         "labels": list(w.labels),
-        "idempotents": _poset_doc(p),
+        "idempotents": _poset_doc(p, 0),
         "smallest_index_set": list(smallest_idempotent_indices(w, cone, p)),
-        "largest_index_set": list(largest_idempotent(p).index_set),
-        "chain_length": maximal_chain_length(p),
-        "envelope": _envelope_doc(env),
+        "largest_index_set": [i + 1 for i in largest_idempotent(p).index_set],
+        "chain_length": env.envelope_dim,
+        "envelope": _envelope_doc(env, p),
         "crosschecks": {
             "subset_oracle": _subset_oracle(
-                cone, {e.index_set for e in p.elements}, 1, circuits
+                cone, {f.index_set for f in p.faces}, circuits
             ),
         },
     }
@@ -365,7 +373,7 @@ def _run_eigen(payload):
         "power_invariance_squared": True,
     }
     report["crosschecks"]["relation_filter"] = _relation_filter_check(p, rels, circuits)
-    return report, p
+    return report
 
 
 def _generator_rows(payload):
@@ -382,14 +390,14 @@ def _run_monoid(payload):
     cone, p = cone_and_poset(w)
     report = _weight_monoid_report("monoid", w, cone, p)
     report["ambient_dim"] = dim
-    return report, p
+    return report
 
 
 def _run_cone(payload):
     dim, rows = _generator_rows(payload)
     cone = cone_from_generators(dim, rows)
     poset = enumerate_faces(cone)
-    report = {
+    return {
         "schema": SCHEMA,
         "mode": "cone",
         "ambient_dim": dim,
@@ -407,10 +415,9 @@ def _run_cone(payload):
         "bottom": poset.bottom,
         "top": poset.top,
         "crosschecks": {
-            "subset_oracle": _subset_oracle(cone, {f.index_set for f in poset.faces}, 0)
+            "subset_oracle": _subset_oracle(cone, {f.index_set for f in poset.faces})
         },
     }
-    return report, poset
 
 
 def _run_finite(payload):
@@ -421,7 +428,7 @@ def _run_finite(payload):
     ips = [index_period(s, x) for x in range(s.size)]
     for x, ip in enumerate(ips):
         idempotent_power(s, x, ip)
-    report = {
+    return {
         "schema": SCHEMA,
         "mode": "finite",
         "size": s.size,
@@ -440,7 +447,6 @@ def _run_finite(payload):
         "criterion": {str(e): check_smallest_criterion(s, e) for e in idems},
         "crosschecks": {"idempotent_powers": "ok"},
     }
-    return report, None
 
 
 # -- self test -------------------------------------------------------------------
@@ -570,7 +576,8 @@ def run_selftest() -> dict:
 # -- document dispatch -------------------------------------------------------------
 
 
-def _execute(doc):
+def run(doc) -> dict:
+    """Execute a job document and return the report as a JSON-ready dict."""
     if not isinstance(doc, dict):
         raise InputError("job document must be a JSON object")
     unknown = sorted(set(doc) - {"schema", "mode", "payload"})
@@ -589,7 +596,7 @@ def _execute(doc):
         raise InputError("payload must be a JSON object")
     if mode == "selftest":
         _expect_keys(payload, ())
-        return run_selftest(), None
+        return run_selftest()
     handler = {
         "eigen": _run_eigen,
         "monoid": _run_monoid,
@@ -599,30 +606,29 @@ def _execute(doc):
     return handler(payload)
 
 
-def run(doc) -> dict:
-    """Execute a job document and return the report as a JSON-ready dict."""
-    report, _ = _execute(doc)
-    return report
-
-
 # -- DOT rendering -------------------------------------------------------------------
 
 
-def export_dot(poset) -> str:
-    """Render a face or idempotent poset as a Graphviz digraph.
+def export_dot(rep) -> str:
+    """Render the poset of a report from ``run`` as a Graphviz digraph.
 
-    One node per element labeled with its index set and dimension, edges
-    from smaller to larger, elements of equal dimension pinned to the
-    same rank.  Output is byte-deterministic.
+    A ``cone`` report draws its faces (0-based index sets), an ``eigen``
+    or ``monoid`` report its idempotents (1-based, as the report names
+    them); any other mode raises InputError.  One node per element labeled
+    with its index set and dimension, edges from smaller to larger,
+    elements of equal dimension pinned to the same rank.  Output is
+    byte-deterministic.
     """
-    if isinstance(poset, FacePoset):
-        items = [(f.index_set, f.dim) for f in poset.faces]
-        edges = poset.hasse_edges
-    elif isinstance(poset, IdempotentPoset):
-        items = [(e.index_set, e.face_dim) for e in poset.elements]
-        edges = poset.hasse_edges
+    mode = rep["mode"]
+    if mode == "cone":
+        items = [(f["index_set"], f["dim"]) for f in rep["faces"]]
+        edges = rep["hasse_edges"]
+    elif mode in ("eigen", "monoid"):
+        poset = rep["idempotents"]
+        items = [(e["index_set"], e["face_dim"]) for e in poset["elements"]]
+        edges = poset["hasse_edges"]
     else:
-        raise InputError("dot output needs a face or idempotent poset")
+        raise InputError(f"mode {mode!r} has no poset to draw")
     lines = ["digraph idempotents {", "  rankdir=BT;", "  node [shape=box];"]
     for i, (s, d) in enumerate(items):
         lines.append(f'  n{i} [label="{_set_text(s)}\\ndim {d}"];')
@@ -800,11 +806,9 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         doc = _load_document(args.mode, args.input)
-        report, poset = _execute(doc)
+        report = run(doc)
         if args.format == "dot":
-            if poset is None:
-                raise InputError(f"mode {args.mode!r} has no poset to draw")
-            out = export_dot(poset)
+            out = export_dot(report)
         elif args.format == "text":
             out = _text_report(report)
         else:

@@ -394,7 +394,10 @@ class FacePoset:
     """All faces, sorted by (dim, index_set), with Hasse covers.
 
     The order is inclusion of index sets; meets exist (intersection of
-    index sets) and ``bottom``/``top`` point at the unique extremes.
+    index sets) and ``bottom``/``top`` point at the unique extremes.  For
+    a weight monoid's generator cone this is also the idempotent poset
+    (``monoids.idempotents``): one idempotent per face, ``bottom`` the
+    unit-group idempotent and ``top`` the one fixing every generator.
     """
 
     faces: tuple[Face, ...]

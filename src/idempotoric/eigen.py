@@ -308,8 +308,9 @@ def smallest_idempotent_indices(
     of the closure.
 
     Computed by lattice membership in the lineality space and checked
-    against the minimum of the idempotent poset.  The ``cone_and_poset``
-    pair of ``w`` is reused when passed in.
+    against the minimum of the idempotent poset, the bottom face, whose
+    index set is 0-based.  The ``cone_and_poset`` pair of ``w`` is reused
+    when passed in.
     """
     if cone is None or poset is None:
         cone, poset = cone_and_poset(w)
@@ -318,7 +319,7 @@ def smallest_idempotent_indices(
         for i, g in enumerate(w.generators)
         if lattice_member(cone.lineality, g) is not None
     )
-    if inside != poset.elements[poset.smallest].index_set:
+    if inside != tuple(i + 1 for i in poset.faces[poset.bottom].index_set):
         raise InternalCheckError("lineality membership disagrees with the poset minimum")
     return inside
 

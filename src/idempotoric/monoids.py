@@ -2,17 +2,18 @@
 
 A monoid is stored as (lattice, generator images): the lattice is always
 re-coordinatized to ZZ^ambient_rank so that the generators span it with
-full rank.  Idempotents of the associated algebraic monoid correspond to
-faces of the cone the generators span; the poset operations here are thin
-1-based wrappers over the face lattice, plus the envelope construction
-that projects the ambient lattice along the unit part.
+full rank.  Idempotents of the associated algebraic monoid are the faces
+of the cone the generators span, so the idempotent poset is the cone's
+``FacePoset``, with 0-based generator index sets; the poset operations
+here read it directly.  The envelope construction projects the ambient
+lattice along the unit part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import cone_from_generators, enumerate_faces
+from .cones import Face, FacePoset, cone_from_generators, enumerate_faces
 from .errors import InputError, InternalCheckError
 from .lattices import (
     IntegerMatrix,
@@ -24,8 +25,6 @@ from .lattices import (
 )
 
 __all__ = [
-    "Idempotent",
-    "IdempotentPoset",
     "ToricEnvelopeReport",
     "WeightMonoid",
     "canonical_form",
@@ -49,39 +48,15 @@ class WeightMonoid:
 
 
 @dataclass(frozen=True)
-class Idempotent:
-    """An idempotent, named by the 1-based indices of the generators it
-    fixes; equivalently a face of the generator cone."""
-
-    index_set: tuple[int, ...]
-    face_dim: int
-
-
-@dataclass(frozen=True)
-class IdempotentPoset:
-    """All idempotents ordered by index-set inclusion, with cover edges.
-
-    ``smallest``/``largest`` index into ``elements``; the smallest element
-    is the unit-group idempotent (lineality face), the largest fixes every
-    generator.
-    """
-
-    elements: tuple[Idempotent, ...]
-    hasse_edges: tuple[tuple[int, int], ...]
-    smallest: int
-    largest: int
-
-
-@dataclass(frozen=True)
 class ToricEnvelopeReport:
     """The smallest irreducible closed subsemigroup containing all the
     idempotents, described by projecting the lattice along the saturated
-    unit sublattice."""
+    unit sublattice.  Its idempotent poset is the monoid's own with every
+    dimension lowered by ``unit_lattice.rank``."""
 
     envelope_dim: int
     unit_lattice: Sublattice
     projected_generators: tuple[tuple[int, ...], ...]
-    envelope_idempotent_poset: IdempotentPoset
 
 
 def monoid_from_generators(raw, labels=None) -> WeightMonoid:
@@ -113,47 +88,43 @@ def monoid_from_generators(raw, labels=None) -> WeightMonoid:
 
 
 def cone_and_poset(w: WeightMonoid):
-    """The generator cone of ``w`` together with its idempotent poset, for
-    callers that need both from one construction.  Raises InputError
-    unless the generators span the lattice, that is unless the cone's
-    dimension is ``w.ambient_rank``."""
+    """The generator cone of ``w`` together with its idempotent poset, the
+    cone's ``enumerate_faces``, for callers that need both from one
+    construction.  Raises InputError unless the generators span the
+    lattice, that is unless the cone's dimension is ``w.ambient_rank``."""
     cone = cone_from_generators(w.ambient_rank, w.generators)
     if cone.dim != w.ambient_rank:
         raise InputError(
             "generators do not span the lattice; build via monoid_from_generators"
         )
-    faces = enumerate_faces(cone)
-    elements = tuple(
-        Idempotent(tuple(i + 1 for i in f.index_set), f.dim) for f in faces.faces
-    )
-    return cone, IdempotentPoset(elements, faces.hasse_edges, faces.bottom, faces.top)
+    return cone, enumerate_faces(cone)
 
 
-def idempotents(w: WeightMonoid) -> IdempotentPoset:
+def idempotents(w: WeightMonoid) -> FacePoset:
     """The idempotent poset: one element per face of the generator cone,
-    ordered by inclusion of (1-based) generator index sets."""
+    ordered by inclusion of (0-based) generator index sets."""
     return cone_and_poset(w)[1]
 
 
-def largest_idempotent(p: IdempotentPoset) -> Idempotent:
-    top = p.elements[p.largest]
+def largest_idempotent(p: FacePoset) -> Face:
+    top = p.faces[p.top]
     cover = set(top.index_set)
-    for e in p.elements:
-        if not set(e.index_set) <= cover:
+    for f in p.faces:
+        if not set(f.index_set) <= cover:
             raise InternalCheckError("recorded maximum does not dominate the poset")
     return top
 
 
-def maximal_chain_length(p: IdempotentPoset) -> int:
+def maximal_chain_length(p: FacePoset) -> int:
     """Common length of every maximal chain from smallest to largest.
 
     The face poset is graded by dimension, so each cover edge must step by
     exactly one; anything else is an enumeration bug, reported hard.
     """
     for lo, hi in p.hasse_edges:
-        if p.elements[hi].face_dim != p.elements[lo].face_dim + 1:
+        if p.faces[hi].dim != p.faces[lo].dim + 1:
             raise InternalCheckError("idempotent poset is not graded")
-    return p.elements[p.largest].face_dim - p.elements[p.smallest].face_dim
+    return p.faces[p.top].dim - p.faces[p.bottom].dim
 
 
 def canonical_form(w: WeightMonoid):
@@ -180,9 +151,10 @@ def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeRepor
     factors through the projection, so the envelope cone has the same
     facets, meeting the generators as the original ones do: the same
     faces, index set for index set, and the same covers.  Every face
-    contains Λ₀ ⊗ Q, so each face's rank drops by exactly k, and the
-    envelope poset is the original one with every ``face_dim`` lowered by
-    k.  The envelope dimension must equal the poset's chain length.
+    contains Λ₀ ⊗ Q, so each face's rank drops by exactly k: the
+    envelope poset is the original one with every dimension lowered by
+    k = ``unit_lattice.rank``, and is not built again.  The envelope
+    dimension must equal the poset's chain length.
 
     The pair ``cone_and_poset(w)`` is reused when passed in (else built).
     """
@@ -207,8 +179,4 @@ def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeRepor
         raise InternalCheckError("projected generators do not span the quotient")
     if dim != maximal_chain_length(poset):
         raise InternalCheckError("envelope dimension disagrees with chain length")
-    shifted = tuple(Idempotent(e.index_set, e.face_dim - k) for e in poset.elements)
-    env_poset = IdempotentPoset(
-        shifted, poset.hasse_edges, poset.smallest, poset.largest
-    )
-    return ToricEnvelopeReport(dim, lam0, projected, env_poset)
+    return ToricEnvelopeReport(dim, lam0, projected)

@@ -69,20 +69,20 @@ def chain_length_set(p):
             memo[i] = {1 + n for j in succ[i] for n in lengths(j)}
         return memo[i]
 
-    return lengths(p.smallest)
+    return lengths(p.bottom)
 
 
 def order_isomorphic(p, q):
     """Order isomorphism via the index-set bijection on Hasse diagrams."""
-    if len(p.elements) != len(q.elements):
+    if len(p.faces) != len(q.faces):
         return False
-    p_sets = {e.index_set for e in p.elements}
-    q_sets = {e.index_set for e in q.elements}
+    p_sets = {f.index_set for f in p.faces}
+    q_sets = {f.index_set for f in q.faces}
     if p_sets != q_sets:
         return False
 
     def edges_by_set(poset):
-        name = {i: e.index_set for i, e in enumerate(poset.elements)}
+        name = {i: f.index_set for i, f in enumerate(poset.faces)}
         return {(name[a], name[b]) for a, b in poset.hasse_edges}
 
     return edges_by_set(p) == edges_by_set(q)
@@ -164,8 +164,8 @@ def test_criterion_02_skew_ray_family():
     t0 = time.perf_counter()
     for n in (2, 3, 4):
         p = idempotents(monoid_from_generators([(1, 0), (0, 1), (n, -n)]))
-        sets = [e.index_set for e in p.elements]
-        assert (3,) in sets
+        sets = [f.index_set for f in p.faces]
+        assert (2,) in sets
         assert len(sets) == 4
         assert maximal_chain_length(p) == 2
     elapsed = time.perf_counter() - t0
@@ -217,12 +217,13 @@ def test_criterion_06_envelope_isomorphism():
     for w in monoids:
         p = idempotents(w)
         rep = toric_envelope(w)
-        q = rep.envelope_idempotent_poset
-        assert order_isomorphic(p, q)
-        # the envelope monoid's own idempotents, built from scratch
+        # the envelope monoid's own idempotents, built from scratch: the
+        # original poset with every dimension lowered by the unit rank
         k = rep.unit_lattice.rank
         env = WeightMonoid(w.ambient_rank - k, rep.projected_generators, w.labels)
-        assert q == idempotents(env)
+        q = idempotents(env)
+        assert order_isomorphic(p, q)
+        assert [f.dim - k for f in p.faces] == [f.dim for f in q.faces]
     announce(6)
 
 
@@ -262,8 +263,9 @@ def test_criterion_10_relation_filter_consistency():
         t = factor(eigen_input(values))
         rels = primitive_relations(t)
         p = idempotents(character_data(t))
-        for e in p.elements:
-            assert check_relation_criterion(e.index_set, rels)
+        for f in p.faces:
+            # relations name generators 1-based
+            assert check_relation_criterion(tuple(i + 1 for i in f.index_set), rels)
     rejected = primitive_relations(factor(eigen_input([2, 3, 6])))
     assert not check_relation_criterion((1, 2), rejected)
     elapsed = time.perf_counter() - t0

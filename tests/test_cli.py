@@ -43,7 +43,7 @@ from idempotoric.eigen import PrimitiveRelation, power_invariance, relation_mask
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.finite import all_associative_tables, validate_table
 from idempotoric.lattices import IntegerMatrix
-from idempotoric.monoids import Idempotent, IdempotentPoset, idempotents, monoid_from_generators
+from idempotoric.monoids import idempotents, monoid_from_generators
 
 
 def eigen_doc(values):
@@ -488,32 +488,92 @@ def test_dump_rejects_values_json_would_round_or_coerce(value):
 # -- DOT export ----------------------------------------------------------------
 
 
+def monoid_doc(gens):
+    payload = {"ambient_dim": len(gens[0]), "generators": gens}
+    return {"mode": "monoid", "payload": payload}
+
+
 def test_dot_quadrant():
-    p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
-    dot = export_dot(p)
+    rep = run(monoid_doc([[1, 0], [0, 1], [1, 1]]))
+    dot = export_dot(rep)
     assert dot.count("label=") == 4
     assert dot.count("->") == 4
     assert "rankdir=BT" in dot
-    assert export_dot(p) == dot
+    assert export_dot(rep) == dot
 
 
 def test_dot_single_node():
-    p = idempotents(monoid_from_generators([(0,)]))
-    dot = export_dot(p)
+    dot = export_dot(run(monoid_doc([[0]])))
     assert dot.count("label=") == 1
     assert dot.count("->") == 0
 
 
 def test_dot_three_chain():
-    p = IdempotentPoset(
-        (Idempotent((), 0), Idempotent((1,), 1), Idempotent((1, 2), 2)),
-        ((0, 1), (1, 2)),
-        0,
-        2,
-    )
-    dot = export_dot(p)
-    assert dot.count("label=") == 3
-    assert dot.count("->") == 2
+    rep = {
+        "mode": "monoid",
+        "idempotents": {
+            "elements": [
+                {"index_set": [], "face_dim": 0},
+                {"index_set": [1], "face_dim": 1},
+                {"index_set": [1, 2], "face_dim": 2},
+            ],
+            "hasse_edges": [[0, 1], [1, 2]],
+            "smallest": 0,
+            "largest": 2,
+        },
+    }
+    assert export_dot(rep).splitlines() == [
+        "digraph idempotents {",
+        "  rankdir=BT;",
+        "  node [shape=box];",
+        '  n0 [label="{}\\ndim 0"];',
+        '  n1 [label="{1}\\ndim 1"];',
+        '  n2 [label="{1,2}\\ndim 2"];',
+        "  { rank=same; n0; }",
+        "  { rank=same; n1; }",
+        "  { rank=same; n2; }",
+        "  n0 -> n1;",
+        "  n1 -> n2;",
+        "}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}),
+        # a unit line: the envelope's dimensions drop by one, the drawn
+        # poset's do not
+        (
+            "monoid",
+            {
+                "ambient_dim": 3,
+                "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1]],
+            },
+        ),
+        ("cone", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]}),
+    ],
+)
+def test_dot_is_rendered_from_the_report(tmp_path, capsys, mode, payload):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_main([mode, "--format", "dot", "--input", str(path)], capsys)
+    assert code == 0
+    assert out == export_dot(run({"mode": mode, "payload": payload})) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "finite", "payload": {"table": [[0, 0], [0, 1]]}},
+        {"mode": "selftest"},
+    ],
+    ids=["finite", "selftest"],
+)
+def test_dot_needs_a_report_with_a_poset(doc):
+    rep = run(doc)
+    with pytest.raises(InputError, match=f"mode '{doc['mode']}' has no poset to draw"):
+        export_dot(rep)
 
 
 # -- command line ---------------------------------------------------------------
@@ -722,14 +782,13 @@ def test_selftest_names_its_first_failure(monkeypatch, capsys):
 # -- cross-checks ------------------------------------------------------------------
 
 
-def reference_subset_oracle(cone, shift):
-    """The index sets passing the circuit test, shifted by ``shift``, one
-    ``circuit_criterion`` call per subset: the sweep that the oracle makes
-    bit-parallel."""
+def reference_subset_oracle(cone):
+    """The index sets passing the circuit test, one ``circuit_criterion``
+    call per subset: the sweep that the oracle makes bit-parallel."""
     masks = [sign_masks(z) for z in signed_circuits(cone.ambient_dim, cone.generators)]
     r = len(cone.generators)
     return {
-        tuple(i + shift for i in range(r) if mask >> i & 1)
+        tuple(i for i in range(r) if mask >> i & 1)
         for mask in range(1 << r)
         if circuit_criterion(mask, masks)
     }
@@ -748,15 +807,14 @@ def test_subset_oracle_matches_the_per_subset_sweep():
     for d, gens in ORACLE_CONES:
         cone = cone_from_generators(d, gens)
         sizes.add(len(gens))
-        for shift in (0, 1):
-            faces = reference_subset_oracle(cone, shift)
-            assert _subset_oracle(cone, faces, shift) == "ok"
+        faces = reference_subset_oracle(cone)
+        assert _subset_oracle(cone, faces) == "ok"
     assert sizes == set(range(11))
 
 
-def oracle_error(cone, sets, shift):
+def oracle_error(cone, sets):
     with pytest.raises(InternalCheckError, match="subset oracle disagrees") as exc:
-        _subset_oracle(cone, sets, shift)
+        _subset_oracle(cone, sets)
     return str(exc.value)
 
 
@@ -766,51 +824,49 @@ def test_subset_oracle_names_the_difference():
         if not 1 <= len(gens) <= 6:
             continue
         cone = cone_from_generators(d, gens)
-        faces = reference_subset_oracle(cone, 1)
-        every = {tuple(i + 1 for i in s) for s in subsets(len(gens))}
+        faces = reference_subset_oracle(cone)
+        every = set(subsets(len(gens)))
         for face in faces:
-            assert oracle_error(cone, faces - {face}, 1) == prefix + f"missing {face}"
+            assert oracle_error(cone, faces - {face}) == prefix + f"missing {face}"
             if len(face) > 1:
                 unsorted = faces - {face} | {face[::-1]}
-                assert oracle_error(cone, unsorted, 1) == prefix + f"missing {face}"
+                assert oracle_error(cone, unsorted) == prefix + f"missing {face}"
             moved = tuple(i + 1 for i in face)
             if moved not in faces:
                 wrong = faces - {face} | {moved}
-                assert oracle_error(cone, wrong, 1) == prefix + f"missing {face}"
+                assert oracle_error(cone, wrong) == prefix + f"missing {face}"
         for sub in every - faces:
-            assert oracle_error(cone, faces | {sub}, 1) == prefix + f"extra {sub}"
-        # the whole family shifted by the wrong offset, either way: the
-        # least of the sets missed is named
-        unshifted = reference_subset_oracle(cone, 0)
-        least = min(unshifted - faces)
-        assert oracle_error(cone, faces, 0) == prefix + f"missing {least}"
-        least = min(faces - unshifted)
-        assert oracle_error(cone, unshifted, 1) == prefix + f"missing {least}"
+            assert oracle_error(cone, faces | {sub}) == prefix + f"extra {sub}"
+        # the whole family shifted by one, either way: the least of the
+        # sets missed is named
+        for step in (1, -1):
+            shifted = {tuple(i + step for i in s) for s in faces}
+            least = min(faces - shifted)
+            assert oracle_error(cone, shifted) == prefix + f"missing {least}"
 
 
 def test_subset_oracle_catches_a_missing_or_extra_face():
     for d, gens in random_cone_inputs(seed=909, count=12, max_dim=3, max_gens=5):
         cone = cone_from_generators(d, gens)
         faces = {f.index_set for f in enumerate_faces(cone).faces}
-        assert _subset_oracle(cone, faces, 0) == "ok"
-        shifted = {tuple(i + 1 for i in s) for s in faces}
-        assert _subset_oracle(cone, shifted, 1) == "ok"
+        assert _subset_oracle(cone, faces) == "ok"
         for sub in subsets(len(gens)):
             wrong = faces ^ {sub}
             with pytest.raises(InternalCheckError, match="subset oracle disagrees"):
-                _subset_oracle(cone, wrong, 0)
+                _subset_oracle(cone, wrong)
     wide = cone_from_generators(1, [(1,)] * 11)
-    assert _subset_oracle(wide, set(), 0) == "skipped: more than 10 generators"
+    assert _subset_oracle(wide, set()) == "skipped: more than 10 generators"
 
 
 def rejected_elements(poset, rels):
-    """The index sets of the elements the relations reject, in poset order,
-    one ``circuit_criterion`` call each: the relation filter's reference."""
+    """The 1-based index sets of the elements the relations reject, in
+    poset order, one ``circuit_criterion`` call each: the relation filter's
+    reference."""
     sides = relation_masks(rels)
     return [
-        e.index_set
-        for e in poset.elements
-        if not circuit_criterion(sum(1 << (i - 1) for i in e.index_set), sides)
+        tuple(i + 1 for i in f.index_set)
+        for f in poset.faces
+        if not circuit_criterion(sum(1 << i for i in f.index_set), sides)
     ]
 
 
@@ -915,7 +971,7 @@ def test_main_reports_unexpected_exceptions_as_internal(monkeypatch, capsys):
     def boom(*args):
         raise ZeroDivisionError("simulated fault")
 
-    monkeypatch.setattr("idempotoric.cli._execute", boom)
+    monkeypatch.setattr("idempotoric.cli.run", boom)
     code, out = run_main(["selftest"], capsys)
     assert code == 2
     err = json.loads(out)["error"]

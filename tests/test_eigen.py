@@ -133,7 +133,7 @@ def answers(e, t):
     cone, p = cone_and_poset(w)
     return (
         rank(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))),
-        [(x.index_set, x.face_dim) for x in p.elements],
+        [(f.index_set, f.dim) for f in p.faces],
         smallest_idempotent_indices(w, cone, p),
         primitive_relations(t),
     )
@@ -348,17 +348,17 @@ def test_relations_deterministic():
 
 def test_idempotent_set_triple():
     p = idempotents(character_data(factor(eigen_input([2, 3, 6]))))
-    assert [e.index_set for e in p.elements] == [(), (1,), (2,), (1, 2, 3)]
+    assert [f.index_set for f in p.faces] == [(), (0,), (1,), (0, 1, 2)]
 
 
 def test_idempotent_set_group_case():
     p = idempotents(character_data(factor(eigen_input([2, Fraction(1, 2)]))))
-    assert [e.index_set for e in p.elements] == [(1, 2)]
+    assert [f.index_set for f in p.faces] == [(0, 1)]
 
 
 def test_idempotent_set_single_ray():
     p = idempotents(character_data(factor(eigen_input([2]))))
-    assert [e.index_set for e in p.elements] == [(), (1,)]
+    assert [f.index_set for f in p.faces] == [(), (0,)]
 
 
 def test_relation_criterion_frozen_cases():
@@ -378,8 +378,11 @@ def test_relation_criterion_rejects_bad_indices(bad):
 
 
 def accepted_sets(r, rels):
-    sets = (tuple(i + 1 for i in s) for s in subsets(r))
-    return {s for s in sets if check_relation_criterion(s, rels)}
+    """The 0-based index sets the relations, which name generators
+    1-based, accept."""
+    return {
+        s for s in subsets(r) if check_relation_criterion(tuple(i + 1 for i in s), rels)
+    }
 
 
 def test_faces_pass_relation_filter():
@@ -390,7 +393,7 @@ def test_faces_pass_relation_filter():
     for vals in spectra:
         e = eigen_input(vals)
         rels = primitive_relations(factor(e))
-        faces = {x.index_set for x in idempotents(character_data(factor(e))).elements}
+        faces = {f.index_set for f in idempotents(character_data(factor(e))).faces}
         assert accepted_sets(len(e.eigenvalues), rels) == faces, vals
 
 
@@ -403,7 +406,7 @@ def test_circuit_relations_make_the_criterion_exact():
         circuits = signed_circuits(cone.ambient_dim, cone.generators)
         rels = [relation_of(z) for z in circuits]
         accepted = accepted_sets(len(e.eigenvalues), rels)
-        assert accepted == {x.index_set for x in p.elements}, vals
+        assert accepted == {f.index_set for f in p.faces}, vals
 
 
 def test_smallest_idempotent_indices_frozen():
@@ -433,11 +436,11 @@ def test_power_invariance_random():
 def test_idempotent_count_symmetries():
     for vals in random_eigen_lists(seed=1111, count=20):
         e = eigen_input(vals)
-        count = len(idempotents(character_data(factor(e))).elements)
+        count = len(idempotents(character_data(factor(e))).faces)
         flipped = eigen_input([1 / q for q in e.eigenvalues])
-        assert len(idempotents(character_data(factor(flipped))).elements) == count
+        assert len(idempotents(character_data(factor(flipped))).faces) == count
         shuffled = eigen_input(list(reversed(e.eigenvalues)))
-        assert len(idempotents(character_data(factor(shuffled))).elements) == count
+        assert len(idempotents(character_data(factor(shuffled))).faces) == count
 
 
 def test_canonical_forms_collapse_power_collisions():

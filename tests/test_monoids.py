@@ -26,7 +26,8 @@ def quadrant_monoid():
 def reference_envelope_poset(w, rep):
     """The envelope monoid's idempotents built from scratch: a cone and a
     face lattice of its own on the projected generators.  Kept to check
-    toric_envelope, which shifts the original poset instead, against."""
+    toric_envelope's claim, that they are the original poset with every
+    dimension lowered by the unit rank, against."""
     k = rep.unit_lattice.rank
     env = WeightMonoid(w.ambient_rank - k, rep.projected_generators, w.labels)
     return idempotents(env)
@@ -91,50 +92,51 @@ def test_ragged_generators_rejected():
 
 def test_quadrant_poset_frozen():
     p = idempotents(quadrant_monoid())
-    assert [e.index_set for e in p.elements] == [(), (1,), (2,), (1, 2, 3)]
-    assert [e.face_dim for e in p.elements] == [0, 1, 1, 2]
-    assert p.smallest == 0
-    assert p.largest == 3
+    assert [f.index_set for f in p.faces] == [(), (0,), (1,), (0, 1, 2)]
+    assert [f.dim for f in p.faces] == [0, 1, 1, 2]
+    assert p.bottom == 0
+    assert p.top == 3
     assert maximal_chain_length(p) == 2
 
 
 def test_group_case_single_idempotent():
     p = idempotents(monoid_from_generators([(1,), (-1,)]))
-    assert len(p.elements) == 1
-    assert p.elements[0].index_set == (1, 2)
-    assert p.smallest == p.largest
+    assert len(p.faces) == 1
+    assert p.faces[0].index_set == (0, 1)
+    assert p.bottom == p.top
     assert maximal_chain_length(p) == 0
 
 
 def test_trivial_monoid_single_idempotent():
     p = idempotents(monoid_from_generators([(0, 0)]))
-    assert len(p.elements) == 1
-    assert p.elements[0].index_set == (1,)
-    assert p.smallest == p.largest
+    assert len(p.faces) == 1
+    assert p.faces[0].index_set == (0,)
+    assert p.bottom == p.top
 
 
 def test_interior_generator_cone_chain():
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (2, -2)]))
-    assert len(p.elements) == 4
-    assert (3,) in [e.index_set for e in p.elements]
+    assert len(p.faces) == 4
+    assert (2,) in [f.index_set for f in p.faces]
     assert maximal_chain_length(p) == 2
 
 
 def test_zero_generator_lies_in_every_idempotent():
     p = idempotents(monoid_from_generators([(0, 0), (1, 0)]))
-    for e in p.elements:
-        assert 1 in e.index_set
+    for f in p.faces:
+        assert 0 in f.index_set
 
 
 # -- toric envelope ----------------------------------------------------------
 
 
 def test_envelope_of_group_is_a_point():
-    rep = toric_envelope(monoid_from_generators([(1,), (-1,)]))
+    w = monoid_from_generators([(1,), (-1,)])
+    rep = toric_envelope(w)
     assert rep.envelope_dim == 0
     assert rep.unit_lattice.basis.entries == ((1,),)
     assert rep.projected_generators == ((), ())
-    assert len(rep.envelope_idempotent_poset.elements) == 1
+    assert len(reference_envelope_poset(w, rep).faces) == 1
 
 
 def test_envelope_of_pointed_cone_is_itself():
@@ -143,15 +145,16 @@ def test_envelope_of_pointed_cone_is_itself():
     assert rep.envelope_dim == 2
     assert rep.unit_lattice.rank == 0
     assert rep.projected_generators == w.generators
-    assert rep.envelope_idempotent_poset == idempotents(w)
+    assert reference_envelope_poset(w, rep) == idempotents(w)
 
 
 def test_envelope_projects_out_lineality_line():
-    rep = toric_envelope(monoid_from_generators([(1, 0), (-1, 0), (0, 1)]))
+    w = monoid_from_generators([(1, 0), (-1, 0), (0, 1)])
+    rep = toric_envelope(w)
     assert rep.unit_lattice.basis.entries == ((1, 0),)
     assert rep.envelope_dim == 1
     assert rep.projected_generators == ((0,), (0,), (1,))
-    assert len(rep.envelope_idempotent_poset.elements) == 2
+    assert len(reference_envelope_poset(w, rep).faces) == 2
 
 
 def test_envelope_matches_chain_length_and_poset_shape():
@@ -169,13 +172,15 @@ def test_envelope_matches_chain_length_and_poset_shape():
         rep = toric_envelope(w)
         assert rep.envelope_dim == maximal_chain_length(p)
         assert rep.envelope_dim == w.ambient_rank - rep.unit_lattice.rank
-        env = rep.envelope_idempotent_poset
-        assert env == reference_envelope_poset(w, rep)
-        assert [e.index_set for e in env.elements] == [e.index_set for e in p.elements]
-        assert env.hasse_edges == p.hasse_edges
+        # the envelope poset is the original one, every dimension lowered
+        # by the unit rank
+        env = reference_envelope_poset(w, rep)
         k = rep.unit_lattice.rank
-        for a, b in zip(env.elements, p.elements):
-            assert a.face_dim == b.face_dim - k
+        assert [(f.index_set, f.dim) for f in env.faces] == [
+            (f.index_set, f.dim - k) for f in p.faces
+        ]
+        assert env.hasse_edges == p.hasse_edges
+        assert (env.bottom, env.top) == (p.bottom, p.top)
         monoids_with_units += k > 0
     # units are projected out often
     assert monoids_with_units == 30

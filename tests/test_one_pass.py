@@ -15,7 +15,7 @@ import pytest
 
 from conftest import random_eigen_lists
 
-from idempotoric import cli, cones, eigen, finite, lattices
+from idempotoric import cli, cones, eigen, finite, lattices, monoids
 from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
     character_data,
@@ -152,7 +152,7 @@ def wrong_lineality(cone):
 
 
 def minimum_moved_to_the_top(poset):
-    return dataclasses.replace(poset, smallest=poset.largest)
+    return dataclasses.replace(poset, bottom=poset.top)
 
 
 def test_envelope_checks_the_shared_cone():
@@ -174,6 +174,28 @@ def test_smallest_indices_check_the_shared_poset():
 
 EIGEN_JOB = {"eigenvalues": ["2", "1/2", "3"]}
 MONOID_JOB = {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [
+        ("eigen", EIGEN_JOB),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}),
+        ("monoid", MONOID_JOB),
+        ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]}),
+    ],
+)
+def test_weight_monoid_job_walks_its_poset_once(
+    tmp_path, capsys, monkeypatch, mode, payload
+):
+    walk = {"maximal_chain_length": monoids.maximal_chain_length}
+    calls = count_calls(monkeypatch, walk)
+    code, rep = run_job(tmp_path, capsys, mode, payload)
+    assert code == 0 and "error" not in rep
+    # once, in toric_envelope, which checks the envelope dimension that the
+    # report gives as the chain length against it
+    assert calls == {"maximal_chain_length": 1}
+    assert rep["chain_length"] == rep["envelope"]["envelope_dim"]
 
 
 def internal_error(tmp_path, capsys, mode="eigen", payload=EIGEN_JOB):
@@ -211,7 +233,7 @@ def test_main_reports_a_corrupted_shared_poset(tmp_path, capsys, monkeypatch):
 
 
 def maximum_moved_to_the_bottom(poset):
-    return dataclasses.replace(poset, largest=poset.smallest)
+    return dataclasses.replace(poset, top=poset.bottom)
 
 
 def test_monoid_job_checks_its_smallest_index_set(tmp_path, capsys, monkeypatch):
