@@ -802,17 +802,24 @@ def _parser() -> _Parser:
     return parser
 
 
+_WRITERS = {"json": _dump, "text": _text_report, "dot": export_dot}
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         doc = _load_document(args.mode, args.input)
         report = run(doc)
-        if args.format == "dot":
-            out = export_dot(report)
-        elif args.format == "text":
-            out = _text_report(report)
-        else:
-            out = _dump(report)
+        try:
+            out = _WRITERS[args.format](report)
+        except ValueError:
+            # an int past the interpreter's int-string digit limit, which
+            # bounds the input literals too
+            limit = sys.get_int_max_str_digits()
+            raise InputError(
+                f"a report integer has more than {limit} digits,"
+                " the interpreter's limit for writing one"
+            ) from None
         code = 0 if report.get("ok", True) else 2
     except InputError as exc:
         out, code = _error_doc("input", str(exc)), 1

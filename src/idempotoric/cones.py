@@ -1,33 +1,18 @@
 """Rational polyhedral cones from integer generators.
 
-A cone is built by the double description method run twice: once on the
-generators to get the facet inequalities (extreme rays of the dual cone),
-once on those inequalities to get the extreme rays and lineality space of
-the cone itself.  The second pass certifies the first: the listed facets
-cut out a cone that contains the generators' cone, and the two are equal,
-so no facet is missing, when every ray of the second pass is a generator
-modulo the lineality space and the generators in that space span it
-positively.  ``enumerate_faces`` checks that no listed facet is redundant.
-All arithmetic is exact; rays and facet normals are kept as primitive
+A cone is built by one run of the double description method, on the
+generators as inequalities, whose rays are the facet normals.
+``enumerate_faces`` certifies that list by the face lattice it closes
+over it, every interval of length 2 of which must be a diamond.  All
+arithmetic is exact; rays and facet normals are kept as primitive
 integer vectors.
 
 Faces are identified with the subsets of generator indices they contain.
 ``enumerate_faces`` lists every face with its Hasse covers, working on
-bitmasks of the generator-facet incidences.  The faces are the
-intersections of the facets' generator masks and, dually, of the
-generators' facet masks, so the lattice is closed over whichever side is
-smaller: O(F·min(r, m)) mask operations for F faces, r generators and m
-facets.  The lower covers of a set come from the same meets by the count
-test of Kaibel & Pfetsch (CGTA 2002), also O(F·min(r, m)).  The masks are
-``Cone.incidences``, the tight sets of the double description's dual
-pass, whose final check compares them with every (facet, generator)
-product, so no facet-generator product is taken twice.  Each face's data
-comes from one neighbour in the Hasse diagram: only the bottom face is
-eliminated, every other face has its largest lower cover's dimension
-plus one, which a facet through each lower cover and off the face, and
-the top face's rank against ``cone.dim``, certify; its witness, the sum
-of the normals of the facets through it, is an upper cover's witness
-plus the normals of the facets it adds.
+bitmasks of the generator-facet incidences, ``Cone.incidences``, which
+the double description pass's final check compares with every (facet,
+generator) product; its docstring gives the method, its cost and the
+proof that the facet list is exact.
 
 Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
@@ -51,9 +36,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
 from math import gcd
-from operator import add, mul
+from operator import add, and_, mul
 
 from .errors import InputError, InternalCheckError
 from .lattices import (
@@ -251,8 +237,8 @@ def solve_affine(num_vars, equalities, inequalities):
 # --------------------------------------------------------------------------
 
 
-def _dd_rays(dim, ineqs, eqs):
-    """V-description of {x : e @ x == 0 for e in eqs, a @ x >= 0 for a in ineqs}.
+def _dd_rays(dim, ineqs):
+    """V-description of {x : a @ x >= 0 for a in ineqs}.
 
     Returns (rays, lineality_rows, tight_sets): the first two are lists of
     primitive integer tuples, the third gives each ray's bitmask of the
@@ -261,18 +247,14 @@ def _dd_rays(dim, ineqs, eqs):
     list minimal at every step.  Before that scan, a (positive, negative)
     pair is dropped when its rays share fewer than ``cut - 2`` tight
     inequalities, where ``cut`` counts the inequalities so far that cut the
-    lineality space (their rank on the solutions of ``eqs``): two rays are
-    adjacent only when their common tight set cuts out a 2-face, which
-    takes rank ``cut - 2`` (Fukuda & Prodon 1996).  Every pair that passes
-    still goes through the scan, which decides.  The final check takes
-    every (ray, inequality) product once: none may be negative, and each
-    ray's zero products must be exactly the tight set it carried.
+    lineality space (their rank): two rays are adjacent only when their
+    common tight set cuts out a 2-face, which takes rank ``cut - 2``
+    (Fukuda & Prodon 1996).  Every pair that passes still goes through the
+    scan, which decides.  The final check takes every (ray, inequality)
+    product once: none may be negative, and each ray's zero products must
+    be exactly the tight set it carried.
     """
-    if eqs:
-        mat = IntegerMatrix.from_rows(eqs, cols=dim)
-        lin = [list(r) for r in kernel_lattice(mat.transpose()).basis.entries]
-    else:
-        lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rays: list[tuple[Vector, int]] = []
     cut = 0
     for idx, a in enumerate(ineqs):
@@ -329,12 +311,12 @@ def _dd_rays(dim, ineqs, eqs):
     out_lin = [tuple(l) for l in lin]
     for v, tight in rays:
         products = [_dot(a, v) for a in ineqs]
-        if any(_dot(e, v) for e in eqs) or any(d < 0 for d in products):
+        if any(d < 0 for d in products):
             raise InternalCheckError("double description ray violates a constraint")
         if sum(1 << i for i, d in enumerate(products) if not d) != tight:
             raise InternalCheckError("double description lost track of a tight set")
     for l in out_lin:
-        if any(_dot(e, l) for e in eqs) or any(_dot(a, l) for a in ineqs):
+        if any(_dot(a, l) for a in ineqs):
             raise InternalCheckError("lineality vector violates a constraint")
     return [tuple(v) for v, _ in rays], out_lin, [t for _, t in rays]
 
@@ -346,7 +328,7 @@ def _dd_rays(dim, ineqs, eqs):
 
 @dataclass(frozen=True)
 class Cone:
-    """A rational polyhedral cone with both descriptions attached.
+    """A rational polyhedral cone: its generators and its facets.
 
     ``facets`` holds primitive integer normals of the facet-defining valid
     inequalities; it is empty exactly when the cone is a linear subspace.
@@ -357,7 +339,6 @@ class Cone:
 
     ambient_dim: int
     generators: tuple[Vector, ...]
-    extreme_rays: tuple[Vector, ...]
     facets: tuple[Vector, ...]
     incidences: tuple[int, ...]
     lineality: Sublattice
@@ -373,6 +354,33 @@ class Cone:
             for i in _bits(inc):
                 out[i] |= bit
         return tuple(out)
+
+    @cached_property
+    def extreme_rays(self) -> tuple[Vector, ...]:
+        """One primitive vector on each ray of the cone modulo ``lineality``,
+        sorted.  The rays are the atoms of the face lattice.  The smallest
+        face holding a generator off the bottom face is one when the
+        generator's facet set is maximal among theirs: when every generator
+        on all of its facets has that facet set or lies on the bottom face.
+        One generator of each atom is reduced by the Hermite basis of
+        ``lineality`` until it vanishes on the basis's pivots, and made
+        primitive, so the vector depends on the ray alone, not on the
+        generators' order."""
+        facet_sets = self._facet_sets
+        full = (1 << len(self.incidences)) - 1
+        rows = self.lineality.basis.entries
+        basis = [(next(k for k, x in enumerate(row) if x), row) for row in rows]
+        rays = set()
+        for g, i in {g: i for i, g in enumerate(facet_sets) if g != full}.items():
+            on = (1 << len(self.generators)) - 1
+            for j in _bits(g):
+                on &= self.incidences[j]
+            if all(facet_sets[k] in (g, full) for k in _bits(on)):
+                reduced = _extend_echelon(basis, [self.generators[i]])
+                if len(reduced) == len(basis):
+                    raise InternalCheckError("a ray lies in the lineality space")
+                rays.add(reduced[-1][1])
+        return tuple(sorted(rays))
 
 
 @dataclass(frozen=True)
@@ -410,71 +418,30 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     """Build the cone spanned by integer generator vectors.
 
     Duplicate and zero generators are allowed; zero generators lie on every
-    face.  The facets are the rays of the dual pass, which runs on the
-    generators as inequalities, so its final check is the exact sign test
-    of every facet on every generator and its tight sets are the facets'
-    ``incidences``.
-
-    The primal pass runs on the facets, within the generators' span, and
-    gives the rays and the lineality space L of the cone P they cut out,
-    which contains the generators' cone C; the rays and L must have the
-    rank of the generators.  The bottom face B holds the generators on
-    every facet, the ones in L.  P = C, so no facet of C is missing from
-    the list, when (a) for each ray, some generator off B lies on every
-    facet of the ray's tight set T (the AND of their ``incidences``), so
-    that a positive multiple of the ray is that generator minus a vector
-    of L, and (b) B spans L positively: the saturated span of B is
-    ``lineality`` and the nonnegative ``signed_circuits`` of B cover B,
-    which sum to a dependency with every coefficient positive.  That costs
-    O(rays·|T|) ANDs and one circuit search on B, none when the cone is
-    pointed.  No ray is lost when the facets through each generator off B
-    all hold some ray: the smallest face holding the generator holds an
-    extreme ray, and a lost ray's generators lie on no other ray's facets.
-    That is one set lookup per generator, with a scan of the rays only on
-    a miss.  ``enumerate_faces`` checks that no listed facet is redundant.
-    Raises InputError unless ``ambient_dim`` is a nonnegative int (not a
-    bool) and ``IntegerMatrix.from_rows`` accepts the generators.
+    face.  One double description pass, on the generators as inequalities,
+    gives the facets; its final check is the exact sign test of every facet
+    on every generator, and its tight sets are the facets' ``incidences``.
+    The bottom face B, the generators on every facet, must be covered by
+    its nonnegative ``signed_circuits``, which sum to a positive
+    dependency: B then spans a linear space positively, so it is the
+    lineality face, and ``lineality`` is its saturated span.
+    ``enumerate_faces`` certifies the facet list.  Raises InputError unless
+    ``ambient_dim`` is a nonnegative int (not a bool) and
+    ``IntegerMatrix.from_rows`` accepts the generators.
     """
     dim_is_int = isinstance(ambient_dim, int) and not isinstance(ambient_dim, bool)
     if not dim_is_int or ambient_dim < 0:
         raise InputError("ambient dimension must be a nonnegative int")
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
-    dual_rays, dual_lin, tight = _dd_rays(ambient_dim, list(gens), [])
+    dual_rays, _, tight = _dd_rays(ambient_dim, list(gens))
     dual = sorted(zip(dual_rays, tight))
     facets = tuple(w for w, _ in dual)
     incidences = tuple(t for _, t in dual)
-    rays, lin, ray_tight = _dd_rays(ambient_dim, list(facets), list(dual_lin))
-    extreme = tuple(sorted(rays))
-    lineality = saturate(Sublattice.span(ambient_dim, lin))
-    dim = rank(mat)
-    span_rows = list(extreme) + list(lineality.basis.entries)
-    if rank(IntegerMatrix.from_rows(span_rows, cols=ambient_dim)) != dim:
-        raise InternalCheckError("ray plus lineality span has the wrong rank")
-    everything = (1 << len(gens)) - 1
-    bottom = everything
-    for inc in incidences:
-        bottom &= inc
-    # (a) each ray is a generator off the bottom face, modulo the lineality
-    for t in ray_tight:
-        on = everything
-        for j in _bits(t):
-            on &= incidences[j]
-        if not on & ~bottom:
-            raise InternalCheckError("a ray holds no generator")
-    cone = Cone(ambient_dim, gens, extreme, facets, incidences, lineality, dim)
-    # no ray is lost: the facets through each generator off the bottom face
-    # all hold some ray
-    rays_on = set(ray_tight)
-    for i in _bits(everything & ~bottom):
-        g = cone._facet_sets[i]
-        if g not in rays_on and not any(g & t == g for t in ray_tight):
-            raise InternalCheckError("a generator lies on no ray")
-    # (b) the bottom face's generators span the lineality space, positively:
-    # their nonnegative circuits cover them
+    bottom = reduce(and_, incidences, (1 << len(gens)) - 1)
+    # the bottom face's generators span a linear space, positively: their
+    # nonnegative circuits cover them
     units = [gens[i] for i in _bits(bottom)]
-    if saturate(Sublattice.span(ambient_dim, units)) != lineality:
-        raise InternalCheckError("bottom face does not span the lineality space")
     covered = 0
     for c in signed_circuits(ambient_dim, units) if units else ():
         pos, neg = sign_masks(c)
@@ -482,7 +449,8 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
             covered |= pos
     if covered != (1 << len(units)) - 1:
         raise InternalCheckError("bottom face is not linear")
-    return cone
+    lineality = saturate(Sublattice.span(ambient_dim, units))
+    return Cone(ambient_dim, gens, facets, incidences, lineality, rank(mat))
 
 
 def _closed_sets(full, masks):
@@ -524,18 +492,19 @@ def _bits(mask):
 
 
 def enumerate_faces(cone: Cone) -> FacePoset:
-    """Every face of the cone, as a graded poset.
+    """Every face of the cone, as a graded poset, and the proof that the
+    facet list is exact.
 
     A face is stored as the bitmask of the generators on it and the bitmask
     T of the facets through it.  The faces are the intersections of the
     facets' ``cone.incidences`` (the empty intersection is the cone
     itself), and dually the intersections of the generators' facet sets Gᵢ
     (the empty one is the lineality space, on every facet), so the lattice
-    is closed by ``_closed_sets`` over whichever of the r generators and m
-    facets is fewer: O(F·min(r, m)) mask operations for the closure and the
-    count test for the covers, after Kaibel & Pfetsch (CGTA 2002).  Closed
-    over the Gᵢ, the sets are the faces' T, the lower covers of T are the
-    face's upper covers, and a face's generators are the AND of the
+    L is closed by ``_closed_sets`` over whichever of the r generators and
+    m facets is fewer: O(F·min(r, m)) mask operations for the closure and
+    the count test for the covers, after Kaibel & Pfetsch (CGTA 2002).
+    Closed over the Gᵢ, the sets are the faces' T, the lower covers of T
+    are the face's upper covers, and a face's generators are the AND of the
     incidences over T, taken from one of those covers by the facets T adds.
 
     Each face's data comes from one neighbour in the Hasse diagram, so it
@@ -553,12 +522,27 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     dimension, and down any chain of covers from the top, whose rank must
     equal ``cone.dim``, it is at most that.  So every face below the top
     needs an upper cover.  The top face's lower covers must be exactly the
-    facets' masks, so no listed facet is redundant or listed twice; with
-    ``cone_from_generators``'s certificate the facet list is then exact.
-    Each face's witness functional is the sum of the facet normals over T,
+    facets' masks, so no listed facet is redundant or listed twice.  Each
+    face's witness functional is the sum of the facet normals over T,
     built from the top down: an upper cover's witness plus the normals of
     the facets T adds to that cover's, taking the cover through the most
     facets.
+
+    Last, every interval [b, s] of length 2 in L must be a diamond, with
+    two middle elements (Ziegler, *Lectures on Polytopes*, lecture 2): the
+    paths b ⋖ c ⋖ s down from each face s must reach twice as many faces
+    as they are.  Then L is the cone's face lattice Φ, and no facet is
+    missing.  Each element of L is a face, an intersection of tight sets
+    of valid inequalities, of its true dimension, and L's bottom is the
+    lineality face (``cone_from_generators``).  So a cover of L is one of
+    Φ, L's middle elements are Φ's, reached at most twice, so each exactly
+    twice, and every maximal chain of L is a flag of Φ.  Flipping a flag in
+    L at F_i swaps F_i for the other middle element of the diamond
+    [F_{i-1}, F_{i+1}], which is in L.  Modulo its lineality space Φ is a
+    polytope's face lattice, flag-connected (McMullen & Schulte, *Abstract
+    Regular Polytopes*, ch. 2): flips reach every flag from any other, so L
+    holds every flag of Φ, and every face.  The count takes each path once,
+    in the witness loop, after the other checks on its face.
     """
     gens = cone.generators
     normals = cone.facets
@@ -586,23 +570,24 @@ def enumerate_faces(cone: Cone) -> FacePoset:
                 covers_of[gens_on[c]].append(gens_on[t])
     if sorted(covers_of[top]) != sorted(incidences):
         raise InternalCheckError("a listed facet is not a facet")
+    # each face is named by its place in this order
     order = sorted(covers_of, key=int.bit_count)
-    dims = {}
-    through = {}
-    index_sets = {}
-    up = {}  # each face's upper cover through the most facets
-    most = {}  # and their number
-    for s in order:
-        covers = covers_of[s]
+    index = {s: k for k, s in enumerate(order)}
+    lower = [list(map(index.__getitem__, covers_of[s])) for s in order]
+    dims, through, index_sets = [], [], []
+    up = [None] * len(order)  # each face's upper cover through the most facets
+    most = [-1] * len(order)  # and their number
+    for k, s in enumerate(order):
+        covers = lower[k]
         if covers:
-            c = max(covers, key=int.bit_count)
-            t, new = through[c], _bits(s & ~c)
+            c = max(covers)  # a lower cover with the most generators
+            t, new = through[c], _bits(s & ~order[c])
             dim = dims[c] + 1
-            index_sets[s] = tuple(sorted(index_sets[c] + tuple(new)))
+            members = tuple(sorted(index_sets[c] + tuple(new)))
         else:  # the bottom face
             t, new = full, _bits(s)
             dim = len(_extend_echelon([], [gens[i] for i in new]))
-            index_sets[s] = tuple(new)
+            members = tuple(new)
         for i in new:
             t &= facet_sets[i]
         n = t.bit_count()
@@ -611,37 +596,43 @@ def enumerate_faces(cone: Cone) -> FacePoset:
                 raise InternalCheckError("face step has no separating facet")
             if dims[b] + 1 != dim:
                 raise InternalCheckError("face poset is not graded by dimension")
-            if n > most.get(b, -1):
-                most[b], up[b] = n, s
-        dims[s] = dim
-        through[s] = t
-    if dims[top] != cone.dim:
+            if n > most[b]:
+                most[b], up[b] = n, k
+        dims.append(dim)
+        through.append(t)
+        index_sets.append(members)
+    top_at = index[top]
+    if dims[top_at] != cone.dim:
         raise InternalCheckError("top face rank differs from the cone's dimension")
-    witness = {}
+    witness = [None] * len(order)
     faces = []
-    for s in reversed(order):
-        t = through[s]
-        if s in up:
-            u = up[s]
+    for k in reversed(range(len(order))):
+        t = through[k]
+        u = up[k]
+        if u is not None:
             wit, t = witness[u], t & ~through[u]
-        elif s == top:
+        elif k == top_at:
             wit = (0,) * cone.ambient_dim
         else:
             raise InternalCheckError("a face below the top has no upper cover")
         for j in _bits(t):
             wit = tuple(map(add, wit, normals[j]))
-        witness[s] = wit
-        faces.append((dims[s], index_sets[s], s, wit))
+        witness[k] = wit
+        # each face two steps below must be reached by exactly two paths
+        below = list(chain.from_iterable(map(lower.__getitem__, lower[k])))
+        if 2 * len(set(below)) != len(below):
+            raise InternalCheckError("an interval of length 2 is not a diamond")
+        faces.append((dims[k], index_sets[k], k, wit))
     faces.sort()
-    position = {s: k for k, (_, _, s, _) in enumerate(faces)}
+    position = {k: p for p, (_, _, k, _) in enumerate(faces)}
     edges = sorted(
-        (position[c], position[s]) for s, covers in covers_of.items() for c in covers
+        (position[c], position[k]) for k, covers in enumerate(lower) for c in covers
     )
     return FacePoset(
         tuple(Face(members, dim, wit) for dim, members, _, wit in faces),
         tuple(edges),
         0,  # the bottom face, of the least dimension, sorts first
-        position[top],
+        position[top_at],
     )
 
 

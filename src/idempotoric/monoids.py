@@ -142,8 +142,9 @@ def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeRepor
     """Project along the lineality space of the generator cone.
 
     ``cone_from_generators`` certifies that the generators on every facet,
-    the units, span ``cone.lineality`` = Λ₀ positively and that the facet
-    list is complete.  Λ₀ is split off by a Smith normal form change of
+    the units, span ``cone.lineality`` = Λ₀ positively, and
+    ``enumerate_faces``, which builds the poset, that the facet list is
+    complete.  Λ₀ is split off by a Smith normal form change of
     basis with a unit diagonal, so the images of all generators in Λ/Λ₀
     define the envelope monoid.  The units must project to zero and the
     projected generators must have rank dim Λ − k, k = rank(Λ₀), so the

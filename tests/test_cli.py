@@ -287,6 +287,35 @@ def test_main_rejects_non_finite_literals(mode, template, constant, tmp_path, ca
     }
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter writes ints of any length",
+)
+def test_main_rejects_a_report_integer_past_the_digit_limit(tmp_path, capsys):
+    # every input literal is under the limit, but the facet normals, 3 x 3
+    # minors of 1,500-digit entries, are past it
+    rng = random.Random(4300)
+    big = [
+        [rng.choice((-1, 1)) * rng.randrange(10**1499, 10**1500) for _ in range(4)]
+        for _ in range(5)
+    ]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"ambient_dim": 4, "generators": big}))
+    code = main(["cone", "--input", str(path)])
+    assert code == 1
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "input",
+        "message": f"a report integer has more than {limit} digits,"
+        " the interpreter's limit for writing one",
+    }
+    # the text report gives counts and index sets, no vector, so it is
+    # written in full
+    code = main(["cone", "--input", str(path), "--format", "text"])
+    assert code == 0
+    assert "facets: 4" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "call",
     [

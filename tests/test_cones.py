@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -32,27 +33,18 @@ from idempotoric.cones import (
     solve_affine,
 )
 from idempotoric.errors import InputError, InternalCheckError
-from idempotoric.lattices import (
-    IntegerMatrix,
-    Sublattice,
-    hermite_normal_form,
-    kernel_lattice,
-)
+from idempotoric.lattices import IntegerMatrix, Sublattice, hermite_normal_form
 
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def reference_dd_rays(dim, ineqs, eqs):
+def reference_dd_rays(dim, ineqs):
     """Double description with the unfiltered adjacency scan: every
     (positive, negative) pair is tested against every other ray.  Slow,
     kept to check _dd_rays against, tight sets included."""
-    if eqs:
-        mat = IntegerMatrix.from_rows(eqs, cols=dim)
-        lin = [list(r) for r in kernel_lattice(mat.transpose()).basis.entries]
-    else:
-        lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rays = []
     for idx, a in enumerate(ineqs):
         bit = 1 << idx
@@ -88,13 +80,8 @@ def reference_dd_rays(dim, ineqs, eqs):
 
 
 def assert_dd_matches_reference(dim, gens):
-    # the dual pass on the generators, then the primal pass on the facets
-    # with the dual lineality as equations, as cone_from_generators runs them
-    dual = _dd_rays(dim, gens, [])
-    assert dual == reference_dd_rays(dim, gens, []), (dim, gens)
-    facets = sorted(dual[0])
-    primal = _dd_rays(dim, facets, dual[1])
-    assert primal == reference_dd_rays(dim, facets, dual[1]), (dim, gens)
+    # the one pass cone_from_generators runs, on the generators
+    assert _dd_rays(dim, gens) == reference_dd_rays(dim, gens), (dim, gens)
 
 
 def reference_faces(cone):
@@ -181,6 +168,34 @@ def test_half_plane_two_faces():
     faces = enumerate_faces(c)
     assert [f.index_set for f in faces.faces] == [(0, 1), (0, 1, 2)]
     assert [f.dim for f in faces.faces] == [1, 2]
+
+
+def test_rays_modulo_a_line_do_not_depend_on_the_generator_order():
+    # each ray is its generator reduced by the lineality's Hermite basis
+    # until it vanishes on the basis's pivot, then made primitive:
+    # (2, 1, 3) - 2 (1, 1, 1) and (0, 1, 1), in every order
+    gens = [(2, 1, 3), (0, 1, 1), (1, 1, 1), (-1, -1, -1)]
+    for order in itertools.permutations(gens):
+        cone = cone_from_generators(3, order)
+        assert cone.lineality.basis.entries == ((1, 1, 1),)
+        assert cone.extreme_rays == ((0, -1, 1), (0, 1, 1))
+
+
+def test_rays_are_the_atoms_in_any_generator_order():
+    # entries in -1..1: repeated and opposite generators, lineality
+    cases = random_cone_inputs(seed=909, count=60, max_dim=5, max_gens=8, bound=1)
+    rng = random.Random(909)
+    for d, gens in cases:
+        cone = cone_from_generators(d, gens)
+        poset = enumerate_faces(cone)
+        atoms = [f for f in poset.faces if f.dim == cone.lineality.rank + 1]
+        assert len(cone.extreme_rays) == len(atoms), (d, gens)
+        pivots = [next(k for k, x in enumerate(row) if x)
+                  for row in cone.lineality.basis.entries]
+        for ray in cone.extreme_rays:
+            assert not any(ray[p] for p in pivots) and _primitive(ray) == ray
+        shuffled = rng.sample(gens, len(gens))
+        assert cone_from_generators(d, shuffled).extreme_rays == cone.extreme_rays
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -312,10 +327,10 @@ def test_dd_rays_match_the_unfiltered_scan_on_random_cones():
 
 
 def test_lost_tight_set_is_reported(monkeypatch):
-    # the quadrant's dual pass: the third generator (1, 1) meets the ray
-    # (1, 0) with product 1.  Reporting 0 once, when the pass sorts the rays
-    # by sign, files the ray as tight there; the final check, which takes
-    # every product again, must notice.
+    # the quadrant's double description pass: the third generator (1, 1)
+    # meets the ray (1, 0) with product 1.  Reporting 0 once, when the pass
+    # sorts the rays by sign, files the ray as tight there; the final check,
+    # which takes every product again, must notice.
     real = cones._dot
     lies = [((1, 1), (1, 0))]
 
@@ -325,7 +340,7 @@ def test_lost_tight_set_is_reported(monkeypatch):
             return 0
         return real(a, b)
 
-    assert _dd_rays(2, [(1, 0), (0, 1), (1, 1)], [])[2] == [0b010, 0b001]
+    assert _dd_rays(2, [(1, 0), (0, 1), (1, 1)])[2] == [0b010, 0b001]
     monkeypatch.setattr(cones, "_dot", dot_lying_once)
     with pytest.raises(InternalCheckError, match="lost track of a tight set"):
         cone_from_generators(2, [(1, 0), (0, 1), (1, 1)])
@@ -421,10 +436,11 @@ QUADRANT_TIMES_LINE = cone_from_generators(
 )
 
 
-def losing_middle_faces(count):
+def losing_middle_faces(count, splice=True):
     """A cover search that loses ``count`` of the sets halfway up its
-    lattice (all of them for None) and lists each lost set's covers in its
-    place, so the sets above a lost one cover the sets below it."""
+    lattice (all of them for None).  With ``splice`` it lists each lost
+    set's covers in its place, so the sets above a lost one cover the sets
+    below it; without, the edges through a lost set are only dropped."""
     real = cones._closed_sets
 
     def closed_sets(full, masks):
@@ -437,9 +453,12 @@ def losing_middle_faces(count):
         out = {}
         for s, covers in covers_of.items():
             if s not in lost:
-                spliced = [
-                    b for c in covers for b in (covers_of[c] if c in lost else [c])
-                ]
+                spliced = []
+                for c in covers:
+                    if c not in lost:
+                        spliced.append(c)
+                    elif splice:
+                        spliced += covers_of[c]
                 out[s] = list(dict.fromkeys(spliced))
         return out
 
@@ -626,18 +645,20 @@ def run_job(tmp_path, capsys, mode, gens):
     return code, json.loads(capsys.readouterr().out)
 
 
+DIAMOND = "an interval of length 2 is not a diamond"
+
+
 @pytest.mark.parametrize("mode", ["cone", "monoid"])
 @pytest.mark.parametrize(
     "gens, faces, change, message",
     [
-        (TWELVE_GON, 26, without_a_facet_through_generator_0,
-         "a ray holds no generator"),
+        (TWELVE_GON, 26, without_a_facet_through_generator_0, DIAMOND),
         (WIDE_QUADRANT, 4, without_a_facet_through_generator_0,
          "bottom face is not linear"),
         (WIDE_QUADRANT_TIMES_LINE, 4, without_a_facet_through_generator_0,
          "bottom face is not linear"),
         (GRID, 10, only_two_opposite_facets,
-         "bottom face does not span the lineality space"),
+         "top face rank differs from the cone's dimension"),
         (GRID, 10, with_a_redundant_facet, "a listed facet is not a facet"),
     ],
     ids=["12-gon", "quadrant", "quadrant-times-line", "grid-two-facets",
@@ -652,16 +673,9 @@ def test_a_wrong_facet_list_is_reported(
     assert len(listed) == faces
     assert rep["crosschecks"]["subset_oracle"].startswith("skipped")
 
-    # the change applies to each cone's first pass, the dual one
+    # the change applies to the cone's one double description pass
     real = cones._dd_rays
-    passes = []
-
-    def dd_rays(dim, ineqs, eqs):
-        passes.append(dim)
-        out = real(dim, ineqs, eqs)
-        return change(*out) if len(passes) % 2 else out
-
-    monkeypatch.setattr(cones, "_dd_rays", dd_rays)
+    monkeypatch.setattr(cones, "_dd_rays", lambda *args: change(*real(*args)))
     code, rep = run_job(tmp_path, capsys, mode, gens)
     assert (code, rep["error"]["kind"], rep["error"]["message"]) == (
         2,
@@ -672,24 +686,92 @@ def test_a_wrong_facet_list_is_reported(
 
 @pytest.mark.parametrize("mode", ["cone", "monoid"])
 def test_a_lost_ray_is_reported(tmp_path, capsys, monkeypatch, mode):
-    # the primal pass of the 12-gon cone loses one of its 12 rays: the 11
-    # left still have the cone's rank and each holds a generator, but the
-    # two facets through the lost ray's generator hold no other ray
-    real = cones._dd_rays
-    passes = []
+    # a cover search that loses one of the 12-gon cone's 12 rays: the two
+    # 2-faces through it still cover a ray each, so every edge is graded
+    # and separated and the top keeps its rank and its facets, but each of
+    # those 2-faces is now one path above the bottom face, not two
+    real = cones._closed_sets
 
-    def dd_rays(dim, ineqs, eqs):
-        passes.append(dim)
-        rays, lin, tight = real(dim, ineqs, eqs)
-        return (rays, lin, tight) if len(passes) % 2 else (rays[1:], lin, tight[1:])
+    def closed_sets(full, masks):
+        covers_of = real(full, masks)
+        assert covers_of[1] == [0]
+        del covers_of[1]
+        return {s: [c for c in covers if c != 1] for s, covers in covers_of.items()}
 
-    monkeypatch.setattr(cones, "_dd_rays", dd_rays)
+    monkeypatch.setattr(cones, "_closed_sets", closed_sets)
     code, rep = run_job(tmp_path, capsys, mode, TWELVE_GON)
     assert (code, rep["error"]["kind"], rep["error"]["message"]) == (
         2,
         "internal",
-        "a generator lies on no ray",
+        DIAMOND,
     )
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [cube_cone(3), cube_times_line(3), cross_polytope_cone(3),
+     cross_polytope_times_line(4)],
+    ids=["3-cube", "3-cube-times-line", "3-cross-polytope",
+         "4-cross-polytope-times-line"],
+)
+def test_a_lost_diamond_middle_is_reported(monkeypatch, cone):
+    # one face lost from the middle of the lattice and nothing spliced in
+    # its place: every edge left is a true cover, so the grading holds, but
+    # the intervals through the lost face have one middle element
+    monkeypatch.setattr(cones, "_closed_sets", losing_middle_faces(1, splice=False))
+    with pytest.raises(InternalCheckError, match=DIAMOND):
+        enumerate_faces(cone)
+
+
+def mutation_corpus():
+    """The cones whose facet lists the mutation test corrupts: named ones
+    on both sides of enumerate_faces, with and without a line, and seeded
+    random ones in dimension 3 to 5 with at most 12 generators."""
+    named = [
+        (3, TWELVE_GON),
+        (3, GRID),
+        *((c.ambient_dim, list(c.generators)) for c in (
+            cube_cone(3), cube_cone(4), cross_polytope_cone(4),
+            cross_polytope_times_line(3),
+        )),
+    ]
+    rng = random.Random(2121)
+    drawn = []
+    while len(drawn) < 20:
+        d = rng.randint(3, 5)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d))
+                for _ in range(rng.randint(d + 1, 12))]
+        if len(cone_from_generators(d, gens).facets) >= 2:
+            drawn.append((d, gens))
+    return named + drawn
+
+
+def test_every_dropped_facet_is_reported(tmp_path, capsys, monkeypatch):
+    # drop each facet, then each pair of facets, from the one double
+    # description pass: the certificate must fail every such job
+    real = cones._dd_rays
+    dropped = []
+
+    def dd_rays(dim, ineqs):
+        rays, lin, tight = real(dim, ineqs)
+        keep = [k for k in range(len(rays)) if k not in dropped]
+        return [rays[k] for k in keep], lin, [tight[k] for k in keep]
+
+    monkeypatch.setattr(cones, "_dd_rays", dd_rays)
+    mutations = 0
+    for d, gens in mutation_corpus():
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"ambient_dim": d, "generators": gens}))
+        m = len(real(d, gens)[0])
+        for size in (1, 2):
+            for drop in itertools.combinations(range(m), size):
+                dropped[:] = drop
+                code = cli.main(["cone", "--input", str(path)])
+                doc = json.loads(capsys.readouterr().out)
+                assert (code, doc["error"]["kind"]) == (2, "internal"), (
+                    d, gens, dropped)
+                mutations += 1
+    assert mutations > 1000
 
 
 def test_index_lookup_leaves_equality_and_repr_alone():

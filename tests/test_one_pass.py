@@ -80,19 +80,19 @@ WIDE = [[1, k] for k in range(11)]
         # a unit pair 2, 1/2: the envelope projects out the cone's own
         # lineality space, and the cone's certificate takes the circuits of
         # its two units, the bottom face's generators
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 2, 2, 3)),
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 2, 2, 2)),
         # pointed: the envelope monoid is the weight monoid itself
-        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1, 2)),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 1, 1, 0, 2, 3)),
+         (0, 1, 1, 0, 2, 2)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
-         (0, 1, 1, 0, 1, 2)),
+         (0, 1, 1, 0, 1, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
         # its circuits for the relations, a cone or monoid job does not
-        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 2, 1, 2)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 2)),
-        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 2)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 2)),
+        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 2, 1, 1)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1)),
+        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 1)),
     ],
 )
 def test_job_builds_each_object_once(
@@ -102,11 +102,30 @@ def test_job_builds_each_object_once(
     code, rep = run_job(tmp_path, capsys, mode, payload)
     assert code == 0 and "error" not in rep
     # factor and character_data: the spectrum once, and the squared
-    # spectrum for power invariance.  rank: the cone's dimension and the
-    # rank of its rays with its lineality space, plus the envelope's rank
-    # of the projected generators when there are units; the weight
-    # monoid's span is checked by the cone's dimension
+    # spectrum for power invariance.  rank: the cone's dimension, plus the
+    # envelope's rank of the projected generators when there are units; the
+    # weight monoid's span is checked by the cone's dimension
     assert tuple(calls.values()) == expected
+
+
+@pytest.mark.parametrize(
+    "dim, gens",
+    [
+        (2, [(1, 0), (0, 1), (1, 1)]),
+        (3, [(2, 1, 3), (0, 1, 1), (1, 1, 1), (-1, -1, -1)]),
+        (2, [(1, 0), (-1, 0), (0, 1), (0, -1)]),
+        (2, []),
+    ],
+    ids=["pointed", "with-a-line", "subspace", "no-generators"],
+)
+def test_each_cone_takes_one_double_description(monkeypatch, dim, gens):
+    calls = count_calls(monkeypatch, {"_dd_rays": cones._dd_rays})
+    cone = cones.cone_from_generators(dim, gens)
+    assert calls == {"_dd_rays": 1}
+    # the faces and the rays are read off that pass's facets
+    cones.enumerate_faces(cone)
+    assert cone.extreme_rays is not None
+    assert calls == {"_dd_rays": 1}
 
 
 def test_finite_job_takes_each_index_period_once(tmp_path, capsys, monkeypatch):

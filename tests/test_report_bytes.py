@@ -4,10 +4,10 @@ For each (mode, format) one SHA-256 over the exit code and stdout of
 ``idempotoric <mode> --format <format>`` on every case of the mode, in
 order: the README's command-line examples, 40 seeded random cones in
 ``monoid`` and ``cone`` mode, 40 seeded random spectra in ``eigen`` mode,
-and the selftest.  Rejected cases (a monoid with no generators) count
-with their error documents.  A refactor that keeps the reports keeps
-these digests; a change to any report byte must declare itself by
-updating them.
+and the selftest; and one more for a cone with a line and rays.  Rejected
+cases (a monoid with no generators) count with their error documents.  A
+refactor that keeps the reports keeps these digests; a change to any
+report byte must declare itself by updating them.
 """
 
 import contextlib
@@ -87,3 +87,27 @@ def digest(mode, fmt, tmp_path):
 )
 def test_report_bytes_match_the_golden_digest(mode, fmt, tmp_path):
     assert digest(mode, fmt, tmp_path) == GOLDEN[mode, fmt]
+
+
+# No cone of the corpus above has both a lineality space and a ray.  This
+# one has the line through (1, 1, 1) and two rays, each written as the
+# generator reduced by the lineality's Hermite basis, so that it vanishes
+# on the basis's pivot, and made primitive.
+LINE_AND_RAYS = {
+    "ambient_dim": 3,
+    "generators": [[2, 1, 3], [0, 1, 1], [1, 1, 1], [-1, -1, -1]],
+}
+LINE_AND_RAYS_DIGEST = "d847b0896e1c03c4f6f07e74b9b12f9fb042d31a8a58a17ed599b28843e25f41"
+
+
+def test_report_bytes_of_a_cone_with_a_line_and_rays(tmp_path):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(LINE_AND_RAYS))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cone", "--input", str(path)])
+    rep = json.loads(out.getvalue())
+    assert rep["lineality_basis"] == [[1, 1, 1]]
+    assert rep["extreme_rays"] == [[0, -1, 1], [0, 1, 1]]
+    text = f"{code}\n{out.getvalue()}"
+    assert hashlib.sha256(text.encode()).hexdigest() == LINE_AND_RAYS_DIGEST
