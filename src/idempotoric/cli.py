@@ -61,6 +61,7 @@ from .cones import (
     _respecting,
     cone_from_generators,
     enumerate_faces,
+    extreme_rays,
     sign_masks,
     signed_circuits,
 )
@@ -403,7 +404,7 @@ def _run_cone(payload):
         "ambient_dim": dim,
         "generators": [list(g) for g in rows],
         "dim": cone.dim,
-        "extreme_rays": [list(r) for r in cone.extreme_rays],
+        "extreme_rays": [list(r) for r in extreme_rays(cone, poset)],
         "facets": [list(f) for f in cone.facets],
         "lineality_basis": [list(row) for row in cone.lineality.basis.entries],
         "lineality_rank": cone.lineality.rank,
@@ -805,21 +806,28 @@ def _parser() -> _Parser:
 _WRITERS = {"json": _dump, "text": _text_report, "dot": export_dot}
 
 
+def _write(fmt, report) -> str:
+    """The report in format ``fmt``.  An int past the interpreter's
+    int-string digit limit, which bounds the input literals too, is
+    rejected input; any other error of a writer passes through."""
+    try:
+        return _WRITERS[fmt](report)
+    except ValueError as exc:
+        if isinstance(exc, InputError) or "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise InputError(
+            f"a report integer has more than {limit} digits,"
+            " the interpreter's limit for writing one"
+        ) from None
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         doc = _load_document(args.mode, args.input)
         report = run(doc)
-        try:
-            out = _WRITERS[args.format](report)
-        except ValueError:
-            # an int past the interpreter's int-string digit limit, which
-            # bounds the input literals too
-            limit = sys.get_int_max_str_digits()
-            raise InputError(
-                f"a report integer has more than {limit} digits,"
-                " the interpreter's limit for writing one"
-            ) from None
+        out = _write(args.format, report)
         code = 0 if report.get("ok", True) else 2
     except InputError as exc:
         out, code = _error_doc("input", str(exc)), 1

@@ -59,6 +59,7 @@ __all__ = [
     "circuit_criterion",
     "cone_from_generators",
     "enumerate_faces",
+    "extreme_rays",
     "is_face",
     "sign_masks",
     "signed_circuits",
@@ -334,7 +335,9 @@ class Cone:
     inequalities; it is empty exactly when the cone is a linear subspace.
     ``incidences`` holds, for each facet in order, the bitmask of the
     generators on it.  ``lineality`` is the saturated lattice spanning
-    ``cone ∩ -cone``.
+    ``cone ∩ -cone``.  The facet list is proved exact only by
+    ``enumerate_faces``, and ``extreme_rays`` reads the rays off the face
+    lattice it certifies.
     """
 
     ambient_dim: int
@@ -354,33 +357,6 @@ class Cone:
             for i in _bits(inc):
                 out[i] |= bit
         return tuple(out)
-
-    @cached_property
-    def extreme_rays(self) -> tuple[Vector, ...]:
-        """One primitive vector on each ray of the cone modulo ``lineality``,
-        sorted.  The rays are the atoms of the face lattice.  The smallest
-        face holding a generator off the bottom face is one when the
-        generator's facet set is maximal among theirs: when every generator
-        on all of its facets has that facet set or lies on the bottom face.
-        One generator of each atom is reduced by the Hermite basis of
-        ``lineality`` until it vanishes on the basis's pivots, and made
-        primitive, so the vector depends on the ray alone, not on the
-        generators' order."""
-        facet_sets = self._facet_sets
-        full = (1 << len(self.incidences)) - 1
-        rows = self.lineality.basis.entries
-        basis = [(next(k for k, x in enumerate(row) if x), row) for row in rows]
-        rays = set()
-        for g, i in {g: i for i, g in enumerate(facet_sets) if g != full}.items():
-            on = (1 << len(self.generators)) - 1
-            for j in _bits(g):
-                on &= self.incidences[j]
-            if all(facet_sets[k] in (g, full) for k in _bits(on)):
-                reduced = _extend_echelon(basis, [self.generators[i]])
-                if len(reduced) == len(basis):
-                    raise InternalCheckError("a ray lies in the lineality space")
-                rays.add(reduced[-1][1])
-        return tuple(sorted(rays))
 
 
 @dataclass(frozen=True)
@@ -634,6 +610,22 @@ def enumerate_faces(cone: Cone) -> FacePoset:
         0,  # the bottom face, of the least dimension, sorts first
         position[top_at],
     )
+
+
+def extreme_rays(cone: Cone, poset: FacePoset) -> tuple[Vector, ...]:
+    """One primitive vector on each ray of the cone modulo ``lineality``,
+    sorted.  The rays are the atoms of the face lattice ``poset`` from
+    ``enumerate_faces(cone)``, the faces one dimension above the bottom.
+    One generator of each atom off the bottom face is reduced by the
+    Hermite basis of ``lineality`` until it vanishes on the basis's pivots,
+    and made primitive, so the vector depends on the ray alone, not on the
+    generators' order."""
+    rows = cone.lineality.basis.entries
+    basis = [(next(k for k, x in enumerate(row) if x), row) for row in rows]
+    bottom = poset.faces[poset.bottom]
+    atoms = [f.index_set for f in poset.faces if f.dim == bottom.dim + 1]
+    off = [next(i for i in s if i not in bottom.index_set) for s in atoms]
+    return tuple(sorted(_extend_echelon(basis, [cone.generators[i]])[-1][1] for i in off))
 
 
 def sign_masks(vec) -> tuple[int, int]:

@@ -23,6 +23,7 @@ from conftest import (
 
 from idempotoric.cli import (
     SCHEMA,
+    _WRITERS,
     _dump,
     _parser,
     _random_spectra,
@@ -994,6 +995,40 @@ def test_main_rejects_undecodable_input(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"eigenvalues": ["\xff"]}')
     assert error_of(*run_main(["eigen", "--input", str(path)], capsys)) == (1, "input")
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [("finite", {"table": [[0, 0], [0, 1]]}), ("selftest", None)],
+    ids=["finite", "selftest"],
+)
+def test_main_rejects_dot_for_a_report_without_a_poset(mode, payload, tmp_path, capsys):
+    # the writer's InputError is passed through, not taken for the int
+    # digit limit
+    args = [mode, "--format", "dot"]
+    if payload is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        args += ["--input", str(path)]
+    code, out = run_main(args, capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "input",
+        "message": f"mode '{mode}' has no poset to draw",
+    }
+
+
+def test_main_reports_a_writer_fault_as_internal(monkeypatch, capsys):
+    def boom(rep):
+        raise ValueError("simulated writer fault")
+
+    monkeypatch.setitem(_WRITERS, "text", boom)
+    code, out = run_main(["selftest", "--format", "text"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "internal",
+        "message": "ValueError in boom: simulated writer fault",
+    }
 
 
 def test_main_reports_unexpected_exceptions_as_internal(monkeypatch, capsys):

@@ -123,8 +123,7 @@ def test_each_cone_takes_one_double_description(monkeypatch, dim, gens):
     cone = cones.cone_from_generators(dim, gens)
     assert calls == {"_dd_rays": 1}
     # the faces and the rays are read off that pass's facets
-    cones.enumerate_faces(cone)
-    assert cone.extreme_rays is not None
+    cones.extreme_rays(cone, cones.enumerate_faces(cone))
     assert calls == {"_dd_rays": 1}
 
 
