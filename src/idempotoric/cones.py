@@ -479,71 +479,60 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     L is closed by ``_closed_sets`` over whichever of the r generators and
     m facets is fewer: O(F·min(r, m)) mask operations for the closure and
     the count test for the covers, after Kaibel & Pfetsch (CGTA 2002).
-    Closed over the Gᵢ, the sets are the faces' T, the lower covers of T
-    are the face's upper covers, and a face's generators are the AND of the
-    incidences over T, taken from one of those covers by the facets T adds.
+    ``_faces_up`` walks the closure over the incidences from the bottom;
+    ``_faces_down`` the one over the Gᵢ, the faces' T, whose lower covers
+    are a face's upper covers, from the top.  A set closed over the Gᵢ is
+    the AND of the Gᵢ over the generators it gives: distinct sets, distinct
+    faces.
 
-    Each face's data comes from one neighbour in the Hasse diagram, so it
-    costs what changes along that edge, not the size of the face.  Faces
-    are visited by increasing number of generators, so a face's lower
-    covers come before it.  Only the bottom face is eliminated, by the
-    length of a fraction-free echelon basis of its generators; every other
-    face s gets dim c + 1 for its largest lower cover c, and T and the
-    sorted generator list grow from c's by the generators s adds.  That is
-    the dimension because of two checks on every cover edge b ⋖ s: some
-    facet through b misses s, and dim s = dim b + 1.  A facet through b and
-    off s vanishes on the span of b and is positive on some generator of s,
-    so every edge raises the true rank by at least one: up the chain of
-    largest covers from the bottom, the true rank is at least the assigned
-    dimension, and down any chain of covers from the top, whose rank must
-    equal ``cone.dim``, it is at most that.  So every face below the top
-    needs an upper cover.  The top face's lower covers must be exactly the
-    facets' masks, so no listed facet is redundant or listed twice.  Each
-    face's witness functional is the sum of the facet normals over T,
-    built from the top down: an upper cover's witness plus the normals of
-    the facets T adds to that cover's, taking the cover through the most
-    facets.
+    Each face comes from one Hasse neighbour.  Up, it takes dim c + 1, T
+    and the sorted generators from its lower cover c with the most
+    generators; down, dim u - 1 and u's generators AND the incidences of
+    the facets it adds from its upper cover u through the most facets.
+    Only the first face's rank is given: the bottom's is the length of a
+    fraction-free echelon basis of its generators, the top's ``cone.dim``.
+    Every cover edge b ⋖ s needs dim s = dim b + 1 and a facet through b
+    and off s (b and s differ in T up, in generators down), which vanishes
+    on the span of b and is positive on some generator of s: every edge
+    raises the true rank by at least one.  So along the covers a face was
+    built from, its true rank is at least its dimension walking up, at most
+    walking down, and the other way round along any chain of covers on to
+    the far end, whose rank is checked too: the top's against
+    ``cone.dim``, the bottom's against its elimination.  Every face below
+    the top needs an upper cover and, walking down, every face above the
+    bottom a lower cover.  The faces the top covers (walking down, covers
+    alone) must be exactly the facets' masks, so no listed facet is
+    redundant or listed twice.  A face's witness functional, the sum of the
+    normals over T, is its upper cover's through the most facets plus the
+    normals of the facets T adds.
 
     Last, every interval [b, s] of length 2 in L must be a diamond, with
     two middle elements (Ziegler, *Lectures on Polytopes*, lecture 2): the
-    paths b ⋖ c ⋖ s down from each face s must reach twice as many faces
-    as they are.  Then L is the cone's face lattice Φ, and no facet is
-    missing.  Each element of L is a face, an intersection of tight sets
-    of valid inequalities, of its true dimension, and L's bottom is the
-    lineality face (``cone_from_generators``).  So a cover of L is one of
-    Φ, L's middle elements are Φ's, reached at most twice, so each exactly
-    twice, and every maximal chain of L is a flag of Φ.  Flipping a flag in
-    L at F_i swaps F_i for the other middle element of the diamond
-    [F_{i-1}, F_{i+1}], which is in L.  Modulo its lineality space Φ is a
-    polytope's face lattice, flag-connected (McMullen & Schulte, *Abstract
-    Regular Polytopes*, ch. 2): flips reach every flag from any other, so L
-    holds every flag of Φ, and every face.  The count takes each path once,
-    in the witness loop, after the other checks on its face.
+    paths of two covers from each face, down walking up and up walking
+    down, must reach twice as many faces as they are.  Then L is the cone's
+    face lattice Φ, and no facet is missing.  Each element of L is a face,
+    an intersection of tight sets of valid inequalities, of its true
+    dimension, and L's bottom is the lineality face
+    (``cone_from_generators``).  So a cover of L is one of Φ, L's middle
+    elements are Φ's, reached at most twice, so each exactly twice, and
+    every maximal chain of L is a flag of Φ.  Flipping a flag in L at F_i
+    swaps F_i for the other middle element of the diamond [F_{i-1},
+    F_{i+1}], which is in L.  Modulo its lineality space Φ is a polytope's
+    face lattice, flag-connected (McMullen & Schulte, *Abstract Regular
+    Polytopes*, ch. 2): flips reach every flag from any other, so L holds
+    every flag of Φ, and every face.  The count takes each path once, after
+    the other checks on the face it starts from.
     """
-    gens = cone.generators
-    normals = cone.facets
-    incidences = cone.incidences
-    r, m = len(gens), len(incidences)
-    top, full = (1 << r) - 1, (1 << m) - 1
+    walk = _faces_up if len(cone.facets) <= len(cone.generators) else _faces_down
+    return walk(cone)
+
+
+def _faces_up(cone):
+    """``enumerate_faces`` by the walk over the facets' generator masks."""
+    gens, normals, incidences = cone.generators, cone.facets, cone.incidences
+    top, full = (1 << len(gens)) - 1, (1 << len(incidences)) - 1
     facet_sets = cone._facet_sets
-    if m <= r:
-        covers_of = _closed_sets(top, incidences)
-    else:
-        dual = _closed_sets(full, facet_sets)
-        gens_on = {}
-        for t, above in dual.items():
-            if above:
-                c = max(above, key=int.bit_count)
-                on = gens_on[c]
-            else:
-                c, on = 0, top
-            for j in _bits(t & ~c):
-                on &= incidences[j]
-            gens_on[t] = on
-        covers_of = {gens_on[t]: [] for t in dual}
-        for t, above in dual.items():
-            for c in above:
-                covers_of[gens_on[c]].append(gens_on[t])
+    covers_of = _closed_sets(top, incidences)
     if sorted(covers_of[top]) != sorted(incidences):
         raise InternalCheckError("a listed facet is not a facet")
     # each face is named by its place in this order
@@ -551,7 +540,8 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     index = {s: k for k, s in enumerate(order)}
     lower = [list(map(index.__getitem__, covers_of[s])) for s in order]
     dims, through, index_sets = [], [], []
-    up = [None] * len(order)  # each face's upper cover through the most facets
+    above = [[] for _ in order]  # each face's upper covers
+    up = [None] * len(order)  # the one through the most facets
     most = [-1] * len(order)  # and their number
     for k, s in enumerate(order):
         covers = lower[k]
@@ -572,6 +562,7 @@ def enumerate_faces(cone: Cone) -> FacePoset:
                 raise InternalCheckError("face step has no separating facet")
             if dims[b] + 1 != dim:
                 raise InternalCheckError("face poset is not graded by dimension")
+            above[b].append(k)
             if n > most[b]:
                 most[b], up[b] = n, k
         dims.append(dim)
@@ -581,7 +572,7 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     if dims[top_at] != cone.dim:
         raise InternalCheckError("top face rank differs from the cone's dimension")
     witness = [None] * len(order)
-    faces = []
+    faces = {}
     for k in reversed(range(len(order))):
         t = through[k]
         u = up[k]
@@ -598,17 +589,63 @@ def enumerate_faces(cone: Cone) -> FacePoset:
         below = list(chain.from_iterable(map(lower.__getitem__, lower[k])))
         if 2 * len(set(below)) != len(below):
             raise InternalCheckError("an interval of length 2 is not a diamond")
-        faces.append((dims[k], index_sets[k], k, wit))
-    faces.sort()
-    position = {k: p for p, (_, _, k, _) in enumerate(faces)}
-    edges = sorted(
-        (position[c], position[k]) for k, covers in enumerate(lower) for c in covers
-    )
+        faces[k] = dims[k], index_sets[k], wit
+    return _numbered(faces, above, top_at)
+
+
+def _faces_down(cone):
+    """``enumerate_faces`` by the walk over the generators' facet masks."""
+    gens, normals, incidences = cone.generators, cone.facets, cone.incidences
+    covers_of = _closed_sets((1 << len(incidences)) - 1, cone._facet_sets)
+    first = next(iter(covers_of))  # the top face's T
+    faces = {}  # each face's T: its dimension, generator mask and witness
+    coatoms = []
+    for t, above in covers_of.items():
+        if above:
+            u = max(above, key=int.bit_count)  # the upper cover through the most facets
+            dim, on, wit = faces[u]
+            dim, new = dim - 1, t & ~u
+        elif t == first:
+            dim, on, wit, new = cone.dim, (1 << len(gens)) - 1, (0,) * cone.ambient_dim, t
+        else:
+            raise InternalCheckError("a face below the top has no upper cover")
+        for j in _bits(new):
+            on &= incidences[j]
+            wit = tuple(map(add, wit, normals[j]))
+        for u_dim, u_on, _ in map(faces.__getitem__, above):
+            if u_on == on:
+                raise InternalCheckError("face step has no separating facet")
+            if u_dim - 1 != dim:
+                raise InternalCheckError("face poset is not graded by dimension")
+        # each face two steps above must be reached by exactly two paths
+        beyond = list(chain.from_iterable(map(covers_of.__getitem__, above)))
+        if 2 * len(set(beyond)) != len(beyond):
+            raise InternalCheckError("an interval of length 2 is not a diamond")
+        if above == [first]:
+            coatoms.append(on)
+        faces[t] = dim, on, wit
+    if sorted(coatoms) != sorted(incidences):
+        raise InternalCheckError("a listed facet is not a facet")
+    if len(set(chain.from_iterable(covers_of.values()))) != len(faces) - 1:
+        raise InternalCheckError("a face above the bottom has no lower cover")
+    # the last face walked is the bottom
+    if len(_extend_echelon([], [gens[i] for i in _bits(on)])) != dim:
+        raise InternalCheckError("bottom face rank differs from its elimination")
+    for t, (dim, on, wit) in faces.items():
+        faces[t] = dim, tuple(_bits(on)), wit
+    return _numbered(faces, covers_of, first)
+
+
+def _numbered(faces, above, top):
+    """The ``FacePoset`` of ``faces``, from each face's key to its (dim,
+    index_set, witness), given the keys of each face's upper covers."""
+    order = sorted(faces, key=faces.__getitem__)
+    position = {k: p for p, k in enumerate(order)}.__getitem__
     return FacePoset(
-        tuple(Face(members, dim, wit) for dim, members, _, wit in faces),
-        tuple(edges),
+        tuple(Face(members, dim, wit) for dim, members, wit in map(faces.get, order)),
+        tuple((p, q) for p, k in enumerate(order) for q in sorted(map(position, above[k]))),
         0,  # the bottom face, of the least dimension, sorts first
-        position[top_at],
+        position(top),
     )
 
 
@@ -649,46 +686,59 @@ def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
     is a circuit, and every circuit arises so from coordinates off its
     support.  Those coordinate sets are walked depth first over one kernel
     basis, on an explicit stack, one fraction-free elimination step per
-    column, at most C(r, m - 1) leaves.  Each circuit is checked to sum to
-    zero, column by column, and to have a support whose generators have rank
-    one less than its size, by the length of their fraction-free echelon
-    basis (``_extend_echelon``).
+    column, divided by the pivot of the step before (Bareiss), at most
+    C(r, m - 1) leaves, each made primitive by the step that reaches it.
+    Each circuit is checked to sum to zero, column by column, and to have a
+    support whose generators have rank one less than its size, by the
+    length of their fraction-free echelon basis (``_extend_echelon``), kept
+    for every support prefix.
     """
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
     r = len(gens)
     kernel = kernel_lattice(mat)
-    found = set()
     # each entry: rows spanning the kernel vectors that vanish on every
-    # column chosen so far, and the first column still to choose from
-    stack = [(list(kernel.basis.entries), 0)] if kernel.rank else []
+    # column chosen so far, the first column still to choose from, and the
+    # pivot of the step that made the rows
+    stack = [(list(kernel.basis.entries), 0, 1)] if kernel.rank > 1 else []
+    leaves = set(kernel.basis.entries) if kernel.rank == 1 else set()
     while stack:
-        rows, start = stack.pop()
-        if len(rows) == 1:
-            vec = rows[0]
-            first = next((c for c in vec if c), 0)
-            found.add(tuple(-c for c in vec) if first < 0 else tuple(vec))
-            continue
+        rows, start, prev = stack.pop()
         for col in range(start, r - len(rows) + 2):
             k = next((k for k, row in enumerate(rows) if row[col]), None)
             if k is None:
                 continue
             piv = rows[k]
             p = piv[col]
+            if len(rows) == 2:  # the other row, cleared at col, spans a line
+                row = rows[1 - k]
+                leaves.add(_primitive([p * x - row[col] * y for x, y in zip(row, piv)]))
+                continue
             rest = [
-                _primitive([p * x - row[col] * y for x, y in zip(row, piv)])
+                [(p * x - row[col] * y) // prev for x, y in zip(row, piv)]
                 for row in rows[:k] + rows[k + 1 :]
             ]
-            stack.append((rest, col + 1))
+            stack.append((rest, col + 1, p))
+    found = set()
+    for vec in leaves:
+        first = next((c for c in vec if c), 0)
+        found.add(tuple(-c for c in vec) if first < 0 else tuple(vec))
     columns = list(zip(*gens))
+    echelons = {}  # the echelon basis of each support's generators but its last
     circuits = []
     for vec in found:
-        support = [gens[i] for i, c in enumerate(vec) if c]
+        support = [i for i, c in enumerate(vec) if c]
         if not support:
             raise InternalCheckError("signed circuit is the zero vector")
         if any(_dot(vec, col) for col in columns):
             raise InternalCheckError("signed circuit is not a linear dependency")
-        if len(_extend_echelon([], support)) != len(support) - 1:
+        rows, prefix = [], 0
+        for i in support[:-1]:
+            prefix |= 1 << i
+            if prefix not in echelons:
+                echelons[prefix] = _extend_echelon(rows, [gens[i]])
+            rows = echelons[prefix]
+        if len(_extend_echelon(rows, [gens[support[-1]]])) != len(support) - 1:
             raise InternalCheckError("signed circuit support is not minimal")
         pos, neg = sign_masks(vec)
         circuits.append(((pos | neg).bit_count(), pos, neg, vec))

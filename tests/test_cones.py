@@ -34,7 +34,12 @@ from idempotoric.cones import (
     solve_affine,
 )
 from idempotoric.errors import InputError, InternalCheckError
-from idempotoric.lattices import IntegerMatrix, Sublattice, hermite_normal_form
+from idempotoric.lattices import (
+    IntegerMatrix,
+    Sublattice,
+    hermite_normal_form,
+    kernel_lattice,
+)
 
 
 def dot(a, b):
@@ -437,6 +442,7 @@ def cross_polytope_times_line(d):
 
 
 HALF_PLANE = cone_from_generators(2, [(1, 0), (-1, 0), (0, 1)])
+DIAMOND = "an interval of length 2 is not a diamond"
 QUADRANT_TIMES_LINE = cone_from_generators(
     3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)]
 )
@@ -472,19 +478,29 @@ def losing_middle_faces(count, splice=True):
 
 
 # one pointed cone and one with a lineality line on each side of
-# enumerate_faces: closed over the facets (m <= r) or over the generators.
-# Only the bottom face is eliminated; every other dimension is its largest
-# lower cover's plus one, so a wrong cover search or a wrong bottom rank
-# must be caught by the checks on the cover edges and on the top rank.
+# enumerate_faces: walked up over the facets' generator masks (m <= r) or
+# down over the generators' facet masks.  Only the walk's first face has
+# its rank given; every other dimension is one cover's plus or minus one,
+# so a wrong cover search or a wrong rank at either end must be caught by
+# the checks on the cover edges, the diamonds and the far end's rank: the
+# top's against cone.dim walking up, the bottom's against its elimination
+# walking down.
+TOP_RANK = "top face rank differs from the cone's dimension"
+BOTTOM_RANK = "bottom face rank differs from its elimination"
+
+
 @pytest.mark.parametrize(
-    "pointed, with_line, over_facets",
+    "pointed, with_line, over_facets, level_lost, far_end",
     [
-        (cube_cone(3), cube_times_line(3), True),
-        (cross_polytope_cone(3), cross_polytope_times_line(4), False),
+        (cube_cone(3), cube_times_line(3), True, TOP_RANK, TOP_RANK),
+        (cross_polytope_cone(3), cross_polytope_times_line(4), False, DIAMOND,
+         BOTTOM_RANK),
     ],
     ids=["over_facets", "over_generators"],
 )
-def test_non_graded_poset_is_reported(monkeypatch, pointed, with_line, over_facets):
+def test_non_graded_poset_is_reported(
+    monkeypatch, pointed, with_line, over_facets, level_lost, far_end
+):
     for cone in (pointed, with_line):
         assert (len(cone.facets) <= len(cone.generators)) == over_facets
     assert pointed.lineality.rank == 0 and with_line.lineality.rank == 1
@@ -496,23 +512,26 @@ def test_non_graded_poset_is_reported(monkeypatch, pointed, with_line, over_face
         with pytest.raises(InternalCheckError, match="graded"):
             enumerate_faces(cone)
 
-    # every face of that height lost: each edge still raises the dimension
-    # by one, but every chain is one edge short, so the top's dimension is
-    # one below its rank
+    # every face of that height lost: each edge still changes the dimension
+    # by one, but every chain is one edge short, so the far end's dimension
+    # is one off its rank.  Walking down, the faces below the lost level
+    # reach two levels up through it, and the diamond check on them comes
+    # first
     monkeypatch.setattr(cones, "_closed_sets", losing_middle_faces(None))
     for cone in (pointed, with_line):
-        with pytest.raises(InternalCheckError, match="top face rank"):
+        with pytest.raises(InternalCheckError, match=level_lost):
             enumerate_faces(cone)
     monkeypatch.undo()
 
-    # one spurious row in the bottom face's basis raises every rank by one,
-    # which each cover edge accepts; the top rank against cone.dim does not
+    # one spurious row in the bottom face's basis raises its rank by one,
+    # which each cover edge accepts; walking up, every rank rises and the
+    # top's against cone.dim trips, walking down the bottom's does
     def repeat_bottom_row(rows, vectors):
         out = _extend_echelon(rows, vectors)
         return out + out[:1]
 
     monkeypatch.setattr(cones, "_extend_echelon", repeat_bottom_row)
-    with pytest.raises(InternalCheckError, match="top face rank"):
+    with pytest.raises(InternalCheckError, match=far_end):
         enumerate_faces(with_line)
 
 
@@ -612,6 +631,86 @@ def test_every_face_below_the_top_needs_an_upper_cover(monkeypatch):
         enumerate_faces(QUADRANT)
 
 
+def test_the_two_walks_agree():
+    # either walk works on either side of m = r: both must give the same
+    # poset, on polytope cones with and without a line and on random cones
+    families = (cube_cone, cross_polytope_cone)
+    named = [family(d) for d in (3, 4, 5, 6) for family in families]
+    named += [cube_times_line(d) for d in (3, 4)]
+    named += [cross_polytope_times_line(d) for d in (3, 4, 5)]
+    cases = [(c.ambient_dim, c.generators) for c in named]
+    cases += random_cone_inputs(seed=2222, count=30, max_dim=5, max_gens=9)
+    # entries in -1..1: zero, repeated and opposite generators, lineality
+    cases += random_cone_inputs(seed=2223, count=20, max_dim=5, max_gens=9, bound=1)
+    # pointed cones in dimension 4 to 6, most with more facets than generators
+    rng = random.Random(2224)
+    for _ in range(20):
+        d = rng.randint(4, 6)
+        cases.append((d, [(rng.randint(1, 3), *(rng.randint(-3, 3) for _ in range(d - 1)))
+                          for _ in range(rng.randint(d + 1, 12))]))
+    sides = []
+    for d, gens in cases:
+        cone = cone_from_generators(d, gens)
+        assert cones._faces_up(cone) == cones._faces_down(cone), (d, gens)
+        sides.append(len(cone.facets) > len(cone.generators))
+    assert sides.count(True) >= 20 and sides.count(False) >= 20
+
+
+def cover_search_changed(change):
+    """A cover search over the generators' facet masks that returns
+    ``change`` of the real one's dict, from each T, in the walk's order, to
+    its lower covers (the face's upper covers)."""
+    real = cones._closed_sets
+    return lambda full, masks: change(real(full, masks))
+
+
+def below_a_ray_with_its_generators(covers_of):
+    # a ray of the octahedron's cone lies on four facets: three of them,
+    # listed below the ray, keep its generators, as no facet separates them
+    ray = next(t for t in covers_of if t.bit_count() == 4)
+    out = {}
+    for t, above in covers_of.items():
+        out[t] = above
+        if t == ray:
+            out[ray & (ray - 1)] = [ray]
+    return out
+
+
+def a_facet_below_nothing(covers_of):
+    return {**covers_of, 1: []}
+
+
+def two_opposite_facets_over_nothing(covers_of):
+    # facets 0 and 7 of the octahedron's cone hold no common generator, so
+    # {0, 7} is no face; listed below both, it passes every check but has
+    # no chain of covers down to the bottom, whose rank would bound its own
+    assert 1 << 0 | 1 << 7 not in covers_of
+    covers_of[1 << 0 | 1 << 7] = [1 << 0, 1 << 7]
+    return dict(sorted(covers_of.items(), key=lambda item: item[0].bit_count()))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (below_a_ray_with_its_generators, "face step has no separating facet"),
+        (a_facet_below_nothing, "a face below the top has no upper cover"),
+        (two_opposite_facets_over_nothing, "a face above the bottom has no lower cover"),
+    ],
+    ids=["separating-facet", "upper-cover", "lower-cover"],
+)
+def test_each_check_of_the_walk_down_trips(monkeypatch, change, message):
+    # the gradedness, far-end rank and diamond checks of the walk down trip
+    # in test_non_graded_poset_is_reported and
+    # test_a_lost_diamond_middle_is_reported, the facet list check in
+    # test_a_wrong_facet_list_is_reported
+    cone = cross_polytope_cone(3)
+    assert len(cone.facets) > len(cone.generators)
+    assert cone.incidences[0] & cone.incidences[7] == 0
+    monkeypatch.setattr(cones, "_closed_sets", cover_search_changed(change))
+    with pytest.raises(InternalCheckError, match=message):
+        enumerate_faces(cone)
+
+
 # ------------------------------------------------ the facet certificate
 
 # every cone here has more than 10 generators, past the subset oracle, so
@@ -626,6 +725,8 @@ WIDE_QUADRANT = [(1, k) for k in range(11)]
 WIDE_QUADRANT_TIMES_LINE = [(1, k, 0) for k in range(11)] + [(0, 0, 1), (0, 0, -1)]
 # the cone over a 2 x 3 rectangle: 4 facets
 GRID = [(x, y, 1) for x in range(3) for y in range(4)]
+# 12 generators and 64 facets: its lattice is walked down
+CROSS_6 = list(cross_polytope_cone(6).generators)
 
 
 def without_a_facet_through_generator_0(rays, lin, tight):
@@ -651,9 +752,6 @@ def run_job(tmp_path, capsys, mode, gens):
     return code, json.loads(capsys.readouterr().out)
 
 
-DIAMOND = "an interval of length 2 is not a diamond"
-
-
 @pytest.mark.parametrize("mode", ["cone", "monoid"])
 @pytest.mark.parametrize(
     "gens, faces, change, message",
@@ -666,9 +764,11 @@ DIAMOND = "an interval of length 2 is not a diamond"
         (GRID, 10, only_two_opposite_facets,
          "top face rank differs from the cone's dimension"),
         (GRID, 10, with_a_redundant_facet, "a listed facet is not a facet"),
+        (CROSS_6, 730, without_a_facet_through_generator_0, DIAMOND),
+        (CROSS_6, 730, with_a_redundant_facet, "a listed facet is not a facet"),
     ],
     ids=["12-gon", "quadrant", "quadrant-times-line", "grid-two-facets",
-         "grid-redundant-facet"],
+         "grid-redundant-facet", "6-cross-polytope", "6-cross-polytope-redundant-facet"],
 )
 def test_a_wrong_facet_list_is_reported(
     tmp_path, capsys, monkeypatch, mode, gens, faces, change, message
@@ -868,6 +968,38 @@ def test_circuit_criterion_matches_fourier_motzkin(seed, bound):
         for mask, sub in enumerate(subsets(len(gens))):
             expected = is_face(cone, sub) is not None
             assert circuit_criterion(mask, masks) == expected, (d, gens, sub)
+
+
+def reference_circuits(dim, gens):
+    """The circuits from every minimal dependent index set S, each the
+    primitive kernel vector of S's generators, lowest entry positive:
+    exponential, kept to check the search against."""
+    def rank_of(idx):
+        return len(_extend_echelon([], [gens[i] for i in idx]))
+
+    out = set()
+    for idx in subsets(len(gens)):
+        if rank_of(idx) == len(idx) - 1 and all(
+            rank_of(idx[:k] + idx[k + 1 :]) == len(idx) - 1 for k in range(len(idx))
+        ):
+            sub = IntegerMatrix.from_rows([gens[i] for i in idx], cols=dim)
+            (vec,) = kernel_lattice(sub).basis.entries
+            full = [0] * len(gens)
+            for i, c in zip(idx, vec):
+                full[i] = c
+            vec = _primitive(full)
+            out.add(vec if next(c for c in vec if c) > 0 else tuple(-c for c in vec))
+    return out
+
+
+def test_circuits_are_the_minimal_dependent_sets():
+    cases = random_cone_inputs(seed=909, count=40, max_dim=4, max_gens=7)
+    cases += random_cone_inputs(seed=910, count=30, max_dim=4, max_gens=7, bound=1)
+    # a kernel of rank 5 over 8 generators: four elimination steps deep
+    cases.append((3, [(1, 2, 3), (2, -1, 0), (0, 1, 1), (3, 1, 4), (1, 0, -2),
+                      (2, 2, 1), (-1, 3, 2), (4, 0, 1)]))
+    for d, gens in cases:
+        assert set(signed_circuits(d, gens)) == reference_circuits(d, gens), (d, gens)
 
 
 @pytest.mark.parametrize(

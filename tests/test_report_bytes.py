@@ -4,7 +4,9 @@ For each (mode, format) one SHA-256 over the exit code and stdout of
 ``idempotoric <mode> --format <format>`` on every case of the mode, in
 order: the README's command-line examples, 40 seeded random cones in
 ``monoid`` and ``cone`` mode, 40 seeded random spectra in ``eigen`` mode,
-and the selftest; and one more for a cone with a line and rays.  Rejected
+and the selftest; one more for a cone with a line and rays; and one for
+each (mode, format) of ``cone`` and ``monoid`` over three cones with
+many more facets than generators.  Rejected
 cases (a monoid with no generators) count with their error documents.  A
 refactor that keeps the reports keeps these digests; a change to any
 report byte must declare itself by updating them.
@@ -14,12 +16,14 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from conftest import random_cone_inputs, random_eigen_lists
 
 from idempotoric.cli import main
+from idempotoric.cones import cone_from_generators
 
 README_PAYLOADS = {
     "eigen": [{"eigenvalues": ["2", "3", "6"]}],
@@ -65,10 +69,10 @@ def payloads(mode):
     return README_PAYLOADS.get(mode, []) + random_cases.get(mode, [])
 
 
-def digest(mode, fmt, tmp_path):
-    """SHA-256 over the exit code and stdout of every case of ``mode``."""
+def digest(mode, fmt, jobs, tmp_path):
+    """SHA-256 over the exit code and stdout of ``mode`` on every payload
+    of ``jobs`` (None for no input)."""
     h = hashlib.sha256()
-    jobs = payloads(mode) if mode != "selftest" else [None]
     for k, payload in enumerate(jobs):
         argv = [mode, "--format", fmt]
         if payload is not None:
@@ -86,7 +90,8 @@ def digest(mode, fmt, tmp_path):
     "mode, fmt", [(m, f) for m, fmts in FORMATS.items() for f in fmts]
 )
 def test_report_bytes_match_the_golden_digest(mode, fmt, tmp_path):
-    assert digest(mode, fmt, tmp_path) == GOLDEN[mode, fmt]
+    jobs = payloads(mode) if mode != "selftest" else [None]
+    assert digest(mode, fmt, jobs, tmp_path) == GOLDEN[mode, fmt]
 
 
 # No cone of the corpus above has both a lineality space and a ray.  This
@@ -111,3 +116,46 @@ def test_report_bytes_of_a_cone_with_a_line_and_rays(tmp_path):
     assert rep["extreme_rays"] == [[0, -1, 1], [0, 1, 1]]
     text = f"{code}\n{out.getvalue()}"
     assert hashlib.sha256(text.encode()).hexdigest() == LINE_AND_RAYS_DIGEST
+
+
+# Only 4 of the 40 random cones above have more facets than generators,
+# and all of them are small.  These have many more: the cones over the 5-
+# and 6-cross-polytope with their centre (11 and 13 generators, 32 and 64
+# facets) and a seeded random pointed cone in dimension 6 with 12
+# generators and 52 facets.
+def cross_polytope_and_centre(d):
+    gens = [[1] + [s * (j == i) for j in range(d)] for i in range(d) for s in (1, -1)]
+    return {"ambient_dim": d + 1, "generators": gens + [[1] + [0] * d]}
+
+
+def random_pointed_cone(seed=612, d=6, r=12):
+    rng = random.Random(seed)
+    gens = [[rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(d - 1)]
+            for _ in range(r)]
+    return {"ambient_dim": d, "generators": gens}
+
+
+MANY_FACETS = [
+    cross_polytope_and_centre(5),
+    cross_polytope_and_centre(6),
+    random_pointed_cone(),
+]
+
+MANY_FACETS_GOLDEN = {
+    ("cone", "json"): "0ca576c0429f200ef579883f25db27e813475021cd02674652855add7b8761ef",
+    ("cone", "text"): "206ca92074ca3681f323377054c79ae394c54d4ef17b2d983ac941e93200cf7a",
+    ("cone", "dot"): "520c67d567cfd3595c40d251727a44d963cfe7108a3a4476a7cd0f6e6396326e",
+    ("monoid", "json"): "92bf037bd77660d1faefecdde6ad97d70d9dae0e1b2bddb120005c7604bea5f0",
+    ("monoid", "text"): "0da950a3f0ad32e5043224ad1c2bc33634a3ac8e83569cfab7c01e0e4d422864",
+    ("monoid", "dot"): "23f7113296a93d40e16f234e84906533a3b547a5f6696abdc872bac9aadcbf24",
+}
+
+
+@pytest.mark.parametrize(
+    "mode, fmt", [(m, f) for m in ("cone", "monoid") for f in FORMATS[m]]
+)
+def test_report_bytes_of_many_facet_cones(mode, fmt, tmp_path):
+    for payload in MANY_FACETS:
+        cone = cone_from_generators(payload["ambient_dim"], payload["generators"])
+        assert len(cone.facets) > len(cone.generators)
+    assert digest(mode, fmt, MANY_FACETS, tmp_path) == MANY_FACETS_GOLDEN[mode, fmt]
