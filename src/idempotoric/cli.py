@@ -362,7 +362,7 @@ def _run_eigen(payload):
     circuits = signed_circuits(cone.ambient_dim, cone.generators)
     rels = primitive_relations(t, circuits)
     report = _weight_monoid_report("eigen", w, cone, p, circuits)
-    if not power_invariance(e, 2, w):
+    if not power_invariance(e, 2, t):
         raise InternalCheckError("squaring the spectrum changed the weight monoid")
     report |= {
         "eigenvalues": [str(q) for q in e.eigenvalues],

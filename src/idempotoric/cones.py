@@ -485,7 +485,8 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     the AND of the Gᵢ over the generators it gives: distinct sets, distinct
     faces.
 
-    Each face comes from one Hasse neighbour.  Up, it takes dim c + 1, T
+    Each face comes from one Hasse neighbour, which the walk must have
+    reached first, as must every cover it lists.  Up, it takes dim c + 1, T
     and the sorted generators from its lower cover c with the most
     generators; down, dim u - 1 and u's generators AND the incidences of
     the facets it adds from its upper cover u through the most facets.
@@ -527,6 +528,10 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     return walk(cone)
 
 
+# each walk builds a face from a listed cover, so every cover must be walked first
+_UNWALKED = "a listed cover is not walked before its face"
+
+
 def _faces_up(cone):
     """``enumerate_faces`` by the walk over the facets' generator masks."""
     gens, normals, incidences = cone.generators, cone.facets, cone.incidences
@@ -538,7 +543,10 @@ def _faces_up(cone):
     # each face is named by its place in this order
     order = sorted(covers_of, key=int.bit_count)
     index = {s: k for k, s in enumerate(order)}
-    lower = [list(map(index.__getitem__, covers_of[s])) for s in order]
+    try:
+        lower = [list(map(index.__getitem__, covers_of[s])) for s in order]
+    except KeyError:
+        raise InternalCheckError(_UNWALKED) from None
     dims, through, index_sets = [], [], []
     above = [[] for _ in order]  # each face's upper covers
     up = [None] * len(order)  # the one through the most facets
@@ -547,6 +555,8 @@ def _faces_up(cone):
         covers = lower[k]
         if covers:
             c = max(covers)  # a lower cover with the most generators
+            if c >= k:
+                raise InternalCheckError(_UNWALKED)
             t, new = through[c], _bits(s & ~order[c])
             dim = dims[c] + 1
             members = tuple(sorted(index_sets[c] + tuple(new)))
@@ -601,22 +611,25 @@ def _faces_down(cone):
     faces = {}  # each face's T: its dimension, generator mask and witness
     coatoms = []
     for t, above in covers_of.items():
-        if above:
-            u = max(above, key=int.bit_count)  # the upper cover through the most facets
-            dim, on, wit = faces[u]
-            dim, new = dim - 1, t & ~u
-        elif t == first:
-            dim, on, wit, new = cone.dim, (1 << len(gens)) - 1, (0,) * cone.ambient_dim, t
-        else:
-            raise InternalCheckError("a face below the top has no upper cover")
-        for j in _bits(new):
-            on &= incidences[j]
-            wit = tuple(map(add, wit, normals[j]))
-        for u_dim, u_on, _ in map(faces.__getitem__, above):
-            if u_on == on:
-                raise InternalCheckError("face step has no separating facet")
-            if u_dim - 1 != dim:
-                raise InternalCheckError("face poset is not graded by dimension")
+        try:
+            if above:
+                u = max(above, key=int.bit_count)  # the upper cover through the most facets
+                dim, on, wit = faces[u]
+                dim, new = dim - 1, t & ~u
+            elif t == first:
+                dim, on, wit, new = cone.dim, (1 << len(gens)) - 1, (0,) * cone.ambient_dim, t
+            else:
+                raise InternalCheckError("a face below the top has no upper cover")
+            for j in _bits(new):
+                on &= incidences[j]
+                wit = tuple(map(add, wit, normals[j]))
+            for u_dim, u_on, _ in map(faces.__getitem__, above):
+                if u_on == on:
+                    raise InternalCheckError("face step has no separating facet")
+                if u_dim - 1 != dim:
+                    raise InternalCheckError("face poset is not graded by dimension")
+        except KeyError:
+            raise InternalCheckError(_UNWALKED) from None
         # each face two steps above must be reached by exactly two paths
         beyond = list(chain.from_iterable(map(covers_of.__getitem__, above)))
         if 2 * len(set(beyond)) != len(beyond):

@@ -25,12 +25,7 @@ from math import gcd
 from .cones import circuit_criterion, signed_circuits
 from .errors import InputError, InternalCheckError
 from .lattices import IntegerMatrix, kernel_lattice, lattice_member
-from .monoids import (
-    WeightMonoid,
-    canonical_form,
-    cone_and_poset,
-    monoid_from_generators,
-)
+from .monoids import WeightMonoid, cone_and_poset, monoid_from_generators
 
 __all__ = [
     "EigenInput",
@@ -324,18 +319,28 @@ def smallest_idempotent_indices(
     return inside
 
 
-def power_invariance(e: EigenInput, n: int, w=None) -> bool:
+def power_invariance(e: EigenInput, n: int, t=None) -> bool:
     """Whether the closure of x and of xⁿ present the same weight monoid.
 
-    True for every n ≥ 1: raising to the n-th power scales the exponent
-    lattice and its generators together, so the canonical forms coincide.
-    Exposed as a check rather than a constant because it exercises the
-    whole re-coordinatization path; ``w`` may carry the weight monoid
-    ``character_data(factor(e))``, and only xⁿ is then factored.
+    True for every n ≥ 1: ``factor`` takes the base of the n-th powers to
+    the n-th powers of the base, with the same exponent rows, and the
+    check asks exactly that of the two tables.  ``t`` may carry
+    ``factor(e)``; only xⁿ is then factored, and no weight monoid is built.
+
+    The table check implies that the canonical forms of the two weight
+    monoids agree: ``character_data`` gives ``monoid_from_generators`` of
+    the exponent rows, whose lattice is the span of the rows and whose
+    generators are each row's coordinates on that lattice's Hermite basis,
+    so the generator set, and with it ``canonical_form``, depends only on
+    the set of rows.  The rows are compared as sets because ``eigen_input``
+    merges values that the power makes equal: q and -q give one row of
+    xⁿ for two of x when n is even.  It is stricter than comparing the
+    canonical forms: a table of xⁿ over the base itself with every row
+    doubled presents the same monoid up to coordinates, and fails.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError("power must be an int >= 1")
-    if w is None:
-        w = character_data(factor(e))
-    powered = eigen_input([q**n for q in e.eigenvalues])
-    return canonical_form(w) == canonical_form(character_data(factor(powered)))
+    if t is None:
+        t = factor(e)
+    p = factor(eigen_input([q**n for q in e.eigenvalues]))
+    return p.primes == tuple(b**n for b in t.primes) and set(p.matrix) == set(t.matrix)

@@ -123,6 +123,54 @@ def _freeze(rows, cols) -> IntegerMatrix:
     return IntegerMatrix(tuple(tuple(row) for row in rows), cols)
 
 
+def _echelon(rows, cols: int):
+    """Bring ``rows``, lists of ints, to row Hermite form on their first
+    ``cols`` entries, in place, and return them.
+
+    Entries past ``cols`` ride along: every row operation acts on the whole
+    row, so rows [mᵢ | eᵢ] of ``m`` beside the identity end as [hᵢ | uᵢ]
+    with ``u @ m == h``, and rows of ``m`` alone cost no transform.  The
+    pivot of a column is its first nonzero entry at or below the current
+    row (Cohen, *A Course in Computational Algebraic Number Theory*, 1993,
+    §2.4).  An entry below it that the pivot divides is cleared by one
+    shear, ``rᵢ -= q·r_pivot``, which leaves the pivot row alone; any other
+    is folded in by the extended gcd, which rewrites both rows and leaves
+    the gcd as the pivot.  The pivot is then made positive and the entries
+    above it reduced into ``[0, pivot)``.
+    """
+    n = len(rows)
+    row = 0
+    for col in range(cols):
+        piv = next((i for i in range(row, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[row], rows[piv] = rows[piv], rows[row]
+        top = rows[row]
+        for i in range(row + 1, n):
+            b = rows[i][col]
+            if not b:
+                continue
+            a = top[col]
+            q, r = divmod(b, a)
+            if r:
+                g, x, y = _xgcd(a, b)
+                top, rows[i] = _combine(top, rows[i], x, y, -(b // g), a // g)
+            else:
+                rows[i] = [s - q * t for s, t in zip(rows[i], top)]
+        if top[col] < 0:
+            top = [-t for t in top]
+        rows[row] = top
+        piv_val = top[col]
+        for i in range(row):
+            q = rows[i][col] // piv_val
+            if q:
+                rows[i] = [s - q * t for s, t in zip(rows[i], top)]
+        row += 1
+        if row == n:
+            break
+    return rows
+
+
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Row Hermite normal form.
 
@@ -130,39 +178,17 @@ def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]
     the canonical echelon form: pivots positive, entries above each pivot
     reduced into ``[0, pivot)``, zero rows at the bottom.  The form depends
     only on the row span (plus the row count), so two generating sets of
-    the same lattice produce the same nonzero rows.
+    the same lattice produce the same nonzero rows.  ``u`` is not unique;
+    it is what the elimination of ``_echelon`` on ``m`` beside the identity
+    builds: a shear where the pivot divides the entry below it, an
+    extended gcd step where it does not.
     """
-    n = m.rows
-    h = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(m.cols):
-        piv = next((i for i in range(row, n) if h[i][col]), None)
-        if piv is None:
-            continue
-        if piv != row:
-            h[row], h[piv] = h[piv], h[row]
-            u[row], u[piv] = u[piv], u[row]
-        for i in range(row + 1, n):
-            if not h[i][col]:
-                continue
-            g, x, y = _xgcd(h[row][col], h[i][col])
-            p, q = h[row][col] // g, h[i][col] // g
-            h[row], h[i] = _combine(h[row], h[i], x, y, -q, p)
-            u[row], u[i] = _combine(u[row], u[i], x, y, -q, p)
-        if h[row][col] < 0:
-            h[row] = [-t for t in h[row]]
-            u[row] = [-t for t in u[row]]
-        piv_val = h[row][col]
-        for i in range(row):
-            q = h[i][col] // piv_val
-            if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[row])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[row])]
-        row += 1
-        if row == n:
-            break
-    return _freeze(h, m.cols), _freeze(u, n)
+    n, cols = m.rows, m.cols
+    rows = _echelon(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m.entries)],
+        cols,
+    )
+    return _freeze((r[:cols] for r in rows), cols), _freeze((r[cols:] for r in rows), n)
 
 
 def smith_normal_form(
@@ -313,8 +339,9 @@ class Sublattice:
     @classmethod
     def span(cls, ambient_rank: int, rows) -> "Sublattice":
         mat = IntegerMatrix.from_rows(rows, cols=ambient_rank)
-        h, _ = hermite_normal_form(mat)
-        nz = tuple(row for row in h.entries if any(row))
+        # the Hermite form alone: no transform is built to be thrown away
+        h = _echelon(list(map(list, mat.entries)), ambient_rank)
+        nz = tuple(tuple(row) for row in h if any(row))
         return cls(ambient_rank, IntegerMatrix(nz, ambient_rank))
 
     @property

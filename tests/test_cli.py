@@ -788,8 +788,8 @@ def test_main_selftest(capsys):
 
 
 def test_selftest_names_its_first_failure(monkeypatch, capsys):
-    def cubes_fail(e, n, w=None):
-        return n != 3 and power_invariance(e, n, w)
+    def cubes_fail(e, n, t=None):
+        return n != 3 and power_invariance(e, n, t)
 
     monkeypatch.setattr("idempotoric.cli.power_invariance", cubes_fail)
     code, out = run_main(["selftest"], capsys)

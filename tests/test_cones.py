@@ -711,6 +711,41 @@ def test_each_check_of_the_walk_down_trips(monkeypatch, change, message):
         enumerate_faces(cone)
 
 
+UNWALKED = "a listed cover is not walked before its face"
+
+
+def the_top_below_an_atom(covers_of):
+    # walking up, the atom with the fewest generators is walked before the
+    # top, so the top listed as its lower cover has not been reached
+    atom = next(s for s, below in covers_of.items() if below and not covers_of[below[0]])
+    return {**covers_of, atom: covers_of[atom] + [max(covers_of, key=int.bit_count)]}
+
+
+def the_bottom_above_a_facet(covers_of):
+    # walking down, a facet's T is walked before the bottom's, which holds
+    # every facet: listed as the facet's upper cover, it has not been reached
+    facet = next(t for t in covers_of if t.bit_count() == 1)
+    return {**covers_of, facet: covers_of[facet] + [max(covers_of, key=int.bit_count)]}
+
+
+@pytest.mark.parametrize(
+    "family, change",
+    [(cube_cone, the_top_below_an_atom), (cross_polytope_cone, the_bottom_above_a_facet)],
+    ids=["up", "down"],
+)
+def test_an_unwalked_cover_is_a_named_check(tmp_path, capsys, monkeypatch, family, change):
+    # a cover search that lists a cover the walk has not reached would
+    # otherwise end in a bare IndexError (up) or KeyError (down); the
+    # 3-cube's cone is walked up, the octahedron's down
+    cone = family(3)
+    monkeypatch.setattr(cones, "_closed_sets", cover_search_changed(change))
+    with pytest.raises(InternalCheckError, match=UNWALKED):
+        enumerate_faces(cone)
+    code, doc = run_job(tmp_path, capsys, "cone", [list(g) for g in cone.generators])
+    assert code == 2
+    assert doc["error"] == {"kind": "internal", "message": UNWALKED}
+
+
 # ------------------------------------------------ the facet certificate
 
 # every cone here has more than 10 generators, past the subset oracle, so

@@ -1,10 +1,13 @@
 """Eigenvalue pipeline: factorization, character monoid, relations, poset."""
 
+import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from idempotoric import cli, eigen
 from idempotoric.cli import _random_spectra
 from idempotoric.cones import signed_circuits
 from idempotoric.eigen import (
@@ -431,6 +434,61 @@ def test_power_invariance_random():
         e = eigen_input(vals)
         for n in (1, 2, 3, 4, 5):
             assert power_invariance(e, n)
+
+
+def test_power_invariance_merges_the_values_the_power_makes_equal():
+    # q and -q square to one value: x² has one row where x has two equal ones
+    assert power_invariance(eigen_input([1, -1]), 2)
+    assert power_invariance(eigen_input([2, -2, 3]), 2)
+    e = eigen_input([2, -2, 3])
+    assert power_invariance(e, 2, factor(e))
+
+
+def over_the_unsquared_base(real):
+    """``factor`` that tables a spectrum of squares over the square roots
+    of its natural base, every exponent doubled: a true table of the
+    values, but not the one ``factor`` gives."""
+
+    def doubled(e):
+        t = real(e)
+        return ExponentTable(
+            tuple(isqrt(b) for b in t.primes),
+            tuple(tuple(2 * k for k in row) for row in t.matrix),
+            t.signs,
+        )
+
+    return doubled
+
+
+def test_power_invariance_rejects_a_table_the_monoids_cannot_tell(
+    tmp_path, capsys, monkeypatch
+):
+    e = eigen_input([2, 3, 6])
+    t = factor(e)
+    monkeypatch.setattr(eigen, "factor", over_the_unsquared_base(factor))
+    p = eigen.factor(eigen_input([4, 9, 36]))
+    assert reconstruct(p) == (4, 9, 36)
+    # comparing the weight monoids' canonical forms would have passed it
+    assert canonical_form(character_data(p)) == canonical_form(character_data(t))
+    assert not power_invariance(e, 2, t)
+    # the job factors its spectrum with the real factor, and only the
+    # squared spectrum with the changed one
+    path = tmp_path / "job.json"
+    path.write_text('{"eigenvalues": ["2", "3", "6"]}')
+    assert cli.main(["eigen", "--input", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == {
+        "kind": "internal",
+        "message": "squaring the spectrum changed the weight monoid",
+    }
+
+
+def test_power_invariance_checks_the_powered_base(monkeypatch):
+    # a factor that forgets the power keeps the rows but not the base
+    e = eigen_input([2, 3, 6])
+    t = factor(e)
+    monkeypatch.setattr(eigen, "factor", lambda powered: t)
+    assert not power_invariance(e, 2, t)
 
 
 def test_idempotent_count_symmetries():

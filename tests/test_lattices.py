@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -166,6 +168,45 @@ def test_hermite_canonical_under_row_transforms(m, ops):
     h1, _ = hermite_normal_form(m)
     h2, _ = hermite_normal_form(M(rows, cols=m.cols))
     assert h1.entries == h2.entries
+
+
+def test_hermite_shear_where_the_pivot_divides():
+    # 2 divides 4: row 2 loses twice row 1 and row 1 is left as it was
+    m = M([[2, 1], [4, 3]])
+    h, u = hermite_normal_form(m)
+    assert h.entries == ((2, 0), (0, 1))
+    assert u.entries == ((3, -1), (-2, 1))
+    assert matmul(u, m).entries == h.entries
+
+
+def test_hermite_gcd_step_where_the_pivot_does_not_divide():
+    # 4 does not divide 6: both rows are rewritten, gcd 2 = -4 + 6 on top
+    m = M([[4, 1], [6, 1]])
+    h, u = hermite_normal_form(m)
+    assert h.entries == ((2, 0), (0, 1))
+    assert u.entries == ((-1, 1), (3, -2))
+    assert matmul(u, m).entries == h.entries
+
+
+def test_hermite_transform_of_300_digit_entries():
+    # 14 rows in 6 columns: eight kernel rows of u, whose entries grow far
+    # past the input's; the transform must stay exact and unimodular
+    rng = random.Random(5)
+    m = M([[rng.randint(-(10**300), 10**300) for _ in range(6)] for _ in range(14)])
+    h, u = hermite_normal_form(m)
+    assert matmul(u, m).entries == h.entries
+    assert abs(determinant(u)) == 1
+    assert is_canonical_hermite(h)
+    assert h.entries[:6] == tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+
+
+@given(matrices(max_rows=6))
+def test_span_basis_is_the_nonzero_hermite_rows(m):
+    # span runs the same elimination without the transform
+    h, _ = hermite_normal_form(m)
+    basis = Sublattice.span(m.cols, m.entries).basis
+    assert basis.entries == tuple(row for row in h.entries if any(row))
+    assert basis.cols == m.cols
 
 
 # ------------------------------------------------------------------ smith

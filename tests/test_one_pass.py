@@ -80,16 +80,16 @@ WIDE = [[1, k] for k in range(11)]
         # a unit pair 2, 1/2: the envelope projects out the cone's own
         # lineality space, and the cone's certificate takes the circuits of
         # its two units, the bottom face's generators
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 2, 2, 2)),
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 2, 2)),
         # pointed: the envelope monoid is the weight monoid itself
-        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 2, 1, 1)),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
          (0, 1, 1, 0, 2, 2)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
          (0, 1, 1, 0, 1, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
         # its circuits for the relations, a cone or monoid job does not
-        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 2, 1, 1)),
+        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 1, 1, 1)),
         ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1)),
         ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1)),
         ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 1)),
@@ -101,8 +101,9 @@ def test_job_builds_each_object_once(
     calls = count_calls(monkeypatch)
     code, rep = run_job(tmp_path, capsys, mode, payload)
     assert code == 0 and "error" not in rep
-    # factor and character_data: the spectrum once, and the squared
-    # spectrum for power invariance.  rank: the cone's dimension, plus the
+    # factor: the spectrum once, and the squared spectrum for power
+    # invariance, which compares the two tables; character_data: the
+    # spectrum's weight monoid alone.  rank: the cone's dimension, plus the
     # envelope's rank of the projected generators when there are units; the
     # weight monoid's span is checked by the cone's dimension
     assert tuple(calls.values()) == expected
@@ -155,7 +156,7 @@ def test_shared_objects_give_the_standalone_results():
         assert smallest_idempotent_indices(w, cone, poset) == (
             smallest_idempotent_indices(w)
         )
-        assert power_invariance(e, 3, w)
+        assert power_invariance(e, 3, t)
         # the generators and the exponent rows share their kernel
         circuits = signed_circuits(cone.ambient_dim, cone.generators)
         assert circuits == signed_circuits(len(t.primes), t.matrix)
