@@ -87,7 +87,7 @@ from .finite import (
     validate_table,
     zmod_times,
 )
-from .lattices import IntegerMatrix
+from .lattices import IntegerMatrix, kernel_lattice
 from .monoids import (
     cone_and_poset,
     largest_idempotent,
@@ -261,14 +261,15 @@ def _set_text(indices) -> str:
 # -- cross-checks ----------------------------------------------------------------
 
 
-def _subset_oracle(cone, poset_sets, circuits=None) -> str:
+def _subset_oracle(cone, poset_sets, pairs=None) -> str:
     """Compare enumerated faces against the signed-circuit face test.
 
-    poset_sets holds the faces' 0-based index sets.  The
-    ``signed_circuits`` of the generators, enumerated here unless passed
-    in, decide all 2^r generator subsets at once: subset k is bit k of a
-    2^r-bit int, and ``_respecting`` takes c·|support| ANDs of such ints
-    for c circuits.
+    poset_sets holds the faces' 0-based index sets.  ``pairs`` holds the
+    (C⁺, C⁻) ``sign_masks`` of the generators' ``signed_circuits``,
+    enumerated here unless passed in (an ``eigen`` job derives them once
+    for this check and the relation filter).  They decide all 2^r generator
+    subsets at once: subset k is bit k of a 2^r-bit int, and
+    ``_respecting`` takes c·|support| ANDs of such ints for c circuits.
     The circuits and the ints grow exponentially in r, so the oracle is
     skipped above r = 10.  A disagreement names the least index set that
     the faces miss or, if none, the least that they hold in excess.
@@ -276,15 +277,15 @@ def _subset_oracle(cone, poset_sets, circuits=None) -> str:
     r = len(cone.generators)
     if r > 10:
         return "skipped: more than 10 generators"
-    if circuits is None:
-        circuits = signed_circuits(cone.ambient_dim, cone.generators)
+    if pairs is None:
+        pairs = map(sign_masks, signed_circuits(cone.ambient_dim, cone.generators))
     # has[i]: the subsets k holding generator i, those with bit i set; each
     # generator doubles the family, the new one holding its upper half
     has, n = [], 1
     for _ in range(r):
         has = [p | p << n for p in has] + [((1 << n) - 1) << n]
         n <<= 1
-    accepted = _respecting(has, map(sign_masks, circuits), (1 << n) - 1)
+    accepted = _respecting(has, pairs, (1 << n) - 1)
     found = {tuple(_bits(k)) for k in _bits(accepted)}
     if found != poset_sets:
         missing = found - poset_sets
@@ -298,12 +299,13 @@ def _subset_oracle(cone, poset_sets, circuits=None) -> str:
     return "ok"
 
 
-def _relation_filter_check(poset, rels, circuits) -> str:
+def _relation_filter_check(poset, rels, pairs) -> str:
     """Check that the relations accept exactly the idempotents: each one
-    respects every relation, and every signed circuit is a relation, so
-    no other index set respects them all.  ``_respecting`` tests all F
-    elements at once, element k as bit k of an F-bit int; a failure names
-    the first element rejected, in poset order, by its 1-based index set."""
+    respects every relation, and every signed circuit, given by its
+    (C⁺, C⁻) ``sign_masks`` in ``pairs``, is a relation, so no other index
+    set respects them all.  ``_respecting`` tests all F elements at once,
+    element k as bit k of an F-bit int; a failure names the first element
+    rejected, in poset order, by its 1-based index set."""
     sides = relation_masks(rels)
     has = defaultdict(int)  # the elements holding generator i
     for k, f in enumerate(poset.faces):
@@ -315,7 +317,7 @@ def _relation_filter_check(poset, rels, circuits) -> str:
         f = poset.faces[(rejected & -rejected).bit_length() - 1]
         named = tuple(i + 1 for i in f.index_set)
         raise InternalCheckError(f"face {named} rejected by the relation filter")
-    if not set(map(sign_masks, circuits)) <= set(sides):
+    if not set(pairs) <= set(sides):
         raise InternalCheckError("a signed circuit is missing from the relations")
     return "ok"
 
@@ -323,7 +325,7 @@ def _relation_filter_check(poset, rels, circuits) -> str:
 # -- mode handlers -----------------------------------------------------------------
 
 
-def _weight_monoid_report(mode, w, cone, p, circuits=None) -> dict:
+def _weight_monoid_report(mode, w, cone, p, pairs=None) -> dict:
     """The report keys an ``eigen`` and a ``monoid`` job share, read off
     the weight monoid ``w`` and its ``cone_and_poset`` pair, with the
     smallest and largest index sets checked against the poset.  The chain
@@ -343,7 +345,7 @@ def _weight_monoid_report(mode, w, cone, p, circuits=None) -> dict:
         "envelope": _envelope_doc(env, p),
         "crosschecks": {
             "subset_oracle": _subset_oracle(
-                cone, {f.index_set for f in p.faces}, circuits
+                cone, {f.index_set for f in p.faces}, pairs
             ),
         },
     }
@@ -358,10 +360,14 @@ def _run_eigen(payload):
     t = factor(e)
     w = character_data(t)
     cone, p = cone_and_poset(w)
-    # the generators have the exponent rows' kernel, so the same circuits
-    circuits = signed_circuits(cone.ambient_dim, cone.generators)
-    rels = primitive_relations(t, circuits)
-    report = _weight_monoid_report("eigen", w, cone, p, circuits)
+    # one kernel of the exponent rows, for the circuits and the relations:
+    # the generators have the same kernel, so the same circuits; both
+    # cross-checks take the circuits' sign masks
+    kernel = kernel_lattice(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes)))
+    circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
+    pairs = [sign_masks(c) for c in circuits]
+    rels = primitive_relations(t, circuits, kernel)
+    report = _weight_monoid_report("eigen", w, cone, p, pairs)
     if not power_invariance(e, 2, t):
         raise InternalCheckError("squaring the spectrum changed the weight monoid")
     report |= {
@@ -373,7 +379,7 @@ def _run_eigen(payload):
         "primitive_relations": [_relation_doc(r) for r in rels],
         "power_invariance_squared": True,
     }
-    report["crosschecks"]["relation_filter"] = _relation_filter_check(p, rels, circuits)
+    report["crosschecks"]["relation_filter"] = _relation_filter_check(p, rels, pairs)
     return report
 
 

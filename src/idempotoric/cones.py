@@ -684,7 +684,7 @@ def sign_masks(vec) -> tuple[int, int]:
     return pos, sum(1 << i for i, c in enumerate(vec) if c < 0)
 
 
-def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
+def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
     """Every signed circuit of the generators, as a primitive integer vector.
 
     A circuit is a linear dependency Σ cᵢgᵢ = 0 whose support is minimal;
@@ -694,56 +694,71 @@ def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
     Zero, duplicate and opposite generators give circuits of size 1 or 2.
 
     The dependencies form the kernel K of the generator matrix, of dimension
-    m = r - rank.  The vectors of K vanishing on m - 1 coordinates whose
-    coordinate functionals are independent on K form a line, whose support
-    is a circuit, and every circuit arises so from coordinates off its
-    support.  Those coordinate sets are walked depth first over one kernel
-    basis, on an explicit stack, one fraction-free elimination step per
-    column, divided by the pivot of the step before (Bareiss), at most
-    C(r, m - 1) leaves, each made primitive by the step that reaches it.
-    Each circuit is checked to sum to zero, column by column, and to have a
-    support whose generators have rank one less than its size, by the
-    length of their fraction-free echelon basis (``_extend_echelon``), kept
-    for every support prefix.
+    m = r - rank: ``kernel``, its ``kernel_lattice``, built here unless
+    passed in (an ``eigen`` job passes the exponent rows' kernel, which the
+    weight monoid's generators share).  The vectors of K vanishing on m - 1
+    coordinates whose coordinate functionals are independent on K form a
+    line, whose support is a circuit, and every circuit arises so from
+    coordinates off its support.  Those coordinate sets are walked depth
+    first over the kernel's basis, on an explicit stack, one fraction-free
+    elimination step per column, divided by the pivot of the step before
+    (Bareiss); a node of two rows a, b gives each column's line directly,
+    a[col]·b − b[col]·a, or a where a[col] = 0.  That is at most
+    C(r, m - 1) leaves, each made primitive.  Each circuit is checked to
+    sum to zero, column by column, so a kernel vector that is not a
+    dependency fails here, and to have a support whose generators have rank
+    one less than its size, by the length of their fraction-free echelon
+    basis (``_extend_echelon``), kept for every support prefix.
     """
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
     r = len(gens)
-    kernel = kernel_lattice(mat)
+    if kernel is None:
+        kernel = kernel_lattice(mat)
+    basis = kernel.basis.entries
     # each entry: rows spanning the kernel vectors that vanish on every
     # column chosen so far, the first column still to choose from, and the
     # pivot of the step that made the rows
-    stack = [(list(kernel.basis.entries), 0, 1)] if kernel.rank > 1 else []
-    leaves = set(kernel.basis.entries) if kernel.rank == 1 else set()
+    stack = [(basis, 0, 1)] if len(basis) > 1 else []
+    leaves = set(basis) if len(basis) == 1 else set()
     while stack:
         rows, start, prev = stack.pop()
+        if len(rows) == 2:  # one row cleared at col by the other spans a line
+            a, b = rows
+            for col in range(start, r):
+                x = a[col]
+                if x:
+                    y = b[col]
+                    leaves.add(_primitive([x * v - y * u for u, v in zip(a, b)]))
+                elif b[col]:
+                    leaves.add(_primitive(a))
+            continue
         for col in range(start, r - len(rows) + 2):
-            k = next((k for k, row in enumerate(rows) if row[col]), None)
-            if k is None:
+            for k, piv in enumerate(rows):
+                p = piv[col]
+                if p:
+                    break
+            else:
                 continue
-            piv = rows[k]
-            p = piv[col]
-            if len(rows) == 2:  # the other row, cleared at col, spans a line
-                row = rows[1 - k]
-                leaves.add(_primitive([p * x - row[col] * y for x, y in zip(row, piv)]))
-                continue
-            rest = [
-                [(p * x - row[col] * y) // prev for x, y in zip(row, piv)]
-                for row in rows[:k] + rows[k + 1 :]
-            ]
+            rest = []
+            for row in rows[:k] + rows[k + 1 :]:
+                c = row[col]
+                rest.append([(p * x - c * y) // prev for x, y in zip(row, piv)])
             stack.append((rest, col + 1, p))
-    found = set()
-    for vec in leaves:
-        first = next((c for c in vec if c), 0)
-        found.add(tuple(-c for c in vec) if first < 0 else tuple(vec))
     columns = list(zip(*gens))
     echelons = {}  # the echelon basis of each support's generators but its last
+    found = set()
     circuits = []
-    for vec in found:
+    for vec in leaves:
         support = [i for i, c in enumerate(vec) if c]
         if not support:
             raise InternalCheckError("signed circuit is the zero vector")
-        if any(_dot(vec, col) for col in columns):
+        if vec[support[0]] < 0:
+            vec = tuple(-c for c in vec)
+        if vec in found:
+            continue
+        found.add(vec)
+        if any(sum(map(mul, vec, col)) for col in columns):
             raise InternalCheckError("signed circuit is not a linear dependency")
         rows, prefix = [], 0
         for i in support[:-1]:
@@ -753,8 +768,9 @@ def signed_circuits(ambient_dim, generators) -> tuple[Vector, ...]:
             rows = echelons[prefix]
         if len(_extend_echelon(rows, [gens[support[-1]]])) != len(support) - 1:
             raise InternalCheckError("signed circuit support is not minimal")
-        pos, neg = sign_masks(vec)
-        circuits.append(((pos | neg).bit_count(), pos, neg, vec))
+        pos = sum(1 << i for i in support if vec[i] > 0)
+        neg = (prefix | 1 << support[-1]) ^ pos  # the support less C⁺
+        circuits.append((len(support), pos, neg, vec))
     circuits.sort()
     return tuple(vec for *_, vec in circuits)
 

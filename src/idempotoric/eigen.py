@@ -11,9 +11,10 @@ change of coordinates, and so the same cone and idempotents, and this one
 takes only gcds to find.
 
 Pipeline, each step once per job: eigen_input → factor → character_data →
-cone and face poset (monoids layer) and signed circuits (cones layer),
-shared by the envelope, the smallest indices, power invariance (which
-factors only xⁿ), the primitive relations and the relation checks.
+cone and face poset (monoids layer), the exponent rows' kernel and its
+signed circuits (cones layer), shared by the envelope, the smallest
+indices, power invariance (which factors only xⁿ), the primitive
+relations and the relation checks.
 """
 
 from __future__ import annotations
@@ -199,10 +200,15 @@ def character_data(t: ExponentTable) -> WeightMonoid:
     return monoid_from_generators(t.matrix, labels=labels)
 
 
-def _relation_from_vector(z) -> PrimitiveRelation:
+def _oriented(z) -> tuple[int, ...]:
+    """``z`` or its negative, whichever has its first nonzero entry positive."""
     first = next(x for x in z if x)
-    if first < 0:
-        z = tuple(-x for x in z)
+    return tuple(-x for x in z) if first < 0 else tuple(z)
+
+
+def _relation_from_vector(z) -> PrimitiveRelation:
+    """The relation of an oriented kernel vector: its positive entries on
+    the left, its negative ones on the right."""
     lhs = tuple((i + 1, x) for i, x in enumerate(z) if x > 0)
     rhs = tuple((i + 1, -x) for i, x in enumerate(z) if x < 0)
     return PrimitiveRelation(lhs, rhs)
@@ -224,30 +230,28 @@ def _relation_holds(values, rel: PrimitiveRelation) -> bool:
     return left == right
 
 
-def primitive_relations(t: ExponentTable, circuits=None):
+def primitive_relations(t: ExponentTable, circuits=None, kernel=None):
     """Multiplicative relations among the |eigenvalues|, found in the
     kernel of the exponent matrix.
 
     Emits one relation per Hermite basis vector of the kernel, which
     generate all relations over Z, plus one per signed circuit of the rows
-    (``cones.signed_circuits``, computed unless passed in; rows with the
-    same kernel, such as the weight monoid's generators, give the same
-    ones), which make ``check_relation_criterion`` exact.  Relations are
-    oriented so the first involved generator sits on the left,
-    deduplicated, sorted by total degree and re-verified numerically on
-    the squared eigenvalues, in integers (``_relation_holds``).
+    (``cones.signed_circuits``), which make ``check_relation_criterion``
+    exact.  ``kernel``, the rows' ``kernel_lattice``, and the circuits are
+    computed unless passed in: an ``eigen`` job computes the kernel once
+    and shares it with ``signed_circuits``, and rows with the same kernel,
+    such as the weight monoid's generators, give the same circuits.
+    Vectors are oriented so the first involved generator sits on the left
+    and deduplicated, one relation per oriented vector; the relations are
+    sorted by total degree and re-verified numerically on the squared
+    eigenvalues, in integers (``_relation_holds``).
     """
+    if kernel is None:
+        kernel = kernel_lattice(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes)))
     if circuits is None:
-        circuits = signed_circuits(len(t.primes), t.matrix)
-    ker = kernel_lattice(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes)))
-    seen = set()
-    rels = []
-    for z in [*ker.basis.entries, *circuits]:
-        rel = _relation_from_vector(z)
-        if rel in seen:
-            continue
-        seen.add(rel)
-        rels.append(rel)
+        circuits = signed_circuits(len(t.primes), t.matrix, kernel)
+    vectors = [_oriented(z) for z in (*kernel.basis.entries, *circuits)]
+    rels = [_relation_from_vector(z) for z in dict.fromkeys(vectors)]
     squares = [(q.numerator**2, q.denominator**2) for q in reconstruct(t)]
     for rel in rels:
         if not _relation_holds(squares, rel):

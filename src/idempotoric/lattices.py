@@ -286,9 +286,7 @@ def smith_normal_form(
 
 
 def _primitive(vec) -> tuple[int, ...]:
-    g = 0
-    for t in vec:
-        g = gcd(g, t)
+    g = gcd(*vec)
     if g > 1:
         return tuple(t // g for t in vec)
     return tuple(vec)
@@ -313,9 +311,10 @@ def _extend_echelon(rows, vectors):
             if c:
                 a = row[p]
                 v = [a * x - c * y for x, y in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is not None:
-            out.append((pivot, _primitive(v)))
+        for pivot, x in enumerate(v):
+            if x:
+                out.append((pivot, _primitive(v)))
+                break
     return out
 
 

@@ -935,30 +935,30 @@ def test_relation_filter_matches_the_per_element_check():
 
 def test_relation_filter_names_the_rejected_face():
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
-    circuits = [(1, 1, -1)]
+    pairs = [sign_masks((1, 1, -1))]  # t1*t2 = t3
     relation = PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))
-    assert _relation_filter_check(p, [relation], circuits) == "ok"
+    assert _relation_filter_check(p, [relation], pairs) == "ok"
     forced = [PrimitiveRelation(((1, 1),), ())]  # t1 = 1 puts t1 in every face
     with pytest.raises(InternalCheckError) as exc:
-        _relation_filter_check(p, forced + [relation], circuits)
+        _relation_filter_check(p, forced + [relation], pairs)
     assert str(exc.value) == "face () rejected by the relation filter"
 
 
 def test_relation_filter_with_a_generator_in_no_element():
     # the elements are (), (1,), (2,) and (1, 2, 3); no element holds t4
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
-    circuits = [(1, 1, -1)]
+    pairs = [sign_masks((1, 1, -1))]  # t1*t2 = t3
     relation = PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))
     # no element holds either side
     absent = PrimitiveRelation(((4, 1),), ((5, 1),))
-    assert _relation_filter_check(p, [relation, absent], circuits) == "ok"
+    assert _relation_filter_check(p, [relation, absent], pairs) == "ok"
     cases = {
         PrimitiveRelation(((4, 1),), ()): (),  # t4 = 1 rejects every element
         PrimitiveRelation(((1, 1), (4, 1)), ((2, 1),)): (2,),
     }
     for bad, first in cases.items():
         with pytest.raises(InternalCheckError) as exc:
-            _relation_filter_check(p, [relation, bad], circuits)
+            _relation_filter_check(p, [relation, bad], pairs)
         assert str(exc.value) == filter_error(first)
         assert rejected_elements(p, [relation, bad])[0] == first
 
@@ -968,7 +968,7 @@ def test_relation_filter_needs_every_circuit():
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
     assert _relation_filter_check(p, [], []) == "ok"
     with pytest.raises(InternalCheckError, match="signed circuit is missing"):
-        _relation_filter_check(p, [], [(1, 1, -1)])
+        _relation_filter_check(p, [], [sign_masks((1, 1, -1))])
 
 
 def error_of(code, out):

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from idempotoric.errors import InputError
 from idempotoric.lattices import (
     IntegerMatrix,
     Sublattice,
+    _primitive,
     hermite_normal_form,
     kernel_lattice,
     lattice_member,
@@ -339,6 +341,25 @@ def test_rank_examples():
     assert rank(M([[2, 4], [1, 2], [0, 0]])) == 1
     assert rank(M([[0, 3, 1], [0, 6, 5], [7, 0, 0]])) == 3
     assert rank(M([[10**30, 1], [10**30 + 1, 1]])) == 2
+
+
+def primitive_by_loop(vec):
+    """``_primitive`` as one gcd per entry: the reference for the one-call gcd."""
+    g = 0
+    for t in vec:
+        g = gcd(g, t)
+    return tuple(t // g for t in vec) if g > 1 else tuple(vec)
+
+
+@given(st.lists(st.integers(min_value=-(10**40), max_value=10**40), max_size=6))
+@example([])
+@example([0, 0, 0])
+@example([-6, 0, -4])
+@example([-3])
+def test_primitive_matches_the_gcd_loop(vec):
+    got = _primitive(vec)
+    assert got == primitive_by_loop(vec)
+    assert isinstance(got, tuple)
 
 
 @given(matrices(), st.lists(st.integers(min_value=-3, max_value=3), max_size=4))

@@ -1,8 +1,9 @@
 """One pass per job: an eigen or monoid job factors its spectrum, builds its
-weight monoid, its cone, its faces and its signed circuits once and shares
-them with the envelope, the smallest-index check, power invariance, the
-relations and the cross-checks; the checks in those functions still fire
-on the shared objects.  A finite job finds its generating set once, for
+weight monoid, its cone, its faces, the kernel of its exponent rows and
+its signed circuits once and shares them with the envelope, the
+smallest-index check, power invariance, the relations and the
+cross-checks; the checks in those functions still fire on the shared
+objects.  A finite job finds its generating set once, for
 validation and Green's classes, and takes each element's index and
 period once, for its report and its idempotent-power cross-check."""
 
@@ -36,6 +37,7 @@ COUNTED = {
     "character_data": eigen.character_data,
     "signed_circuits": cones.signed_circuits,
     "rank": lattices.rank,
+    "kernel_lattice": lattices.kernel_lattice,
 }
 
 
@@ -80,19 +82,19 @@ WIDE = [[1, k] for k in range(11)]
         # a unit pair 2, 1/2: the envelope projects out the cone's own
         # lineality space, and the cone's certificate takes the circuits of
         # its two units, the bottom face's generators
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 2, 2)),
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 2, 2, 4)),
         # pointed: the envelope monoid is the weight monoid itself
-        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1)),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 1, 1, 0, 2, 2)),
+         (0, 1, 1, 0, 2, 2, 4)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
-         (0, 1, 1, 0, 1, 1)),
+         (0, 1, 1, 0, 1, 1, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
         # its circuits for the relations, a cone or monoid job does not
-        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 1, 1, 1)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1)),
-        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 1)),
+        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 1, 1, 1, 1)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1, 0)),
+        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1, 0)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 1, 1)),
     ],
 )
 def test_job_builds_each_object_once(
@@ -105,7 +107,11 @@ def test_job_builds_each_object_once(
     # invariance, which compares the two tables; character_data: the
     # spectrum's weight monoid alone.  rank: the cone's dimension, plus the
     # envelope's rank of the projected generators when there are units; the
-    # weight monoid's span is checked by the cone's dimension
+    # weight monoid's span is checked by the cone's dimension.
+    # kernel_lattice: one kernel of the exponent rows, shared by the
+    # circuits and the relations, or of the generators for the circuits of
+    # a cone or monoid job; a cone with units adds its units' circuits and
+    # the two kernels that saturate their span
     assert tuple(calls.values()) == expected
 
 
@@ -161,6 +167,41 @@ def test_shared_objects_give_the_standalone_results():
         circuits = signed_circuits(cone.ambient_dim, cone.generators)
         assert circuits == signed_circuits(len(t.primes), t.matrix)
         assert primitive_relations(t, circuits) == primitive_relations(t)
+
+
+def rows_kernel(t):
+    return lattices.kernel_lattice(
+        lattices.IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
+    )
+
+
+def test_a_shared_kernel_gives_the_standalone_circuits_and_relations():
+    for vals in random_eigen_lists(seed=1313, count=30, max_len=8, bound=12):
+        t = factor(eigen_input(vals))
+        cone, _ = cone_and_poset(character_data(t))
+        kernel = rows_kernel(t)
+        # the exponent rows' kernel is the weight monoid generators' kernel
+        circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
+        assert circuits == signed_circuits(cone.ambient_dim, cone.generators)
+        assert primitive_relations(t, kernel=kernel) == primitive_relations(t)
+        assert primitive_relations(t, circuits, kernel) == primitive_relations(t)
+
+
+def test_a_wrong_shared_kernel_is_not_a_linear_dependency():
+    wrong = 0
+    for vals in random_eigen_lists(seed=1314, count=30, max_len=8, bound=12):
+        t = factor(eigen_input(vals))
+        cone, _ = cone_and_poset(character_data(t))
+        r = len(cone.generators)
+        # z plus a unit vector at a nonzero generator is no dependency
+        i = next((i for i, g in enumerate(cone.generators) if any(g)), None)
+        for z in rows_kernel(t).basis.entries:
+            bumped = tuple(c + (k == i) for k, c in enumerate(z))
+            kernel = Sublattice.span(r, [bumped])
+            with pytest.raises(InternalCheckError, match="not a linear dependency"):
+                signed_circuits(cone.ambient_dim, cone.generators, kernel)
+            wrong += 1
+    assert wrong > 20
 
 
 def wrong_lineality(cone):
@@ -248,6 +289,27 @@ def test_main_reports_a_corrupted_shared_poset(tmp_path, capsys, monkeypatch):
         2,
         "internal",
         "lineality membership disagrees with the poset minimum",
+    )
+
+
+def test_main_checks_the_relations_against_the_shared_circuits(
+    tmp_path, capsys, monkeypatch
+):
+    real = cli.primitive_relations
+
+    def relations(t, circuits, kernel):
+        # every relation but the first circuit's
+        first = cones.sign_masks(circuits[0])
+        rels = real(t, circuits, kernel)
+        return [r for r in rels if eigen.relation_masks([r])[0] != first]
+
+    monkeypatch.setattr(cli, "primitive_relations", relations)
+    # the units 2 and 1/2 make the one circuit t1*t2 = 1; the relation
+    # filter gets its sign masks from the job and finds it missing
+    assert internal_error(tmp_path, capsys) == (
+        2,
+        "internal",
+        "a signed circuit is missing from the relations",
     )
 
 
