@@ -328,10 +328,10 @@ def _relation_filter_check(poset, rels, pairs) -> str:
 def _weight_monoid_report(mode, w, cone, p, pairs=None) -> dict:
     """The report keys an ``eigen`` and a ``monoid`` job share, read off
     the weight monoid ``w`` and its ``cone_and_poset`` pair, with the
-    smallest and largest index sets checked against the poset.  The chain
-    length is the envelope's dimension, which ``toric_envelope`` checks
-    against the poset's graded walk."""
-    env = toric_envelope(w, cone, p)
+    smallest (the envelope's zero projections) and largest index sets
+    checked against the poset.  The chain length is the envelope's
+    dimension, which ``toric_envelope`` checks against the graded walk."""
+    env = toric_envelope(cone, p)
     return {
         "schema": SCHEMA,
         "mode": mode,
@@ -339,7 +339,7 @@ def _weight_monoid_report(mode, w, cone, p, pairs=None) -> dict:
         "generators": [list(g) for g in w.generators],
         "labels": list(w.labels),
         "idempotents": _poset_doc(p, 0),
-        "smallest_index_set": list(smallest_idempotent_indices(w, cone, p)),
+        "smallest_index_set": list(smallest_idempotent_indices(env, p)),
         "largest_index_set": [i + 1 for i in largest_idempotent(p).index_set],
         "chain_length": env.envelope_dim,
         "envelope": _envelope_doc(env, p),

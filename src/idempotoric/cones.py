@@ -540,8 +540,8 @@ def _faces_up(cone):
     covers_of = _closed_sets(top, incidences)
     if sorted(covers_of[top]) != sorted(incidences):
         raise InternalCheckError("a listed facet is not a facet")
-    # each face is named by its place in this order
-    order = sorted(covers_of, key=int.bit_count)
+    # each face is named by its place in _closed_sets' bit-count order
+    order = list(covers_of)
     index = {s: k for k, s in enumerate(order)}
     try:
         lower = [list(map(index.__getitem__, covers_of[s])) for s in order]

@@ -11,10 +11,10 @@ change of coordinates, and so the same cone and idempotents, and this one
 takes only gcds to find.
 
 Pipeline, each step once per job: eigen_input → factor → character_data →
-cone and face poset (monoids layer), the exponent rows' kernel and its
-signed circuits (cones layer), shared by the envelope, the smallest
-indices, power invariance (which factors only xⁿ), the primitive
-relations and the relation checks.
+cone and face poset (monoids layer) → envelope, whose zero projections
+are the smallest indices; the exponent rows' kernel and its signed
+circuits (cones layer), shared by power invariance (which factors only
+xⁿ), the primitive relations and the relation checks.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from math import gcd
 
 from .cones import circuit_criterion, signed_circuits
 from .errors import InputError, InternalCheckError
-from .lattices import IntegerMatrix, kernel_lattice, lattice_member
-from .monoids import WeightMonoid, cone_and_poset, monoid_from_generators
+from .lattices import IntegerMatrix, kernel_lattice
+from .monoids import ToricEnvelopeReport, WeightMonoid, monoid_from_generators
 
 __all__ = [
     "EigenInput",
@@ -298,26 +298,21 @@ def check_relation_criterion(index_set, rels) -> bool:
     return circuit_criterion(chosen, relation_masks(rels))
 
 
-def smallest_idempotent_indices(
-    w: WeightMonoid, cone=None, poset=None
-) -> tuple[int, ...]:
-    """1-based indices of the generators of ``w`` that lie in the lineality
-    space of their cone: for an eigenvalue list, the eigenvalues whose
+def smallest_idempotent_indices(env: ToricEnvelopeReport, poset) -> tuple[int, ...]:
+    """1-based indices of the generators that lie in the lineality space
+    Λ₀ of their cone: for an eigenvalue list, the eigenvalues whose
     exponent row is a unit direction, exactly the invertible coordinates
     of the closure.
 
-    Computed by lattice membership in the lineality space and checked
-    against the minimum of the idempotent poset, the bottom face, whose
-    index set is 0-based.  The ``cone_and_poset`` pair of ``w`` is reused
-    when passed in.
+    They are the zero rows of ``env.projected_generators``, ``env`` the
+    ``toric_envelope`` of a ``cone_and_poset`` pair.  The envelope checks
+    the Smith form's unit diagonal, so the projection's kernel on Zⁿ is
+    exactly the saturated Λ₀: a zero row means membership in Λ₀.  The
+    envelope checks that the units, the minimum of the idempotent poset,
+    project to zero; this function that the zero rows are exactly the
+    minimum's (0-based) index set.
     """
-    if cone is None or poset is None:
-        cone, poset = cone_and_poset(w)
-    inside = tuple(
-        i + 1
-        for i, g in enumerate(w.generators)
-        if lattice_member(cone.lineality, g) is not None
-    )
+    inside = tuple(i + 1 for i, g in enumerate(env.projected_generators) if not any(g))
     if inside != tuple(i + 1 for i in poset.faces[poset.bottom].index_set):
         raise InternalCheckError("lineality membership disagrees with the poset minimum")
     return inside
@@ -331,15 +326,15 @@ def power_invariance(e: EigenInput, n: int, t=None) -> bool:
     check asks exactly that of the two tables.  ``t`` may carry
     ``factor(e)``; only xⁿ is then factored, and no weight monoid is built.
 
-    The table check implies that the canonical forms of the two weight
-    monoids agree: ``character_data`` gives ``monoid_from_generators`` of
-    the exponent rows, whose lattice is the span of the rows and whose
-    generators are each row's coordinates on that lattice's Hermite basis,
-    so the generator set, and with it ``canonical_form``, depends only on
-    the set of rows.  The rows are compared as sets because ``eigen_input``
+    The table check implies that the two weight monoids have the same
+    rank and the same set of generators: ``character_data`` gives
+    ``monoid_from_generators`` of the exponent rows, whose lattice is the
+    span of the rows and whose generators are each row's coordinates on
+    that lattice's Hermite basis, so the generator set depends only on the
+    set of rows.  The rows are compared as sets because ``eigen_input``
     merges values that the power makes equal: q and -q give one row of
     xⁿ for two of x when n is even.  It is stricter than comparing the
-    canonical forms: a table of xⁿ over the base itself with every row
+    generator sets: a table of xⁿ over the base itself with every row
     doubled presents the same monoid up to coordinates, and fails.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -20,7 +20,6 @@ __all__ = [
     "kernel_lattice",
     "lattice_member",
     "rank",
-    "row_times_matrix",
     "saturate",
     "smith_normal_form",
 ]
@@ -85,16 +84,6 @@ class IntegerMatrix:
         if not self.entries:
             return IntegerMatrix(tuple(() for _ in range(self.cols)), 0)
         return IntegerMatrix(tuple(zip(*self.entries)), len(self.entries))
-
-
-def row_times_matrix(v, m: IntegerMatrix) -> tuple[int, ...]:
-    """The row vector ``v @ m``."""
-    vec = tuple(v)
-    if len(vec) != m.rows:
-        raise InputError("vector length does not match matrix row count")
-    return tuple(
-        sum(vec[i] * m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)
-    )
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -5,13 +5,15 @@ re-coordinatized to ZZ^ambient_rank so that the generators span it with
 full rank.  Idempotents of the associated algebraic monoid are the faces
 of the cone the generators span, so the idempotent poset is the cone's
 ``FacePoset``, with 0-based generator index sets; the poset operations
-here read it directly.  The envelope construction projects the ambient
-lattice along the unit part.
+here read it directly.  The envelope projects the lattice along the
+units, the generators on the poset's bottom face, reading the one cone
+and poset a job builds with ``cone_and_poset``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .cones import Face, FacePoset, cone_from_generators, enumerate_faces
 from .errors import InputError, InternalCheckError
@@ -20,14 +22,12 @@ from .lattices import (
     Sublattice,
     lattice_member,
     rank,
-    row_times_matrix,
     smith_normal_form,
 )
 
 __all__ = [
     "ToricEnvelopeReport",
     "WeightMonoid",
-    "canonical_form",
     "cone_and_poset",
     "idempotents",
     "largest_idempotent",
@@ -52,7 +52,8 @@ class ToricEnvelopeReport:
     """The smallest irreducible closed subsemigroup containing all the
     idempotents, described by projecting the lattice along the saturated
     unit sublattice.  Its idempotent poset is the monoid's own with every
-    dimension lowered by ``unit_lattice.rank``."""
+    dimension lowered by ``unit_lattice.rank``, and a generator's
+    projection is zero exactly when it is a unit, on the bottom face."""
 
     envelope_dim: int
     unit_lattice: Sublattice
@@ -127,55 +128,40 @@ def maximal_chain_length(p: FacePoset) -> int:
     return p.faces[p.top].dim - p.faces[p.bottom].dim
 
 
-def canonical_form(w: WeightMonoid):
-    """Hashable form invariant under generator order, repetition, and the
-    re-coordinatization monoid_from_generators applies.
+def toric_envelope(cone, poset) -> ToricEnvelopeReport:
+    """Project the generators of ``cone`` along its lineality space.
 
-    Repeats are dropped: lists of eigenvalue exponent vectors may collide
-    after a power map even when the inputs were distinct, and the generated
-    monoid cannot tell.
+    ``cone`` and ``poset`` are a weight monoid's ``cone_and_poset`` pair.
+    ``cone_from_generators`` certifies that the units, the generators on
+    every facet and on the poset's bottom face, span ``cone.lineality`` =
+    Λ₀ positively, and ``enumerate_faces`` that the facet list is
+    complete.  Λ₀ is split off by a Smith normal form change of basis
+    ``v`` with a unit diagonal: a generator's dot products with the last
+    n − k columns of ``v``, k = rank(Λ₀), are its image in Λ/Λ₀, and the
+    images define the envelope monoid.  The units must project to zero and
+    the images must have rank n − k, so the projection's kernel is
+    Λ₀ ⊗ Q.  Every facet normal vanishes there and factors through the
+    projection, so the envelope cone has the same facets, meeting the
+    generators as the original ones do: the same faces, index set for
+    index set, and the same covers.  Every face contains Λ₀ ⊗ Q, so each
+    face's rank drops by exactly k: the envelope poset is the original
+    one with every dimension lowered by k = ``unit_lattice.rank``, and is
+    not built again.  The envelope dimension must equal the chain length.
     """
-    return (w.ambient_rank, tuple(sorted(set(w.generators))))
-
-
-def toric_envelope(w: WeightMonoid, cone=None, poset=None) -> ToricEnvelopeReport:
-    """Project along the lineality space of the generator cone.
-
-    ``cone_from_generators`` certifies that the generators on every facet,
-    the units, span ``cone.lineality`` = Λ₀ positively, and
-    ``enumerate_faces``, which builds the poset, that the facet list is
-    complete.  Λ₀ is split off by a Smith normal form change of
-    basis with a unit diagonal, so the images of all generators in Λ/Λ₀
-    define the envelope monoid.  The units must project to zero and the
-    projected generators must have rank dim Λ − k, k = rank(Λ₀), so the
-    projection's kernel is Λ₀ ⊗ Q.  Every facet normal vanishes there and
-    factors through the projection, so the envelope cone has the same
-    facets, meeting the generators as the original ones do: the same
-    faces, index set for index set, and the same covers.  Every face
-    contains Λ₀ ⊗ Q, so each face's rank drops by exactly k: the
-    envelope poset is the original one with every dimension lowered by
-    k = ``unit_lattice.rank``, and is not built again.  The envelope
-    dimension must equal the poset's chain length.
-
-    The pair ``cone_and_poset(w)`` is reused when passed in (else built).
-    """
-    if cone is None or poset is None:
-        cone, poset = cone_and_poset(w)
+    if cone.dim != cone.ambient_dim:
+        raise InputError("cone does not span its space; build it with cone_and_poset")
     lam0 = cone.lineality
     k = lam0.rank
     s, _, v = smith_normal_form(lam0.basis)
     for i in range(k):
         if s.entries[i][i] != 1:
             raise InternalCheckError("saturated unit lattice is not a direct summand")
-    projected = tuple(tuple(row_times_matrix(g, v)[k:]) for g in w.generators)
-    dim = w.ambient_rank - k
-    on_every_facet = (1 << len(w.generators)) - 1
-    for inc in cone.incidences:
-        on_every_facet &= inc
-    if any(any(g) for i, g in enumerate(projected) if on_every_facet >> i & 1):
+    kept = tuple(zip(*v.entries))[k:]
+    projected = tuple(tuple(sum(map(mul, g, c)) for c in kept) for g in cone.generators)
+    dim = cone.dim - k
+    if any(any(projected[i]) for i in poset.faces[poset.bottom].index_set):
         raise InternalCheckError("unit generators do not project to zero")
-    # for k = 0 the projection is the identity, whose rank cone_and_poset
-    # checked
+    # for k = 0 the projection is the identity, whose rank is the cone's
     if k and rank(IntegerMatrix.from_rows(projected, cols=dim)) != dim:
         raise InternalCheckError("projected generators do not span the quotient")
     if dim != maximal_chain_length(poset):

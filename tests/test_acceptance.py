@@ -31,6 +31,7 @@ from idempotoric.finite import (
 )
 from idempotoric.monoids import (
     WeightMonoid,
+    cone_and_poset,
     idempotents,
     maximal_chain_length,
     monoid_from_generators,
@@ -197,11 +198,10 @@ def test_criterion_05_graded_chains(cone_run):
     results, _ = cone_run
     for dim, gens, _, _, _, _ in results:
         w = monoid_for(dim, gens)
-        p = idempotents(w)
-        cone = cone_from_generators(w.ambient_rank, list(w.generators))
+        cone, p = cone_and_poset(w)
         expected = w.ambient_rank - cone.lineality.rank
         assert chain_length_set(p) == {expected}
-        assert toric_envelope(w).envelope_dim == expected
+        assert toric_envelope(cone, p).envelope_dim == expected
     announce(5)
 
 
@@ -215,8 +215,8 @@ def test_criterion_06_envelope_isomorphism():
         character_data(factor(eigen_input(values))) for values in EIGEN_LISTS
     )
     for w in monoids:
-        p = idempotents(w)
-        rep = toric_envelope(w)
+        cone, p = cone_and_poset(w)
+        rep = toric_envelope(cone, p)
         # the envelope monoid's own idempotents, built from scratch: the
         # original poset with every dimension lowered by the unit rank
         k = rep.unit_lattice.rank

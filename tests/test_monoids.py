@@ -3,12 +3,12 @@
 import pytest
 
 from idempotoric import monoids
+from idempotoric.cones import cone_from_generators, enumerate_faces
 from idempotoric.eigen import character_data, eigen_input, factor
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.lattices import IntegerMatrix
 from idempotoric.monoids import (
     WeightMonoid,
-    canonical_form,
     cone_and_poset,
     idempotents,
     maximal_chain_length,
@@ -21,6 +21,10 @@ from conftest import random_cone_inputs, random_eigen_lists
 
 def quadrant_monoid():
     return monoid_from_generators([(1, 0), (0, 1), (1, 1)])
+
+
+def envelope_of(w):
+    return toric_envelope(*cone_and_poset(w))
 
 
 def reference_envelope_poset(w, rep):
@@ -132,7 +136,7 @@ def test_zero_generator_lies_in_every_idempotent():
 
 def test_envelope_of_group_is_a_point():
     w = monoid_from_generators([(1,), (-1,)])
-    rep = toric_envelope(w)
+    rep = envelope_of(w)
     assert rep.envelope_dim == 0
     assert rep.unit_lattice.basis.entries == ((1,),)
     assert rep.projected_generators == ((), ())
@@ -141,7 +145,7 @@ def test_envelope_of_group_is_a_point():
 
 def test_envelope_of_pointed_cone_is_itself():
     w = quadrant_monoid()
-    rep = toric_envelope(w)
+    rep = envelope_of(w)
     assert rep.envelope_dim == 2
     assert rep.unit_lattice.rank == 0
     assert rep.projected_generators == w.generators
@@ -150,7 +154,7 @@ def test_envelope_of_pointed_cone_is_itself():
 
 def test_envelope_projects_out_lineality_line():
     w = monoid_from_generators([(1, 0), (-1, 0), (0, 1)])
-    rep = toric_envelope(w)
+    rep = envelope_of(w)
     assert rep.unit_lattice.basis.entries == ((1, 0),)
     assert rep.envelope_dim == 1
     assert rep.projected_generators == ((0,), (0,), (1,))
@@ -169,7 +173,7 @@ def test_envelope_matches_chain_length_and_poset_shape():
         cases.append(character_data(factor(eigen_input(values + [1 / values[0]]))))
     for w in cases:
         p = idempotents(w)
-        rep = toric_envelope(w)
+        rep = envelope_of(w)
         assert rep.envelope_dim == maximal_chain_length(p)
         assert rep.envelope_dim == w.ambient_rank - rep.unit_lattice.rank
         # the envelope poset is the original one, every dimension lowered
@@ -195,42 +199,37 @@ def units_off_the_kernel(real):
     return smith
 
 
-def last_coordinate_lost(real):
-    return lambda g, m: real(g, m)[:-1] + (0,)
+def last_column_lost(real):
+    # the transform's last column zeroed: a kept coordinate is lost
+    def smith(m):
+        s, u, v = real(m)
+        return s, u, IntegerMatrix(tuple((*row[:-1], 0) for row in v.entries), v.cols)
+
+    return smith
 
 
 @pytest.mark.parametrize(
-    "name, corrupt, message",
+    "corrupt, message",
     [
-        ("smith_normal_form", units_off_the_kernel, "do not project to zero"),
-        ("row_times_matrix", last_coordinate_lost, "do not span the quotient"),
+        (units_off_the_kernel, "do not project to zero"),
+        (last_column_lost, "do not span the quotient"),
     ],
     ids=["units-off-the-kernel", "loses-dimension"],
 )
-def test_envelope_projection_faults_are_reported(monkeypatch, name, corrupt, message):
+def test_envelope_projection_faults_are_reported(monkeypatch, corrupt, message):
     # a line of units, projected out
     w = monoid_from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
     cone, poset = cone_and_poset(w)
     assert cone.lineality.rank == 1
-    monkeypatch.setattr(monoids, name, corrupt(getattr(monoids, name)))
+    monkeypatch.setattr(monoids, "smith_normal_form", corrupt(monoids.smith_normal_form))
     with pytest.raises(InternalCheckError, match=message):
-        toric_envelope(w, cone, poset)
+        toric_envelope(cone, poset)
 
 
-# -- canonical form ----------------------------------------------------------
-
-
-def test_canonical_form_scale_invariant():
-    a = canonical_form(monoid_from_generators([(2, 0), (0, 2), (2, 2)]))
-    b = canonical_form(monoid_from_generators([(6, 0), (0, 6), (6, 6)]))
-    assert a == b
-    assert a != canonical_form(monoid_from_generators([(1, 0), (0, 1)]))
-
-
-def test_canonical_form_ignores_repeats_and_order():
-    a = canonical_form(monoid_from_generators([(1, 0), (0, 1), (1, 0)]))
-    b = canonical_form(monoid_from_generators([(0, 1), (1, 0)]))
-    assert a == b
+def test_envelope_needs_a_cone_that_spans_its_space():
+    cone = cone_from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)])
+    with pytest.raises(InputError, match="does not span its space"):
+        toric_envelope(cone, enumerate_faces(cone))
 
 
 def test_direct_construction_validated_at_use():

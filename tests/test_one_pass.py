@@ -158,9 +158,12 @@ def test_shared_objects_give_the_standalone_results():
         t = factor(e)
         w = character_data(t)
         cone, poset = cone_and_poset(w)
-        assert toric_envelope(w, cone, poset) == toric_envelope(w)
-        assert smallest_idempotent_indices(w, cone, poset) == (
-            smallest_idempotent_indices(w)
+        env = toric_envelope(cone, poset)
+        # the job's pair gives what a pair built afresh gives
+        again = cone_and_poset(w)
+        assert env == toric_envelope(*again)
+        assert smallest_idempotent_indices(env, poset) == (
+            smallest_idempotent_indices(toric_envelope(*again), again[1])
         )
         assert power_invariance(e, 3, t)
         # the generators and the exponent rows share their kernel
@@ -221,15 +224,16 @@ def test_envelope_checks_the_shared_cone():
     # a line the cone does not have: no unit projects off zero, but the
     # envelope loses a dimension its poset keeps
     with pytest.raises(InternalCheckError, match="disagrees with chain length"):
-        toric_envelope(w, wrong_lineality(cone), poset)
+        toric_envelope(wrong_lineality(cone), poset)
 
 
 def test_smallest_indices_check_the_shared_poset():
     e = eigen_input([2, 3, 6])
     w = character_data(factor(e))
     cone, poset = cone_and_poset(w)
+    env = toric_envelope(cone, poset)
     with pytest.raises(InternalCheckError, match="disagrees with the poset minimum"):
-        smallest_idempotent_indices(w, cone, minimum_moved_to_the_top(poset))
+        smallest_idempotent_indices(env, minimum_moved_to_the_top(poset))
 
 
 EIGEN_JOB = {"eigenvalues": ["2", "1/2", "3"]}
@@ -266,8 +270,8 @@ def internal_error(tmp_path, capsys, mode="eigen", payload=EIGEN_JOB):
 def test_main_reports_a_corrupted_shared_cone(tmp_path, capsys, monkeypatch):
     real = cli.toric_envelope
 
-    def envelope(w, cone, poset):
-        return real(w, wrong_lineality(cone), poset)
+    def envelope(cone, poset):
+        return real(wrong_lineality(cone), poset)
 
     monkeypatch.setattr(cli, "toric_envelope", envelope)
     # no lineality: the units 2 and 1/2 are projected by the identity
@@ -281,10 +285,28 @@ def test_main_reports_a_corrupted_shared_cone(tmp_path, capsys, monkeypatch):
 def test_main_reports_a_corrupted_shared_poset(tmp_path, capsys, monkeypatch):
     real = cli.smallest_idempotent_indices
 
-    def smallest(w, cone, poset):
-        return real(w, cone, minimum_moved_to_the_top(poset))
+    def smallest(env, poset):
+        return real(env, minimum_moved_to_the_top(poset))
 
     monkeypatch.setattr(cli, "smallest_idempotent_indices", smallest)
+    assert internal_error(tmp_path, capsys) == (
+        2,
+        "internal",
+        "lineality membership disagrees with the poset minimum",
+    )
+
+
+def test_main_reports_a_non_unit_projected_to_zero(tmp_path, capsys, monkeypatch):
+    real = cli.toric_envelope
+
+    def envelope(cone, poset):
+        env = real(cone, poset)
+        # t3 = 3 is no unit; its row of the projection is zeroed
+        rows = list(env.projected_generators)
+        rows[2] = (0,) * len(rows[2])
+        return dataclasses.replace(env, projected_generators=tuple(rows))
+
+    monkeypatch.setattr(cli, "toric_envelope", envelope)
     assert internal_error(tmp_path, capsys) == (
         2,
         "internal",
@@ -320,8 +342,8 @@ def maximum_moved_to_the_bottom(poset):
 def test_monoid_job_checks_its_smallest_index_set(tmp_path, capsys, monkeypatch):
     real = cli.smallest_idempotent_indices
 
-    def smallest(w, cone, poset):
-        return real(w, cone, minimum_moved_to_the_top(poset))
+    def smallest(env, poset):
+        return real(env, minimum_moved_to_the_top(poset))
 
     monkeypatch.setattr(cli, "smallest_idempotent_indices", smallest)
     assert internal_error(tmp_path, capsys, "monoid", MONOID_JOB) == (

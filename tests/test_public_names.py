@@ -21,7 +21,7 @@ def test_package_all_is_the_union_of_the_layers():
     union += [*EXTRAS, "__version__"]
     assert len(set(union)) == len(union)
     assert sorted(idempotoric.__all__) == sorted(union)
-    assert "row_times_matrix" in idempotoric.__all__
+    assert "smith_normal_form" in idempotoric.__all__
 
 
 def test_every_listed_name_imports_from_its_layer():
