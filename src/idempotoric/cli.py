@@ -18,16 +18,13 @@ writes them: it gives the bytes of ``json.dumps(v, sort_keys=True,
 indent=2)``, whose encoder falls back to pure Python whenever ``indent``
 is set and costs more than most jobs' computation.  ``_dump`` builds the
 text from C string functions, escaping strings with the ``json`` module's
-own escaper, and writes each list a column at a time (``_values``): a
-list of ints in one ``map``, a list of rows as one flattened column cut
-back into rows, and a list of records with one key set (faces,
-idempotents, relations) one key's column at a time into one template per
-record.  Python then steps once per list and once per row, and C
-functions write every int, string and record.  On the benchmark's seed-1
-reports that takes 37-44 % less time than writing item by item (README,
-"Design notes").  It accepts only the JSON types the reports hold, so a
-float or a Fraction that reached a report is an internal fault, not a
-rounded number.  The argument parser is built once per process.
+own escaper, and fills each list of ints, int rows or records of them
+(faces, idempotents, relations) into one ``%`` template (``_fill``), so C
+writes every int.  On the benchmark's seed-1 reports that takes 53-70 %
+less time than writing item by item (README, "Design notes").  It
+accepts only the JSON types the reports hold, so a float or a Fraction
+that reached a report is an internal fault, not a rounded number.  The
+argument parser is built once per process.
 
 An ``eigen`` job is a ``monoid`` job on the exponent rows of its spectrum
 plus facts about the spectrum.  Both modes build the keys they share (the
@@ -53,7 +50,7 @@ import re
 import sys
 from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain, repeat
 from pathlib import Path
 
 from .cones import (
@@ -148,7 +145,6 @@ def _expect_keys(payload, allowed) -> None:
 _escape = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _INTS = frozenset({int})
-_DICTS = frozenset({dict})
 _ROWS = frozenset({list, tuple})
 
 
@@ -157,7 +153,7 @@ def _dump(v, indent="\n") -> str:
     value built of dicts with str keys, lists, tuples, str, int, bool and
     None.  Any other value, a float or a Fraction included, raises
     TypeError.  ``indent`` is the newline and indent that close ``v``; a
-    list's items are written by ``_values``, a column at a time."""
+    list's items are written by ``_fill`` if it takes them, else one by one."""
     t = type(v)
     if t is str:
         return _escape(v)
@@ -174,52 +170,81 @@ def _dump(v, indent="\n") -> str:
     if t is list or t is tuple:
         if not v:
             return "[]"
-        return "[" + inner + ("," + inner).join(_values(v, inner)) + indent + "]"
+        body = _fill(v, inner)
+        if body is None:
+            body = ("," + inner).join([_dump(x, inner) for x in v])
+        return "[" + inner + body + indent + "]"
     raise TypeError(f"{t.__name__} is not a report value")
 
 
-def _values(xs, indent):
-    """``[_dump(x, indent) for x in xs]``, with a homogeneous list written
-    in one pass.  Exact ints go through ``int.__repr__`` in one ``map``.
-    Lists and tuples are flattened one level into a single column, which is
-    written by this same rule and then cut back into rows: by ``zip`` when
-    they all have one length, else by slicing at the running sums of their
-    lengths.  Dicts that share one key set are written a key's column at a
-    time and joined by one ``%`` template per record.  Anything else is
-    written item by item.
-    """
+def _column(xs):
+    """``(items, shapes, cells)`` of a column ``xs`` of exact ints (shape
+    None), int rows (shape: length) or rows of int rows (shape: tuple of
+    lengths), with each item's ints (``items``) and all of them (``cells``)
+    in order; else None.  A bool, float or int subclass is no int here."""
     kinds = set(map(type, xs))
     if kinds == _INTS:
-        return map(int.__repr__, xs)
-    if kinds and kinds <= _ROWS:
-        inner = indent + "  "
-        sep, head, close = "," + inner, "[" + inner, indent + "]"
-        cells = _values(list(chain.from_iterable(xs)), inner)
-        lengths = list(map(len, xs))
-        n = lengths[0]
-        if lengths.count(n) == len(lengths):
-            if not n:
-                return ["[]"] * len(xs)
-            rows = map(sep.join, zip(*[iter(cells)] * n))
-            return [head + row + close for row in rows]
-        cells = list(cells)
-        ends = list(accumulate(lengths))
-        return [
-            head + sep.join(cells[i:j]) + close if i < j else "[]"
-            for i, j in zip([0, *ends], ends)
-        ]
-    if kinds == _DICTS:
-        keys = xs[0].keys()
-        if all(map(keys.__eq__, map(dict.keys, xs))):
-            if not keys:
-                return ["{}"] * len(xs)
-            inner = indent + "  "
-            keys = sorted(keys)
-            fields = [_escape(k).replace("%", "%%") + ": %s" for k in keys]
-            record = "{" + inner + ("," + inner).join(fields) + indent + "}"
-            columns = [_values([x[k] for x in xs], inner) for k in keys]
-            return map(record.__mod__, zip(*columns))
-    return [_dump(x, indent) for x in xs]
+        return zip(xs), [None] * len(xs), xs
+    if not kinds <= _ROWS:
+        return None
+    flat = list(chain.from_iterable(xs))
+    kinds = set(map(type, flat))
+    if kinds <= _INTS:
+        return xs, list(map(len, xs)), flat
+    if kinds <= _ROWS:
+        cells = list(chain.from_iterable(flat))
+        if set(map(type, cells)) <= _INTS:
+            shapes = [tuple(map(len, x)) for x in xs]
+            return map(chain.from_iterable, xs), shapes, cells
+    return None
+
+
+def _template(shape, indent, names=None):
+    """The ``%`` template of an item of ``shape`` closed by ``indent``: an int
+    for None, an int row for a length, a row of them for a tuple of lengths
+    and, given its escaped key ``names``, a record for its fields' shapes."""
+    if shape is None:
+        return "%d"
+    if not shape:
+        return "[]"
+    inner = indent + "  "
+    if type(shape) is int:
+        items = ["%d"] * shape
+    else:
+        items = [_template(s, inner) for s in shape]
+    if names is None:
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    items = [name + ": " + item for name, item in zip(names, items)]
+    return "{" + inner + ("," + inner).join(items) + indent + "}"
+
+
+def _fill(xs, indent):
+    """The items of the list ``xs``, written and joined as ``_dump`` does,
+    by one ``%`` call, if ``xs`` is a ``_column`` or a list of records with
+    one key set whose fields are columns; else None.  Each distinct shape's
+    template is built once.  Only exact ints reach a ``%d``, so the bytes
+    are ``_dump``'s and an int past the digit limit raises its ValueError."""
+    column = _column(xs)
+    names = None
+    if column is not None:
+        _, shapes, cells = column
+    elif set(map(type, xs)) == {dict}:
+        keys = sorted(xs[0])
+        if not keys or set(map(len, xs)) != {len(keys)}:
+            return None
+        # a record of this length that lacks a key gives None, no column
+        fields = [_column(list(map(dict.get, xs, repeat(k)))) for k in keys]
+        if None in fields:
+            return None
+        names = [_escape(k).replace("%", "%%") for k in keys]
+        items, shapes, _ = zip(*fields)
+        shapes = list(zip(*shapes))
+        cells = chain.from_iterable(chain.from_iterable(zip(*items)))
+    else:
+        return None
+    templates = {s: _template(s, indent, names) for s in set(shapes)}
+    template = ("," + indent).join(map(templates.__getitem__, shapes))
+    return template % tuple(cells)
 
 
 def _poset_doc(p, k) -> dict:

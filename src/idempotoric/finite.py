@@ -6,9 +6,9 @@ construction by Light's test, and Green's classes come from the Cayley
 graphs, both over a small generating set at O(n²·|A|) cost; the plain
 n³ associativity scan and the principal-ideal Green's classes they
 replace live on in ``tests/test_finite.py`` as ``reference_validate``
-and ``reference_greens``, which the test suite compares them with.  The
-enumeration functions generate every associative (or commutative) table
-of a given size by backtracking with incremental associativity pruning.
+and ``reference_greens``, which the test suite compares them with.
+``all_associative_tables`` generates every associative table of a given
+size by backtracking with incremental associativity pruning.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "GreensClasses",
     "IndexPeriod",
     "all_associative_tables",
-    "all_commutative_tables",
     "check_smallest_criterion",
     "direct_product",
     "greens_classes",
@@ -35,7 +34,6 @@ __all__ = [
     "left_zero",
     "right_zero",
     "smallest_idempotent_commutative",
-    "standard_catalogue",
     "validate_table",
     "zmod_times",
 ]
@@ -388,7 +386,7 @@ def check_smallest_criterion(s: FiniteSemigroup, e: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# builders and catalogues
+# builders and enumeration
 # --------------------------------------------------------------------------
 
 
@@ -479,40 +477,3 @@ def all_associative_tables(n: int):
         return ((i, j),)
 
     yield from _fill_tables(n, cells, assign)
-
-
-def all_commutative_tables(n: int):
-    """Every commutative associative table on {0..n-1}: only the upper
-    triangle is searched, the mirror cell is written alongside."""
-    n = _check_size(n)
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def assign(t, cell, v):
-        i, j = cell
-        t[i][j] = v
-        if i != j:
-            t[j][i] = v
-            return ((i, j), (j, i))
-        return ((i, j),)
-
-    yield from _fill_tables(n, cells, assign)
-
-
-def standard_catalogue() -> list[tuple[str, FiniteSemigroup]]:
-    """The fixed test bed: every associative table of size ≤ 4, modular
-    multiplication up to 30, the left/right-zero families, and a few
-    direct products."""
-    cat: list[tuple[str, FiniteSemigroup]] = []
-    for n in (1, 2, 3, 4):
-        for i, s in enumerate(all_associative_tables(n)):
-            cat.append((f"size{n}_table{i}", s))
-    for n in range(1, 31):
-        cat.append((f"zmod{n}_times", zmod_times(n)))
-    for n in range(2, 6):
-        cat.append((f"left_zero_{n}", left_zero(n)))
-        cat.append((f"right_zero_{n}", right_zero(n)))
-    cat.append(("z2_times_z3", direct_product(zmod_times(2), zmod_times(3))))
-    cat.append(("z4_times_z6", direct_product(zmod_times(4), zmod_times(6))))
-    cat.append(("left2_times_right3", direct_product(left_zero(2), right_zero(3))))
-    cat.append(("left3_times_z5", direct_product(left_zero(3), zmod_times(5))))
-    return cat

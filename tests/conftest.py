@@ -1,11 +1,21 @@
-"""Shared helpers: seeded random instances and named cones used across
-test modules."""
+"""Shared helpers: seeded random instances, named cones and the finite
+table catalogues used across test modules."""
 
 import itertools
 import random
 from fractions import Fraction
 
 from idempotoric.cones import cone_from_generators
+from idempotoric.finite import (
+    FiniteSemigroup,
+    _check_size,
+    _fill_tables,
+    all_associative_tables,
+    direct_product,
+    left_zero,
+    right_zero,
+    zmod_times,
+)
 
 
 def random_cone_inputs(seed, count, max_dim=5, max_gens=8, bound=4):
@@ -65,3 +75,40 @@ def cube_times_line(d):
     gens = [(*g, 0) for g in cube_cone(d).generators]
     gens += [(0,) * (d + 1) + (1,), (0,) * (d + 1) + (-1,)]
     return cone_from_generators(d + 2, gens)
+
+
+def all_commutative_tables(n: int):
+    """Every commutative associative table on {0..n-1}: only the upper
+    triangle is searched, the mirror cell is written alongside."""
+    n = _check_size(n)
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def assign(t, cell, v):
+        i, j = cell
+        t[i][j] = v
+        if i != j:
+            t[j][i] = v
+            return ((i, j), (j, i))
+        return ((i, j),)
+
+    yield from _fill_tables(n, cells, assign)
+
+
+def standard_catalogue() -> list[tuple[str, FiniteSemigroup]]:
+    """The fixed test bed: every associative table of size ≤ 4, modular
+    multiplication up to 30, the left/right-zero families, and a few
+    direct products."""
+    cat: list[tuple[str, FiniteSemigroup]] = []
+    for n in (1, 2, 3, 4):
+        for i, s in enumerate(all_associative_tables(n)):
+            cat.append((f"size{n}_table{i}", s))
+    for n in range(1, 31):
+        cat.append((f"zmod{n}_times", zmod_times(n)))
+    for n in range(2, 6):
+        cat.append((f"left_zero_{n}", left_zero(n)))
+        cat.append((f"right_zero_{n}", right_zero(n)))
+    cat.append(("z2_times_z3", direct_product(zmod_times(2), zmod_times(3))))
+    cat.append(("z4_times_z6", direct_product(zmod_times(4), zmod_times(6))))
+    cat.append(("left2_times_right3", direct_product(left_zero(2), right_zero(3))))
+    cat.append(("left3_times_z5", direct_product(left_zero(3), zmod_times(5))))
+    return cat

@@ -8,7 +8,13 @@ import time
 
 import pytest
 
-from conftest import random_cone_inputs, random_eigen_lists, subsets
+from conftest import (
+    all_commutative_tables,
+    random_cone_inputs,
+    random_eigen_lists,
+    standard_catalogue,
+    subsets,
+)
 from idempotoric.cli import run
 from idempotoric.cones import cone_from_generators, enumerate_faces, is_face
 from idempotoric.eigen import (
@@ -20,13 +26,11 @@ from idempotoric.eigen import (
     primitive_relations,
 )
 from idempotoric.finite import (
-    all_commutative_tables,
     check_smallest_criterion,
     idempotent_elements,
     idempotent_power,
     is_minimum_idempotent,
     smallest_idempotent_commutative,
-    standard_catalogue,
     zmod_times,
 )
 from idempotoric.monoids import (

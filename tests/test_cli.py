@@ -25,10 +25,12 @@ from idempotoric.cli import (
     SCHEMA,
     _WRITERS,
     _dump,
+    _fill,
     _parser,
     _random_spectra,
     _relation_filter_check,
     _subset_oracle,
+    _write,
     export_dot,
     main,
     run,
@@ -366,7 +368,7 @@ KEYS = st.one_of(STRINGS, st.sampled_from(["%", "%s", "%%", "a%sb", "%(k)s", "di
 
 
 def _columns(inner):
-    """Lists that the writer renders a column at a time: records that share
+    """Lists that the writer fills from one template: records that share
     one key set, rows of equal length, rows that mix lists and tuples, and
     ragged rows, each with bools next to ints."""
     cell = st.one_of(INTS, st.booleans())
@@ -513,6 +515,115 @@ def test_dump_matches_json_dumps_on_an_eigen_report_with_units():
 def test_dump_rejects_values_json_would_round_or_coerce(value):
     with pytest.raises(TypeError):
         _dump(value)
+
+
+# one report row: exact ints, as a list or a tuple, possibly empty
+INT_ROWS = st.one_of(st.lists(INTS, max_size=4), st.lists(INTS, max_size=4).map(tuple))
+
+
+def _dumps_and_fills(value):
+    """``_dump`` gives the bytes of ``json.dumps``, and ``_fill`` takes the
+    list, so those bytes came from its one template."""
+    assert _dump(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert _fill(value, "\n  ") is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(INT_ROWS, min_size=1))
+def test_fill_writes_int_rows_of_mixed_lengths(rows):
+    _dumps_and_fills(rows)
+
+
+# each key holds one kind of field in every record: an int, an int row or
+# a row of int rows
+FIELDS = st.sampled_from([INTS, INT_ROWS, st.lists(INT_ROWS, max_size=3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(KEYS, FIELDS), min_size=1, max_size=4, unique_by=lambda f: f[0])
+    .map(dict)
+    .flatmap(
+        lambda fields: st.lists(st.fixed_dictionaries(fields), min_size=1, max_size=6)
+    )
+)
+def test_fill_writes_records_of_ints_and_rows(records):
+    _dumps_and_fills(records)
+
+
+RELATION_SIDE = st.lists(st.tuples(st.integers(1, 9), INTS).map(list), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.fixed_dictionaries({"lhs": RELATION_SIDE, "rhs": RELATION_SIDE}), min_size=1
+    ),
+    st.sampled_from(["lhs", "%", "%d", "100%"]),
+)
+def test_fill_writes_relations_with_empty_sides_and_percent_keys(relations, key):
+    records = [{key: r["lhs"], "rhs": r["rhs"]} for r in relations]
+    _dumps_and_fills(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.fixed_dictionaries(
+            {"dim": INTS, "index_set": INT_ROWS, "witness": INT_ROWS}
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.data(),
+)
+def test_records_with_a_field_of_another_kind_are_written_one_by_one(faces, data):
+    i = data.draw(st.integers(0, len(faces) - 1))
+    key = data.draw(st.sampled_from(["dim", "index_set", "witness"]))
+    faces[i][key] = data.draw(st.one_of(st.booleans(), STRINGS, st.none()))
+    assert _fill(faces, "\n  ") is None
+    assert _dump(faces) == json.dumps(faces, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [0.5, 2.0, Fraction(1, 2), Fraction(4, 2)],
+    ids=["float", "whole-float", "fraction", "whole-fraction"],
+)
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda bad: [[1, 2], [3, bad]],
+        lambda bad: [(1,), [], (2, bad, 3)],
+        lambda bad: [{"dim": 0, "witness": [1]}, {"dim": bad, "witness": [2]}],
+        lambda bad: [
+            {"lhs": [[1, 1]], "rhs": []},
+            {"lhs": [[2, bad]], "rhs": [[1, 2]]},
+        ],
+    ],
+    ids=["int-rows", "ragged-rows", "record-int-column", "relation-side"],
+)
+def test_fill_shapes_reject_a_float_or_a_fraction(place, bad):
+    with pytest.raises(TypeError):
+        _dump(place(bad))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter writes ints of any length",
+)
+def test_write_rejects_a_record_int_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    faces = [
+        {"dim": 0, "index_set": [], "witness": [1, 1]},
+        {"dim": 1, "index_set": [0], "witness": [10**limit, 1]},
+    ]
+    with pytest.raises(InputError) as caught:
+        _write("json", {"faces": faces})
+    assert str(caught.value) == (
+        f"a report integer has more than {limit} digits,"
+        " the interpreter's limit for writing one"
+    )
 
 
 # -- DOT export ----------------------------------------------------------------

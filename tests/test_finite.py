@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import all_commutative_tables, standard_catalogue
 from idempotoric import cli, finite
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.finite import (
@@ -14,7 +15,6 @@ from idempotoric.finite import (
     GreensClasses,
     IndexPeriod,
     all_associative_tables,
-    all_commutative_tables,
     check_smallest_criterion,
     direct_product,
     greens_classes,
@@ -25,7 +25,6 @@ from idempotoric.finite import (
     left_zero,
     right_zero,
     smallest_idempotent_commutative,
-    standard_catalogue,
     validate_table,
     zmod_times,
 )
