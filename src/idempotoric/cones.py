@@ -12,7 +12,10 @@ Faces are identified with the subsets of generator indices they contain.
 bitmasks of the generator-facet incidences, ``Cone.incidences``, which
 the double description pass's final check compares with every (facet,
 generator) product; its docstring gives the method, its cost and the
-proof that the facet list is exact.
+proof that the facet list is exact.  That check, the packed certificate
+``_certify_rays``, reads a generator's products with all the facets from
+the lanes of one big-int sum (``_dd_rays`` gives the lane width and the
+proof).
 
 Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
@@ -24,7 +27,8 @@ of sets at once, one bit per set: for each index the family members
 containing it form one int, and each circuit costs one AND of those ints
 per index of its support, so all 2^r subsets of r generators cost
 c·|support| ANDs of 2^r-bit ints for c circuits.  Each circuit is
-certified by its column sums and by the rank of its support.
+certified by its column sums, all taken in one sum of packed integer
+lanes, and by the rank of its support.
 ``is_face`` decides a single subset by exact rational Fourier-Motzkin
 elimination and returns an integer witness functional; it is far slower
 and serves as the reference the tests hold the other two to.  All three
@@ -39,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
 from math import gcd
-from operator import add, and_, mul
+from operator import add, and_, lshift, mul
 
 from .errors import InputError, InternalCheckError
 from .lattices import (
@@ -251,31 +255,58 @@ def _dd_rays(dim, ineqs):
     lineality space (their rank): two rays are adjacent only when their
     common tight set cuts out a 2-face, which takes rank ``cut - 2``
     (Fukuda & Prodon 1996).  Every pair that passes still goes through the
-    scan, which decides.  The final check takes every (ray, inequality)
-    product once: none may be negative, and each ray's zero products must
-    be exactly the tight set it carried.
+    scan, which decides.  Each step takes one product per (inequality,
+    vector) pair, lineality vectors and rays alike.
+
+    The final check, ``_certify_rays``, takes every (inequality, ray)
+    product again, on packed lanes (SWAR: Lamport, CACM 18(8), 1975): none
+    may be negative, and each ray's zero products must be exactly the tight
+    set it carried.  The R rays v_j are packed per coordinate k as
+    Q_k = Σ_j v_j[k]·2^{B·j}, so that S = Σ_k a_k·Q_k = Σ_j (a·v_j)·2^{B·j}
+    for an inequality a.  The lane width B is the least with
+    max‖a‖₁ · max|v| < 2^{B-1}, so every product p_j = a·v_j has
+    |p_j| < 2^{B-1}.  Let H hold the top bit of every lane, 2^{B-1}·2^{B·j}
+    for j < R, and L hold 2^{B-1} - 1 in every lane.  If every p_j ≥ 0,
+    S's lanes are the p_j themselves, none reaching its top bit, so
+    S & H = 0.  If not, let j be the lowest negative lane: the lanes below
+    it sum to less than 2^{B·j}, so bits B·j and up of S (in two's
+    complement, which Python's & uses for negative ints) read
+    p_j + 2^B (mod 2^B), whose top bit is set because -2^{B-1} < p_j < 0.
+    So every product is nonnegative exactly when S & H = 0, and then
+    S ≥ 0; more, the lowest set bit of S & H is the top bit of the lowest
+    negative lane.  Below that lane, every lane of S + L is
+    p_j + 2^{B-1} - 1 < 2^B with no carry in, whose top bit is set exactly
+    when p_j ≠ 0: (S + L) & H marks the nonzero products there, which must
+    be the lanes of the rays not tight at a, read off the transpose of the
+    tight sets.  A tight set naming an inequality past the last is a fault
+    in its ray's lane.  Among all inequalities, the lowest lane with a
+    fault names the first ray at fault, and a negative product there comes
+    first, so the check raises what taking the rays one by one would.  The
+    r inequalities cost r·d products of a d-entry row by R·B-bit ints, in
+    place of r·R dot products.
     """
     lin = [[int(i == j) for j in range(dim)] for i in range(dim)]
     rays: list[tuple[Vector, int]] = []
     cut = 0
     for idx, a in enumerate(ineqs):
         bit = 1 << idx
-        hit = next((i for i, l in enumerate(lin) if _dot(a, l)), None)
+        products = [_dot(a, l) for l in lin]
+        hit = next((i for i, d in enumerate(products) if d), None)
         if hit is not None:
             # the constraint cuts the lineality space: one basis vector
             # becomes a ray, the rest get projected into the hyperplane
             cut += 1
-            l0 = lin.pop(hit)
-            if _dot(a, l0) < 0:
-                l0 = [-t for t in l0]
-            al0 = _dot(a, l0)
+            l0, al0 = lin.pop(hit), products.pop(hit)
+            if al0 < 0:
+                l0, al0 = [-t for t in l0], -al0
             lin = [
-                list(_primitive([al0 * x - _dot(a, l) * y for x, y in zip(l, l0)]))
-                for l in lin
+                list(_primitive([al0 * x - d * y for x, y in zip(l, l0)]))
+                for l, d in zip(lin, products)
             ]
             new_rays = []
             for vec, tight in rays:
-                adj = _primitive([al0 * x - _dot(a, vec) * y for x, y in zip(vec, l0)])
+                d = _dot(a, vec)
+                adj = _primitive([al0 * x - d * y for x, y in zip(vec, l0)])
                 if not any(adj):
                     raise InternalCheckError("ray collapsed onto the lineality space")
                 new_rays.append((adj, tight | bit))
@@ -310,16 +341,49 @@ def _dd_rays(dim, ineqs):
             raise InternalCheckError("duplicate ray generated")
         rays = new_rays
     out_lin = [tuple(l) for l in lin]
-    for v, tight in rays:
-        products = [_dot(a, v) for a in ineqs]
-        if any(d < 0 for d in products):
-            raise InternalCheckError("double description ray violates a constraint")
-        if sum(1 << i for i, d in enumerate(products) if not d) != tight:
-            raise InternalCheckError("double description lost track of a tight set")
+    out_rays, tight_sets = [tuple(v) for v, _ in rays], [t for _, t in rays]
+    _certify_rays(ineqs, out_rays, tight_sets)
     for l in out_lin:
         if any(_dot(a, l) for a in ineqs):
             raise InternalCheckError("lineality vector violates a constraint")
-    return [tuple(v) for v, _ in rays], out_lin, [t for _, t in rays]
+    return out_rays, out_lin, tight_sets
+
+
+def _certify_rays(ineqs, rays, tight):
+    """The final check of ``_dd_rays``, whose docstring gives the lane
+    width and the proof: raise unless every (inequality, ray) product is
+    nonnegative and each ray's zero products are exactly its tight set."""
+    big = max(map(abs, chain.from_iterable(rays)), default=0)
+    norm = max((sum(map(abs, a)) for a in ineqs), default=0)
+    width = (norm * big).bit_length() + 1
+    ones = ((1 << width * len(rays)) - 1) // ((1 << width) - 1)  # 1 in every lane
+    top = ones << width - 1
+    fill = top - ones
+    shifts = range(0, width * len(rays), width)
+    packed = [sum(map(lshift, col, shifts)) for col in zip(*rays)]
+    # the tight lanes of each inequality, and the lanes of the rays whose
+    # tight sets name an inequality that is not there
+    full = (1 << len(ineqs)) - 1
+    tight_lanes = [0] * len(ineqs)
+    negative, lost = 0, 0
+    for j, t in enumerate(tight):
+        lane = 1 << width * j + width - 1
+        if t & ~full:
+            lost |= lane
+        for i in _bits(t & full):
+            tight_lanes[i] |= lane
+    for a, t in zip(ineqs, tight_lanes):
+        s = sum(map(mul, a, packed))
+        low = s & top
+        low &= -low  # the lowest negative lane, if any: exact below it
+        negative |= low
+        lost |= ((s + fill) & top ^ top ^ t) & (low - 1)
+    first = negative | lost
+    first &= -first
+    if first & negative:
+        raise InternalCheckError("double description ray violates a constraint")
+    if first:
+        raise InternalCheckError("double description lost track of a tight set")
 
 
 # --------------------------------------------------------------------------
@@ -705,10 +769,15 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
     (Bareiss); a node of two rows a, b gives each column's line directly,
     a[col]·b − b[col]·a, or a where a[col] = 0.  That is at most
     C(r, m - 1) leaves, each made primitive.  Each circuit is checked to
-    sum to zero, column by column, so a kernel vector that is not a
-    dependency fails here, and to have a support whose generators have rank
-    one less than its size, by the length of their fraction-free echelon
-    basis (``_extend_echelon``), kept for every support prefix.
+    sum to zero, so a kernel vector that is not a dependency fails here, and
+    to have a support whose generators have rank one less than its size, by
+    the length of their fraction-free echelon basis (``_extend_echelon``),
+    kept for every support prefix.  The sum is one big int: each generator
+    g is packed once as P = Σ_k g[k]·2^{B·k}, with B the least width such
+    that ‖c‖₁·max|g| < 2^{B-1} for every leaf c, so lane k of Σ cᵢ·Pᵢ is
+    the column sum Σ cᵢ·gᵢ[k], less than 2^{B-1} in size.  Such a sum of
+    lanes is zero only when every lane is, since the highest nonzero lane
+    outweighs all those below it.
     """
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
     gens = mat.entries
@@ -745,7 +814,13 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
                 c = row[col]
                 rest.append([(p * x - c * y) // prev for x, y in zip(row, piv)])
             stack.append((rest, col + 1, p))
-    columns = list(zip(*gens))
+    # each generator packed over its coordinates, lanes wide enough that
+    # the lanes of Σ cᵢ·Pᵢ, each at most ‖c‖₁·max|g| in size, are exact
+    big = max(map(abs, chain.from_iterable(gens)), default=0)
+    norm = max((sum(map(abs, vec)) for vec in leaves), default=0)
+    width = (norm * big).bit_length() + 1
+    shifts = range(0, width * ambient_dim, width)
+    packed = [sum(map(lshift, g, shifts)) for g in gens]
     echelons = {}  # the echelon basis of each support's generators but its last
     found = set()
     circuits = []
@@ -758,7 +833,7 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
         if vec in found:
             continue
         found.add(vec)
-        if any(sum(map(mul, vec, col)) for col in columns):
+        if sum(vec[i] * packed[i] for i in support):
             raise InternalCheckError("signed circuit is not a linear dependency")
         rows, prefix = [], 0
         for i in support[:-1]:

@@ -358,6 +358,169 @@ def test_lost_tight_set_is_reported(monkeypatch):
     assert not lies
 
 
+VIOLATED = "double description ray violates a constraint"
+LOST = "double description lost track of a tight set"
+
+
+def reference_certificate(ineqs, rays, tight):
+    """The final check of _dd_rays as one loop over the rays, one product
+    per (ray, inequality) pair: slow, kept to hold the packed check to."""
+    for v, t in zip(rays, tight):
+        products = [dot(a, v) for a in ineqs]
+        if any(d < 0 for d in products):
+            raise InternalCheckError(VIOLATED)
+        if sum(1 << i for i, d in enumerate(products) if not d) != t:
+            raise InternalCheckError(LOST)
+
+
+def certificate_outcome(check, ineqs, rays, tight):
+    """None when ``check`` accepts, else the message it raises."""
+    try:
+        check(ineqs, rays, tight)
+    except InternalCheckError as e:
+        return str(e)
+    return None
+
+
+def assert_certificates_agree(ineqs, rays, tight):
+    expected = certificate_outcome(reference_certificate, ineqs, rays, tight)
+    assert certificate_outcome(cones._certify_rays, ineqs, rays, tight) == expected
+    return expected
+
+
+def exact_tight(ineqs, rays):
+    return [sum(1 << i for i, a in enumerate(ineqs) if not dot(a, v)) for v in rays]
+
+
+@st.composite
+def certificate_cases(draw):
+    """Inequalities and rays with entries up to 10^40, zero rows among
+    them, and the true tight sets with a few bits flipped, some past the
+    last inequality.  Entries that are all nonnegative make every product
+    nonnegative, so that the tight sets decide."""
+    d = draw(st.integers(min_value=0, max_value=4))
+    bound = draw(st.sampled_from([1, 3, 10**40]))
+    low = draw(st.sampled_from([-bound, 0]))
+    vector = st.tuples(*[st.integers(min_value=low, max_value=bound)] * d)
+    row = st.one_of(vector, st.just((0,) * d))
+    ineqs = draw(st.lists(row, max_size=5))
+    rays = draw(st.lists(row, max_size=6))
+    tight = exact_tight(ineqs, rays)
+    if rays:
+        at = st.tuples(
+            st.integers(min_value=0, max_value=len(rays) - 1),
+            st.integers(min_value=0, max_value=len(ineqs)),
+        )
+        for j, i in draw(st.lists(at, max_size=2)):
+            tight[j] ^= 1 << i
+    return ineqs, rays, tight
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_cases())
+def test_packed_certificate_matches_the_loop(case):
+    assert_certificates_agree(*case)
+
+
+@pytest.mark.parametrize(
+    "ineqs, rays, tight, expected",
+    [
+        ([(1, 2), (3, -1)], [], [], None),
+        ([], [(1, 2)], [0], None),
+        ([], [(1, 2)], [1], "lost track"),
+        ([(0, 0), (0, 0)], [(5, -7), (1, 1)], [3, 3], None),
+        ([(0, 0), (1, 0)], [(5, -7)], [1], None),
+        ([(0, 0), (1, 0)], [(-5, 7)], [1], "violates"),
+        ([(0, 0), (1, 0)], [(5, -7)], [3], "lost track"),
+        ([(2, -1)], [(1, 2)], [1], None),
+        ([(2, -1)], [(1, 2)], [0], "lost track"),
+        ([(2, -1)], [(1, 2)], [-1], "lost track"),
+        # ‖a‖₁·max|v| = 2^64 - 1: products of ±(2^{B-1} - 1) fill a lane
+        ([((1 << 64) - 1, 0)], [(1, 1)] * 3, [0] * 3, None),
+        ([(1 << 63, (1 << 63) - 1)], [(1, 1), (-1, -1), (1, 1)], [0] * 3, "violates"),
+    ],
+    ids=["no-rays", "no-inequalities", "no-inequalities-stray-bit", "zero-rows",
+         "one-lane", "one-lane-negative", "one-lane-wrong-tight-set", "one-lane-tight",
+         "one-lane-lost-tight-bit", "negative-tight-mask", "full-lanes",
+         "full-lanes-negative"],
+)
+def test_packed_certificate_edge_cases(ineqs, rays, tight, expected):
+    message = assert_certificates_agree(ineqs, rays, tight)
+    assert (message is None) if expected is None else (expected in message)
+
+
+# a product of this size in any position, of either sign
+BOUND_RAYS = [(1, 1), (-1, -1), (1, -1), (-1, 1), (0, 0), (1, 0), (0, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.data())
+def test_packed_certificate_at_the_lane_bound(k, data):
+    # ‖a‖₁·max|v| = 2^k - 1, so the lanes are k + 1 bits wide and the
+    # products a·(1, 1) and a·(-1, -1) are ±(2^{B-1} - 1)
+    x = (1 << k) - 1
+    u = data.draw(st.integers(min_value=0, max_value=x))
+    a = (u, x - u)
+    ineqs = data.draw(st.sampled_from([[a], [a, (-u, u - x)], [(0, 0), a]]))
+    rays = data.draw(st.lists(st.sampled_from(BOUND_RAYS), min_size=1, max_size=6))
+    tight = exact_tight(ineqs, rays)
+    if data.draw(st.booleans()):
+        j = data.draw(st.integers(min_value=0, max_value=len(rays) - 1))
+        tight[j] ^= 1 << data.draw(st.integers(min_value=0, max_value=len(ineqs) - 1))
+    assert_certificates_agree(ineqs, rays, tight)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [QUADRANT, cube_cone(5), cross_polytope_cone(6)],
+    ids=["quadrant", "5-cube", "6-cross-polytope"],
+)
+def test_packed_certificate_finds_a_fault_in_every_lane_position(cone):
+    gens, rays, tight = cone.generators, list(cone.facets), list(cone.incidences)
+    assert assert_certificates_agree(gens, rays, tight) is None
+    # the atoms' witnesses vanish on one generator and are positive on the
+    # rest; the facet normals' sum is positive on every generator
+    witness = {f.index_set: f.witness for f in enumerate_faces(cone).faces}
+    inner = [sum(col) for col in zip(*rays)]
+    scale = max(dot(inner, g) for g in gens) + 1
+    last = len(rays) - 1
+    for j in sorted({0, last // 2, last}):
+        faults = []
+        # one product turned negative: the facet's normal scaled up and moved
+        # by a functional negative on one of its generators alone
+        i = (tight[j] & -tight[j]).bit_length() - 1
+        shift = [scale * w - t for w, t in zip(witness[(i,)], inner)]
+        big = max(abs(dot(shift, g)) for g in gens) + 1
+        moved = tuple(big * x + y for x, y in zip(rays[j], shift))
+        assert [k for k, g in enumerate(gens) if dot(moved, g) < 0] == [i]
+        faults.append((rays[:j] + [moved] + rays[j + 1 :], tight, VIOLATED))
+        # one tight bit flipped on, one off
+        off = next(k for k in range(len(gens)) if not tight[j] >> k & 1)
+        for flip in (1 << off, 1 << i):
+            flipped = tight[:j] + [tight[j] ^ flip] + tight[j + 1 :]
+            faults.append((rays, flipped, LOST))
+        for faulty_rays, faulty_tight, message in faults:
+            got = assert_certificates_agree(gens, faulty_rays, faulty_tight)
+            assert got == message, j
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_dd_rays_takes_one_product_per_pair(monkeypatch, d):
+    # on the d unit generators each of the d steps takes one product per
+    # lineality vector or ray, d in all, and the final check none
+    real, calls = cones._dot, []
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    expected = _dd_rays(d, units)
+    monkeypatch.setattr(cones, "_dot", counted)
+    assert _dd_rays(d, units) == expected
+    assert len(calls) <= d * (d + 1)
+
+
 def test_face_posets_are_graded():
     for d, gens in random_cone_inputs(seed=303, count=60, max_dim=5, max_gens=7):
         faces = enumerate_faces(cone_from_generators(d, gens))
