@@ -5,8 +5,9 @@ The layers, bottom to top:
 - ``lattices``: integer matrices, Hermite and Smith forms, kernels,
   saturation.
 - ``cones``: rational polyhedral cones from generators, faces, signed
-  circuits and the face test they give, and a Fourier-Motzkin face
-  oracle kept as the reference.
+  circuits and the face test they give, and a face oracle kept as the
+  reference, on one certified exact simplex that also proves each
+  cone's lineality face linear.
 - ``monoids``: weight monoids, their idempotent posets, and envelope
   reports.
 - ``eigen``: from a nonzero rational spectrum to the idempotent poset of

@@ -29,10 +29,16 @@ per index of its support, so all 2^r subsets of r generators cost
 c·|support| ANDs of 2^r-bit ints for c circuits.  Each circuit is
 certified by its column sums, all taken in one sum of packed integer
 lanes, and by the rank of its support.
-``is_face`` decides a single subset by exact rational Fourier-Motzkin
-elimination and returns an integer witness functional; it is far slower
-and serves as the reference the tests hold the other two to.  All three
-must agree.
+``is_face`` decides a single subset as one feasibility question and
+returns an integer witness functional; it is far slower and serves as
+the reference the tests hold the other two to.  All three must agree.
+
+Every feasibility question, that one through ``solve_affine`` and the
+cone build's proof that its bottom face is linear, goes to one routine,
+``_phase_one``: phase one of the simplex method on an integer tableau,
+under Bland's rule, whose every answer is certified, a solution by its
+caller and an infeasible system by the Farkas vector read off its final
+costs.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
-from math import gcd
+from math import lcm
 from operator import add, and_, lshift, mul
 
 from .errors import InputError, InternalCheckError
@@ -78,8 +84,75 @@ def _dot(a, b) -> int:
 
 
 # --------------------------------------------------------------------------
-# exact affine feasibility (Fourier-Motzkin with witness recovery)
+# exact feasibility: one certified simplex
 # --------------------------------------------------------------------------
+
+
+def _phase_one(columns, rhs):
+    """Exact phase one of the simplex method: nonnegative x with
+    Σ xⱼ·columns[j] = rhs, its basic entries Fractions and the rest int 0,
+    or None, certified, when there is none.
+
+    Each row is negated where its rhs is negative and given an artificial
+    variable, whose sum w is minimised from the artificial basis, x = 0.
+    The tableau is integral (Edmonds, J. Res. NBS 71B, 1967; Bareiss, Math.
+    Comp. 22, 1968): for the basis B and D = det B it holds D·B⁻¹ times the
+    rows, the artificials' columns and the rhs, and below them D times the
+    reduced costs.  A pivot on an entry p > 0 keeps its row; in each other
+    row, whose entry in the pivot's column is c, every entry t becomes
+    (p·t − c·u) // D, with u the pivot row's entry in t's column.  The
+    division is exact, by Cramer's rule, and p is the next D, which so stays
+    positive.  The column to enter is the first with a negative cost and the
+    row to leave the one of least ratio, ties to the least basic index:
+    Bland's rule (Math. OR 2, 1977), under which no basis repeats, so the
+    search ends.  It ends feasible as soon as w = 0, at once when rhs = 0.
+    Otherwise no column has a negative cost.  With y = c_B·B⁻¹ for the
+    costs c, 1 on the artificials, the artificial i then costs D·(1 − yᵢ)
+    and a column a costs −D·y·a, so D·y, the rows' signs put back, is a
+    Farkas vector: its product is at most 0 with every column and D·w > 0
+    with rhs, which no x ≥ 0 allows.  It is checked before None is
+    returned.
+    """
+    n, m = len(columns), len(rhs)
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    tab = [
+        [s * a[i] for a in columns] + [int(k == i) for k in range(m)] + [s * rhs[i]]
+        for i, s in enumerate(signs)
+    ]
+    costs = [-sum(row[j] for row in tab) for j in range(n)]
+    tab.append(costs + [0] * m + [-sum(row[-1] for row in tab)])  # -D·w last
+    basis = list(range(n, n + m))
+    prev = 1
+    while tab[m][-1]:
+        enter = next((j for j, c in enumerate(tab[m][:n]) if c < 0), None)
+        if enter is None:
+            break
+        out = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0 and (
+                out is None
+                or (tab[i][-1] * tab[out][enter], basis[i])
+                < (tab[out][-1] * a, basis[out])
+            ):
+                out = i
+        pivot = tab[out]
+        p = pivot[enter]
+        for i, row in enumerate(tab):
+            c = row[enter]
+            if i != out:
+                tab[i] = [(p * t - c * u) // prev for t, u in zip(row, pivot)]
+        basis[out], prev = enter, p
+    if not tab[m][-1]:
+        x = [0] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = Fraction(tab[i][-1], prev)
+        return tuple(x)
+    y = [s * (prev - c) for s, c in zip(signs, tab[m][n:-1])]
+    if any(_dot(y, a) > 0 for a in columns) or _dot(y, rhs) <= 0:
+        raise InternalCheckError("phase one's Farkas vector does not certify infeasibility")
+    return None
 
 
 def solve_affine(num_vars, equalities, inequalities):
@@ -88,144 +161,28 @@ def solve_affine(num_vars, equalities, inequalities):
     ``equalities`` are pairs ``(coeffs, rhs)`` meaning ``coeffs @ x == rhs``
     and ``inequalities`` mean ``coeffs @ x >= rhs``.  Returns a tuple of
     Fractions satisfying everything, or None when the system is infeasible.
-    Equalities are removed by exact Gauss-Jordan substitution, the rest by
-    Fourier-Motzkin elimination; the witness is rebuilt by walking the
-    eliminated variables backwards.
+    The system goes to ``_phase_one`` with x = p − q for p, q ≥ 0 and one
+    surplus s ≥ 0 per inequality, ``coeffs @ x − s == rhs``, each row
+    scaled to integers by its denominators' least common multiple; so a
+    None comes with a checked Farkas vector, and a witness is checked here.
     """
-    # -- equality reduction ------------------------------------------------
-    pivots: list[tuple[int, list[Fraction], Fraction]] = []
-    for coeffs, rhs in equalities:
-        a = [Fraction(t) for t in coeffs]
-        if len(a) != num_vars:
-            raise InputError("equality row has the wrong width")
-        b = Fraction(rhs)
-        for pc, prow, prhs in pivots:
-            c = a[pc]
-            if c:
-                a = [s - c * t for s, t in zip(a, prow)]
-                b -= c * prhs
-        j = next((idx for idx, t in enumerate(a) if t), None)
-        if j is None:
-            if b != 0:
-                return None
-            continue
-        inv = a[j]
-        a = [t / inv for t in a]
-        b /= inv
-        for k, (pc, prow, prhs) in enumerate(pivots):
-            c = prow[j]
-            if c:
-                pivots[k] = (pc, [s - c * t for s, t in zip(prow, a)], prhs - c * b)
-        pivots.append((j, a, b))
-    pivot_map = {pc: (prow, prhs) for pc, prow, prhs in pivots}
-    free = [v for v in range(num_vars) if v not in pivot_map]
-    nfree = len(free)
 
-    # -- substitute equalities into the inequalities, scale rows to ints ----
-    infeasible = False
+    def scaled(coeffs, rhs, kind):
+        row = [*map(Fraction, coeffs), Fraction(rhs)]
+        if len(row) != num_vars + 1:
+            raise InputError(f"{kind} row has the wrong width")
+        den = lcm(*(q.denominator for q in row))
+        return [int(q * den) for q in row]
 
-    def normalized(coeffs, rhs):
-        nonlocal infeasible
-        den = 1
-        for q in list(coeffs) + [rhs]:
-            den = den * q.denominator // gcd(den, q.denominator)
-        ints = [int(q * den) for q in coeffs]
-        r = int(rhs * den)
-        g = 0
-        for t in ints:
-            g = gcd(g, t)
-        g = gcd(g, r)
-        if g > 1:
-            ints = [t // g for t in ints]
-            r //= g
-        if not any(ints):
-            if r > 0:
-                infeasible = True
-            return None
-        return tuple(ints), r
-
-    rows = set()
-    for coeffs, rhs in inequalities:
-        a = [Fraction(t) for t in coeffs]
-        if len(a) != num_vars:
-            raise InputError("inequality row has the wrong width")
-        b = Fraction(rhs)
-        for pc, (prow, prhs) in pivot_map.items():
-            c = a[pc]
-            if c:
-                a = [s - c * t for s, t in zip(a, prow)]
-                b -= c * prhs
-        norm = normalized([a[v] for v in free], b)
-        if infeasible:
-            return None
-        if norm is not None:
-            rows.add(norm)
-
-    # -- Fourier-Motzkin ----------------------------------------------------
-    stages = []
-    active = list(range(nfree))
-    while active:
-
-        def cost(p):
-            npos = sum(1 for c, _ in rows if c[p] > 0)
-            nneg = sum(1 for c, _ in rows if c[p] < 0)
-            return (npos * nneg, p)
-
-        var = min(active, key=cost)
-        active.remove(var)
-        stages.append((var, tuple(sorted(rows))))
-        pos, neg, keep = [], [], set()
-        for c, r in rows:
-            if c[var] > 0:
-                pos.append((c, r))
-            elif c[var] < 0:
-                neg.append((c, r))
-            else:
-                keep.add((c, r))
-        for pc, pr in pos:
-            for nc, nr in neg:
-                alpha, beta = -nc[var], pc[var]
-                comb = [alpha * x + beta * y for x, y in zip(pc, nc)]
-                rhs = alpha * pr + beta * nr
-                norm = normalized([Fraction(t) for t in comb], Fraction(rhs))
-                if infeasible:
-                    return None
-                if norm is not None:
-                    keep.add(norm)
-        rows = keep
-
-    # -- witness recovery ---------------------------------------------------
-    values: list[Fraction | None] = [None] * nfree
-    for var, snapshot in reversed(stages):
-        lo = hi = None
-        for c, r in snapshot:
-            if not c[var]:
-                continue
-            rest = sum(
-                (c[p] * values[p] for p in range(nfree) if p != var and c[p]),
-                Fraction(0),
-            )
-            bound = Fraction(r - rest, c[var])
-            if c[var] > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is not None and hi is not None and lo > hi:
-            raise InternalCheckError("elimination left an empty interval")
-        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
-            values[var] = Fraction(0)
-        elif lo is not None and lo > 0:
-            values[var] = lo
-        else:
-            values[var] = hi
-    solution = [Fraction(0)] * num_vars
-    for p, v in enumerate(free):
-        solution[v] = values[p] if values[p] is not None else Fraction(0)
-    for pc, (prow, prhs) in pivot_map.items():
-        solution[pc] = prhs - sum(
-            (prow[v] * solution[v] for v in range(num_vars) if v != pc and prow[v]),
-            Fraction(0),
-        )
+    rows = [scaled(*e, "equality") for e in equalities]
+    first = len(rows)  # the first inequality's row
+    rows += [scaled(*e, "inequality") for e in inequalities]
+    p = [[row[j] for row in rows] for j in range(num_vars)]
+    surplus = [[-(i == k) for i in range(len(rows))] for k in range(first, len(rows))]
+    pq = _phase_one(p + [[-t for t in a] for a in p] + surplus, [row[-1] for row in rows])
+    if pq is None:
+        return None
+    solution = tuple(Fraction(a - b) for a, b in zip(pq, pq[num_vars : 2 * num_vars]))
 
     # -- certify ------------------------------------------------------------
     for coeffs, rhs in equalities:
@@ -234,7 +191,7 @@ def solve_affine(num_vars, equalities, inequalities):
     for coeffs, rhs in inequalities:
         if sum(Fraction(c) * x for c, x in zip(coeffs, solution)) < Fraction(rhs):
             raise InternalCheckError("witness violates an inequality")
-    return tuple(solution)
+    return solution
 
 
 # --------------------------------------------------------------------------
@@ -461,10 +418,13 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     face.  One double description pass, on the generators as inequalities,
     gives the facets; its final check is the exact sign test of every facet
     on every generator, and its tight sets are the facets' ``incidences``.
-    The bottom face B, the generators on every facet, must be covered by
-    its nonnegative ``signed_circuits``, which sum to a positive
-    dependency: B then spans a linear space positively, so it is the
-    lineality face, and ``lineality`` is its saturated span.
+    The bottom face B, the generators on every facet, must have a positive
+    dependency: λ with every λᵢ ≥ 1 and Σ λᵢgᵢ = 0, checked here by its d
+    column sums.  Then 0 is in the relative interior of B's cone, which is
+    so a linear space, the lineality face, and ``lineality`` is its
+    saturated span.  λ = 1 + μ, for μ ≥ 0 from ``_phase_one`` on B's
+    generators as columns with rhs −Σgᵢ; for opposite pairs the rhs is 0
+    and μ = 0.
     ``enumerate_faces`` certifies the facet list.  Raises InputError unless
     ``ambient_dim`` is a nonnegative int (not a bool) and
     ``IntegerMatrix.from_rows`` accepts the generators.
@@ -479,15 +439,17 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     facets = tuple(w for w, _ in dual)
     incidences = tuple(t for _, t in dual)
     bottom = reduce(and_, incidences, (1 << len(gens)) - 1)
-    # the bottom face's generators span a linear space, positively: their
-    # nonnegative circuits cover them
+    # the bottom face's generators span a linear space, positively: some
+    # λ ≥ 1 has Σ λᵢgᵢ = 0
     units = [gens[i] for i in _bits(bottom)]
-    covered = 0
-    for c in signed_circuits(ambient_dim, units) if units else ():
-        pos, neg = sign_masks(c)
-        if not neg:
-            covered |= pos
-    if covered != (1 << len(units)) - 1:
+    mu = _phase_one(units, [-sum(col) for col in zip(*units)])
+    lam = None if mu is None else [1 + t for t in mu]
+    if (
+        lam is None
+        or len(lam) != len(units)
+        or any(t < 1 for t in lam)
+        or any(_dot(lam, col) for col in zip(*units))
+    ):
         raise InternalCheckError("bottom face is not linear")
     lineality = saturate(Sublattice.span(ambient_dim, units))
     return Cone(ambient_dim, gens, facets, incidences, lineality, rank(mat))
@@ -889,7 +851,7 @@ def is_face(cone: Cone, index_set) -> Vector | None:
     """Decide one candidate index set, independently of enumerate_faces.
 
     Feasibility of {w : w @ g_i == 0 on the set, w @ g_j >= 1 off it} is
-    settled by exact Fourier-Motzkin elimination.  On success returns a
+    settled by ``solve_affine``, exactly.  On success returns a
     primitive integer witness functional (the zero functional for the full
     set); on failure returns None.  Far slower than the circuit test, it
     is kept as the reference the tests hold the other face algorithms to.
@@ -910,9 +872,7 @@ def is_face(cone: Cone, index_set) -> Vector | None:
     sol = solve_affine(cone.ambient_dim, eqs, ineqs)
     if sol is None:
         return None
-    den = 1
-    for q in sol:
-        den = den * q.denominator // gcd(den, q.denominator)
+    den = lcm(*(q.denominator for q in sol))
     w = _primitive([int(q * den) for q in sol])
     for i in range(r):
         val = _dot(w, cone.generators[i])

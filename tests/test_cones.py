@@ -23,6 +23,7 @@ from idempotoric.cones import (
     FacePoset,
     _dd_rays,
     _extend_echelon,
+    _phase_one,
     _primitive,
     circuit_criterion,
     cone_from_generators,
@@ -282,8 +283,8 @@ def test_is_face_rejects_a_missing_index_set():
 
 
 def test_dual_oracle_agreement_on_random_cones():
-    # face enumeration and the Fourier-Motzkin subset oracle must agree on
-    # the full power set of generator indices
+    # face enumeration and the simplex subset oracle must agree on the full
+    # power set of generator indices
     for d, gens in random_cone_inputs(seed=101, count=40, max_dim=4, max_gens=6):
         cone = cone_from_generators(d, gens)
         family = {f.index_set for f in enumerate_faces(cone).faces}
@@ -1027,6 +1028,60 @@ def test_a_lost_diamond_middle_is_reported(monkeypatch, cone):
         enumerate_faces(cone)
 
 
+# a line of three units, one of them repeated, and two rays: the units'
+# rhs −Σgᵢ is (1, 0, 0), so their λ takes simplex pivots
+LINE_OF_THREE = [[1, 0, 0], [-1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def with_lambda_zero_at_the_last_unit(mu):
+    # λ = (1, 1, 0): its column sums still vanish
+    return (0,) * (len(mu) - 1) + (-1,)
+
+
+def with_a_column_sum_off_by_one(mu):
+    # λ₀ one more: every λᵢ ≥ 1, but the first column sums to 1
+    return (mu[0] + 1, *mu[1:])
+
+
+def with_the_last_unit_left_out(mu):
+    # λ = (1, 1) over the first two units alone: its sums vanish
+    return (0,) * (len(mu) - 1)
+
+
+def with_no_dependency(mu):
+    return None
+
+
+@pytest.mark.parametrize("mode", ["cone", "monoid"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        with_lambda_zero_at_the_last_unit,
+        with_a_column_sum_off_by_one,
+        with_the_last_unit_left_out,
+        with_no_dependency,
+    ],
+    ids=["lambda-zero", "column-sum-off", "unit-left-out", "none"],
+)
+def test_a_wrong_lineality_certificate_is_reported(
+    tmp_path, capsys, monkeypatch, mode, change
+):
+    code, rep = run_job(tmp_path, capsys, mode, LINE_OF_THREE)
+    assert code == 0
+    if mode == "monoid":
+        assert rep["smallest_index_set"] == [1, 2, 3]
+
+    # the change applies to the answer the cone build gets for its units
+    real = cones._phase_one
+    monkeypatch.setattr(cones, "_phase_one", lambda *args: change(real(*args)))
+    code, rep = run_job(tmp_path, capsys, mode, LINE_OF_THREE)
+    assert (code, rep["error"]["kind"], rep["error"]["message"]) == (
+        2,
+        "internal",
+        "bottom face is not linear",
+    )
+
+
 def mutation_corpus():
     """The cones whose facet lists the mutation test corrupts: named ones
     on both sides of enumerate_faces, with and without a line, and seeded
@@ -1276,3 +1331,104 @@ def test_solve_affine_unbounded_direction():
 def test_solve_affine_rational_answer():
     sol = solve_affine(1, [((3,), 1)], [])
     assert sol == (Fraction(1, 3),)
+
+
+def test_solve_affine_fraction_coefficients():
+    # x/2 + y/3 == 5/6 and y - x/4 >= 1/7: the rows are scaled to integers
+    eqs = [((Fraction(1, 2), Fraction(1, 3)), Fraction(5, 6))]
+    ineqs = [((Fraction(-1, 4), 1), Fraction(1, 7))]
+    x, y = solve_affine(2, eqs, ineqs)
+    assert x / 2 + y / 3 == Fraction(5, 6) and y - x / 4 >= Fraction(1, 7)
+    # x/2 >= 1/3 and x/3 <= 1/9 leave no x
+    assert solve_affine(1, [], [((Fraction(1, 2),), Fraction(1, 3)),
+                                ((Fraction(-1, 3),), Fraction(-1, 9))]) is None
+
+
+# ---------------------------------------------------------------- _phase_one
+
+
+def assert_solves(columns, rhs, x):
+    assert x is not None and len(x) == len(columns) and min(x, default=0) >= 0
+    assert [sum(t * a[i] for t, a in zip(x, columns)) for i in range(len(rhs))] == list(rhs)
+
+
+# Beale's cycling example (Beale, Naval Res. Logist. Q. 2, 1955), as
+# equalities with the slacks x1, x2, x3 first and the rows scaled to
+# integers; with Dantzig's rule, ties to the lowest row, in place of
+# Bland's, this phase one never ends on it:
+#   x4/4 − 8x5 − x6 + 9x7 + x1 = 0,  x4/2 − 12x5 − x6/2 + 3x7 + x2 = 0,
+#   x6 + x3 = 1;
+# its objective, 3x4/4 − 20x5 + x6/2 − 6x7, is at most 5/4
+BEALE = [
+    [4, 0, 0, 1, -32, -4, 36],
+    [0, 2, 0, 1, -24, -1, 6],
+    [0, 0, 1, 0, 0, 1, 0],
+]
+BEALE_OBJECTIVE = [0, 0, 0, 3, -80, 2, -24]  # four times the objective
+
+
+def columns_of(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def test_phase_one_terminates_on_beales_example():
+    columns = columns_of(BEALE)
+    assert_solves(columns, [0, 0, 1], _phase_one(columns, [0, 0, 1]))
+    # the objective held at its maximum, and just above it
+    columns = columns_of(BEALE + [BEALE_OBJECTIVE])
+    assert_solves(columns, [0, 0, 1, 5], _phase_one(columns, [0, 0, 1, 5]))
+    columns = columns_of(BEALE + [[100 * t for t in BEALE_OBJECTIVE]])
+    assert _phase_one(columns, [0, 0, 1, 501]) is None
+
+
+@pytest.mark.parametrize(
+    "columns, rhs",
+    [
+        ([(1,), (1,)], (-1,)),  # x + y = -1
+        ([(1, 1)], (1, 2)),  # x = 1 and x = 2
+        ([(1, 1), (-1, -1)], (1, 0)),  # x - y = 1 and x - y = 0: y·a = 0 on every column
+        ([], (3,)),  # no columns: 0 = 3
+        ([(1, 0), (0, 1)], (1, -1)),  # the quadrant misses (1, -1)
+    ],
+)
+def test_phase_one_returns_none_when_infeasible(columns, rhs):
+    assert _phase_one(columns, rhs) is None
+
+
+def test_phase_one_edge_cases():
+    assert _phase_one([], ()) == ()
+    assert _phase_one([(), ()], ()) == (0, 0)
+    # a zero rhs: x = 0, the starting point, before any pivot
+    assert _phase_one([(1, -1), (-1, 1)], (0, 0)) == (0, 0)
+    # columns that span the plane positively reach any rhs
+    for rhs in [(1, 0), (-3, 5), (7, 7)]:
+        columns = [(1, 0), (0, 1), (-2, -1)]
+        assert_solves(columns, rhs, _phase_one(columns, rhs))
+
+
+def test_a_farkas_vector_of_the_wrong_sign_is_refused(monkeypatch):
+    # every product with the certificate negated: on x - y = 1, x - y = 0
+    # y·a is 0 on both columns, so only y·rhs > 0 can refuse it
+    real = cones._dot
+    monkeypatch.setattr(cones, "_dot", lambda a, b: -real(a, b))
+    with pytest.raises(InternalCheckError, match="Farkas vector"):
+        _phase_one([(1, 1), (-1, -1)], (1, 0))
+    with pytest.raises(InternalCheckError, match="Farkas vector"):
+        _phase_one([(1,), (1,)], (-1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * m), max_size=6),
+            st.tuples(*[st.integers(-4, 4)] * m),
+        )
+    )
+)
+def test_phase_one_answers_are_certified(case):
+    # a None has passed its Farkas check; an x must solve the system
+    columns, rhs = case
+    x = _phase_one(columns, rhs)
+    if x is not None:
+        assert_solves(columns, rhs, x)

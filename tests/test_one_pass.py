@@ -80,13 +80,14 @@ WIDE = [[1, k] for k in range(11)]
     "mode, payload, expected",
     [
         # a unit pair 2, 1/2: the envelope projects out the cone's own
-        # lineality space, and the cone's certificate takes the circuits of
-        # its two units, the bottom face's generators
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 2, 2, 4)),
+        # lineality space, and the cone's certificate is the positive
+        # dependency of its two units, the bottom face's generators, which
+        # takes no circuits and no kernel
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 1, 2, 3)),
         # pointed: the envelope monoid is the weight monoid itself
         ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 1, 1, 0, 2, 2, 4)),
+         (0, 1, 1, 0, 1, 2, 3)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
          (0, 1, 1, 0, 1, 1, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
@@ -110,8 +111,8 @@ def test_job_builds_each_object_once(
     # weight monoid's span is checked by the cone's dimension.
     # kernel_lattice: one kernel of the exponent rows, shared by the
     # circuits and the relations, or of the generators for the circuits of
-    # a cone or monoid job; a cone with units adds its units' circuits and
-    # the two kernels that saturate their span
+    # a cone or monoid job; a cone with units adds the two kernels that
+    # saturate their span
     assert tuple(calls.values()) == expected
 
 
