@@ -11,11 +11,13 @@ Faces are identified with the subsets of generator indices they contain.
 ``enumerate_faces`` lists every face with its Hasse covers, working on
 bitmasks of the generator-facet incidences, ``Cone.incidences``, which
 the double description pass's final check compares with every (facet,
-generator) product; its docstring gives the method, its cost and the
-proof that the facet list is exact.  That check, the packed certificate
+generator) product.  That check, the packed certificate
 ``_certify_rays``, reads a generator's products with all the facets from
 the lanes of one big-int sum (``_dd_rays`` gives the lane width and the
-proof).
+proof).  One walk, whose direction is data, closes the facets' generator
+masks from the bottom or the generators' facet masks from the top,
+whichever side is smaller; the ``enumerate_faces`` docstring gives the
+method, its cost and the proof that the facet list is exact.
 
 Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
@@ -46,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from math import lcm
 from operator import add, and_, lshift, mul
@@ -368,17 +370,6 @@ class Cone:
     lineality: Sublattice
     dim: int
 
-    @cached_property
-    def _facet_sets(self) -> tuple[int, ...]:
-        """For each generator, the bitmask of the facets through it: the
-        transpose of ``incidences``, one step per set bit."""
-        out = [0] * len(self.generators)
-        for j, inc in enumerate(self.incidences):
-            bit = 1 << j
-            for i in _bits(inc):
-                out[i] |= bit
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Face:
@@ -497,194 +488,184 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     """Every face of the cone, as a graded poset, and the proof that the
     facet list is exact.
 
-    A face is stored as the bitmask of the generators on it and the bitmask
-    T of the facets through it.  The faces are the intersections of the
-    facets' ``cone.incidences`` (the empty intersection is the cone
-    itself), and dually the intersections of the generators' facet sets Gᵢ
-    (the empty one is the lineality space, on every facet), so the lattice
-    L is closed by ``_closed_sets`` over whichever of the r generators and
-    m facets is fewer: O(F·min(r, m)) mask operations for the closure and
-    the count test for the covers, after Kaibel & Pfetsch (CGTA 2002).
-    ``_faces_up`` walks the closure over the incidences from the bottom;
-    ``_faces_down`` the one over the Gᵢ, the faces' T, whose lower covers
-    are a face's upper covers, from the top.  A set closed over the Gᵢ is
-    the AND of the Gᵢ over the generators it gives: distinct sets, distinct
-    faces.
+    A face is a set of generators and the set T of the facets through it,
+    each a bitmask: its generators are those on every facet of T, the AND
+    of their ``cone.incidences``, and T holds the facets through every one
+    of its generators, the AND of their facet masks.  So the faces are the
+    intersections of the incidences (the empty intersection is the cone
+    itself), and dually of the facet masks (the empty one is the lineality
+    space, on every facet), and the lattice L is closed by ``_closed_sets``
+    over whichever of the r generators and m facets is fewer: O(F·min(r, m))
+    mask operations for the closure and the count test for the covers,
+    after Kaibel & Pfetsch (CGTA 2002).  Closed over the incidences, L's
+    order is inclusion and the walk starts at the bottom; closed over the
+    facet masks, the faces' T, it is the order-dual and the walk starts at
+    the top.  Either way it ends at the other end, its far end, and carries
+    each face's set of the other side.  A closed set is the AND of its
+    side's masks over the members of the other side it gives: distinct
+    closed sets, distinct faces.
 
-    Each face comes from one Hasse neighbour, which the walk must have
-    reached first, as must every cover it lists.  Up, it takes dim c + 1, T
-    and the sorted generators from its lower cover c with the most
-    generators; down, dim u - 1 and u's generators AND the incidences of
-    the facets it adds from its upper cover u through the most facets.
-    Only the first face's rank is given: the bottom's is the length of a
-    fraction-free echelon basis of its generators, the top's ``cone.dim``.
-    Every cover edge b ⋖ s needs dim s = dim b + 1 and a facet through b
-    and off s (b and s differ in T up, in generators down), which vanishes
-    on the span of b and is positive on some generator of s: every edge
-    raises the true rank by at least one.  So along the covers a face was
-    built from, its true rank is at least its dimension walking up, at most
-    walking down, and the other way round along any chain of covers on to
-    the far end, whose rank is checked too: the top's against
-    ``cone.dim``, the bottom's against its elimination.  Every face below
-    the top needs an upper cover and, walking down, every face above the
-    bottom a lower cover.  The faces the top covers (walking down, covers
-    alone) must be exactly the facets' masks, so no listed facet is
-    redundant or listed twice.  A face's witness functional, the sum of the
-    normals over T, is its upper cover's through the most facets plus the
-    normals of the facets T adds.
+    Each face but the start is built from the cover it lists back towards
+    the start with the most closed members, which the walk must have
+    reached first, as must every cover it lists: its carried set is that
+    cover's ANDed with the masks of the members it adds, and its height is
+    that cover's plus one walking up, minus one walking down, from 0 at the
+    start.  Every face but the start must list a cover and every face but
+    the far end must be listed, so each face lies on a chain of covers from
+    the start to the far end.  Every cover edge b ⋖ s needs height s =
+    height b + 1 and a facet through b and off s (their carried sets
+    differ), which vanishes on the span of b and is positive on some
+    generator of s: every edge raises the true rank by at least one.  So
+    from the bottom to the top the height rises by at most the rank does,
+    from the bottom's, the length of a fraction-free echelon basis of its
+    generators, to the top's, ``cone.dim``.  The walk checks that it rises
+    by exactly that, a check named for the far end's rank.  Then along every
+    chain from end to end each edge raises the rank by exactly one, and
+    each face's dimension is the bottom's rank plus its height above the
+    bottom.  The faces the top covers must be exactly the facets' masks, so
+    no listed facet is redundant or listed twice.  A face's sorted
+    generators and its witness functional, the sum of the normals over T,
+    are each a cover's plus what the face adds: on the closed side the
+    cover it was built from, on the carried side its cover ahead with the
+    most carried members, walking back from the far end.
 
     Last, every interval [b, s] of length 2 in L must be a diamond, with
     two middle elements (Ziegler, *Lectures on Polytopes*, lecture 2): the
-    paths of two covers from each face, down walking up and up walking
-    down, must reach twice as many faces as they are.  Then L is the cone's
-    face lattice Φ, and no facet is missing.  Each element of L is a face,
-    an intersection of tight sets of valid inequalities, of its true
-    dimension, and L's bottom is the lineality face
-    (``cone_from_generators``).  So a cover of L is one of Φ, L's middle
-    elements are Φ's, reached at most twice, so each exactly twice, and
-    every maximal chain of L is a flag of Φ.  Flipping a flag in L at F_i
-    swaps F_i for the other middle element of the diamond [F_{i-1},
-    F_{i+1}], which is in L.  Modulo its lineality space Φ is a polytope's
-    face lattice, flag-connected (McMullen & Schulte, *Abstract Regular
-    Polytopes*, ch. 2): flips reach every flag from any other, so L holds
-    every flag of Φ, and every face.  The count takes each path once, after
-    the other checks on the face it starts from.
+    paths of two covers back from each face must reach twice as many faces
+    as they are.  Then L is the cone's face lattice Φ, and no facet is
+    missing.  Each element of L is a face, an intersection of tight sets of
+    valid inequalities, of its true dimension, and L's bottom is the
+    lineality face (``cone_from_generators``).  So a cover of L is one of
+    Φ, L's middle elements are Φ's, reached at most twice, so each exactly
+    twice, and every maximal chain of L is a flag of Φ.  Flipping a flag in
+    L at F_i swaps F_i for the other middle element of the diamond
+    [F_{i-1}, F_{i+1}], which is in L.  Modulo its lineality space Φ is a
+    polytope's face lattice, flag-connected (McMullen & Schulte, *Abstract
+    Regular Polytopes*, ch. 2): flips reach every flag from any other, so L
+    holds every flag of Φ, and every face.  The count takes each path once,
+    walking back from the far end, after the other checks.
     """
-    walk = _faces_up if len(cone.facets) <= len(cone.generators) else _faces_down
-    return walk(cone)
+    return _walk(cone, len(cone.facets) > len(cone.generators))
 
 
-# each walk builds a face from a listed cover, so every cover must be walked first
+# each face is built from a listed cover, so every cover must be walked first
 _UNWALKED = "a listed cover is not walked before its face"
+_NO_LOWER = "a face above the bottom has no lower cover"
+_NO_UPPER = "a face below the top has no upper cover"
 
 
-def _faces_up(cone):
-    """``enumerate_faces`` by the walk over the facets' generator masks."""
+def _walk(cone, down):
+    """``enumerate_faces`` by the closure over the facets' generator masks,
+    from the bottom, or (``down``) over the generators' facet masks, from
+    the top."""
     gens, normals, incidences = cone.generators, cone.facets, cone.incidences
-    top, full = (1 << len(gens)) - 1, (1 << len(incidences)) - 1
-    facet_sets = cone._facet_sets
-    covers_of = _closed_sets(top, incidences)
-    if sorted(covers_of[top]) != sorted(incidences):
-        raise InternalCheckError("a listed facet is not a facet")
-    # each face is named by its place in _closed_sets' bit-count order
-    order = list(covers_of)
-    index = {s: k for k, s in enumerate(order)}
-    try:
-        lower = [list(map(index.__getitem__, covers_of[s])) for s in order]
-    except KeyError:
-        raise InternalCheckError(_UNWALKED) from None
-    dims, through, index_sets = [], [], []
-    above = [[] for _ in order]  # each face's upper covers
-    up = [None] * len(order)  # the one through the most facets
-    most = [-1] * len(order)  # and their number
-    for k, s in enumerate(order):
-        covers = lower[k]
-        if covers:
-            c = max(covers)  # a lower cover with the most generators
-            if c >= k:
-                raise InternalCheckError(_UNWALKED)
-            t, new = through[c], _bits(s & ~order[c])
-            dim = dims[c] + 1
-            members = tuple(sorted(index_sets[c] + tuple(new)))
-        else:  # the bottom face
-            t, new = full, _bits(s)
-            dim = len(_extend_echelon([], [gens[i] for i in new]))
-            members = tuple(new)
-        for i in new:
-            t &= facet_sets[i]
-        n = t.bit_count()
-        for b in covers:
-            if through[b] == t:
-                raise InternalCheckError("face step has no separating facet")
-            if dims[b] + 1 != dim:
-                raise InternalCheckError("face poset is not graded by dimension")
-            above[b].append(k)
-            if n > most[b]:
-                most[b], up[b] = n, k
-        dims.append(dim)
-        through.append(t)
-        index_sets.append(members)
-    top_at = index[top]
-    if dims[top_at] != cone.dim:
-        raise InternalCheckError("top face rank differs from the cone's dimension")
-    witness = [None] * len(order)
-    faces = {}
-    for k in reversed(range(len(order))):
-        t = through[k]
-        u = up[k]
-        if u is not None:
-            wit, t = witness[u], t & ~through[u]
-        elif k == top_at:
-            wit = (0,) * cone.ambient_dim
-        else:
-            raise InternalCheckError("a face below the top has no upper cover")
-        for j in _bits(t):
-            wit = tuple(map(add, wit, normals[j]))
-        witness[k] = wit
-        # each face two steps below must be reached by exactly two paths
-        below = list(chain.from_iterable(map(lower.__getitem__, lower[k])))
-        if 2 * len(set(below)) != len(below):
-            raise InternalCheckError("an interval of length 2 is not a diamond")
-        faces[k] = dims[k], index_sets[k], wit
-    return _numbered(faces, above, top_at)
+    through = [0] * len(gens)  # each generator's facet mask
+    for j, inc in enumerate(incidences):
+        for i in _bits(inc):
+            through[i] |= 1 << j
 
+    def with_members(members, new):
+        return tuple(sorted(members + tuple(new)))
 
-def _faces_down(cone):
-    """``enumerate_faces`` by the walk over the generators' facet masks."""
-    gens, normals, incidences = cone.generators, cone.facets, cone.incidences
-    covers_of = _closed_sets((1 << len(incidences)) - 1, cone._facet_sets)
-    first = next(iter(covers_of))  # the top face's T
-    faces = {}  # each face's T: its dimension, generator mask and witness
-    coatoms = []
-    for t, above in covers_of.items():
+    def with_normals(witness, new):
+        for j in new:
+            witness = tuple(map(add, witness, normals[j]))
+        return witness
+
+    # a side, generators or facets: the masks of its sets, one per member of
+    # the other side, and its full set; then, by walk position, each face's
+    # set of it and its value there, which starts empty and grows by the
+    # members a face adds
+    gen_masks, members, facet_masks, witnesses = [], [], [], []
+    gen_side = incidences, (1 << len(gens)) - 1, gen_masks, members, (), with_members
+    facet_side = (through, (1 << len(incidences)) - 1, facet_masks, witnesses,
+                  (0,) * cone.ambient_dim, with_normals)
+    lower, upper = [], []  # each face's covers, by walk position
+    # the orientation: the side closed over and the side carried; the covers
+    # listed back towards the start and those ahead; the height step; the
+    # bottom and the top, as the start (0) or the far end (-1); the far end's
+    # rank check, and the messages for a face with no cover back or ahead
+    if down:
+        closed, carried, back, ahead, step = facet_side, gen_side, upper, lower, -1
+        bottom, top, far_rank = -1, 0, "bottom face rank differs from its elimination"
+        no_back, no_ahead = _NO_UPPER, _NO_LOWER
+    else:
+        closed, carried, back, ahead, step = gen_side, facet_side, lower, upper, 1
+        bottom, top, far_rank = 0, -1, "top face rank differs from the cone's dimension"
+        no_back, no_ahead = _NO_LOWER, _NO_UPPER
+    masks, full, closed_masks, closed_values, closed_empty, closed_grow = closed
+    cross, carried_full, carried_masks, carried_values, carried_empty, carried_grow = carried
+
+    covers_of = _closed_sets(full, masks)
+    closed_masks += covers_of
+    carried_values += [None] * len(covers_of)  # set walking back
+    heights, most, best, index = [], [], [], {}
+    for k, (s, listed) in enumerate(covers_of.items()):
         try:
-            if above:
-                u = max(above, key=int.bit_count)  # the upper cover through the most facets
-                dim, on, wit = faces[u]
-                dim, new = dim - 1, t & ~u
-            elif t == first:
-                dim, on, wit, new = cone.dim, (1 << len(gens)) - 1, (0,) * cone.ambient_dim, t
-            else:
-                raise InternalCheckError("a face below the top has no upper cover")
-            for j in _bits(new):
-                on &= incidences[j]
-                wit = tuple(map(add, wit, normals[j]))
-            for u_dim, u_on, _ in map(faces.__getitem__, above):
-                if u_on == on:
-                    raise InternalCheckError("face step has no separating facet")
-                if u_dim - 1 != dim:
-                    raise InternalCheckError("face poset is not graded by dimension")
+            covers = list(map(index.__getitem__, listed))
         except KeyError:
             raise InternalCheckError(_UNWALKED) from None
-        # each face two steps above must be reached by exactly two paths
-        beyond = list(chain.from_iterable(map(covers_of.__getitem__, above)))
-        if 2 * len(set(beyond)) != len(beyond):
-            raise InternalCheckError("an interval of length 2 is not a diamond")
-        if above == [first]:
-            coatoms.append(on)
-        faces[t] = dim, on, wit
-    if sorted(coatoms) != sorted(incidences):
+        index[s] = k
+        if covers:
+            c = max(covers)  # the cover back with the most closed members
+            t, h, value = carried_masks[c], heights[c] + step, closed_values[c]
+            new = _bits(s & ~closed_masks[c])
+        elif k:
+            break
+        else:  # the walk's start
+            t, h, value, new = carried_full, 0, closed_empty, _bits(s)
+        for i in new:
+            t &= cross[i]
+        n = t.bit_count()
+        for b in covers:
+            if carried_masks[b] == t:
+                raise InternalCheckError("face step has no separating facet")
+            if heights[b] + step != h:
+                raise InternalCheckError("face poset is not graded by dimension")
+            ahead[b].append(k)
+            if n > most[b]:  # the cover ahead with the most carried members
+                most[b], best[b] = n, k
+        heights.append(h)
+        most.append(-1)
+        best.append(None)
+        closed_values.append(closed_grow(value, new))
+        carried_masks.append(t)
+        back.append(covers)
+        ahead.append([])
+    last = len(heights) - 1
+    stopped = last < len(covers_of) - 1
+    # the walk stops at a face with no cover back; a face with no cover
+    # ahead has no best one, and only the far end may have none
+    if stopped or best.count(None) > 1:
+        raise InternalCheckError(no_back if stopped else no_ahead)
+
+    # the far end's carried members grow from none
+    carried_values[last] = carried_grow(carried_empty, _bits(carried_masks[last]))
+    rank = len(_extend_echelon([], [gens[i] for i in members[bottom]]))
+    if heights[top] - heights[bottom] != cone.dim - rank:
+        raise InternalCheckError(far_rank)
+    if sorted(map(gen_masks.__getitem__, lower[top])) != sorted(incidences):
         raise InternalCheckError("a listed facet is not a facet")
-    if len(set(chain.from_iterable(covers_of.values()))) != len(faces) - 1:
-        raise InternalCheckError("a face above the bottom has no lower cover")
-    # the last face walked is the bottom
-    if len(_extend_echelon([], [gens[i] for i in _bits(on)])) != dim:
-        raise InternalCheckError("bottom face rank differs from its elimination")
-    for t, (dim, on, wit) in faces.items():
-        faces[t] = dim, tuple(_bits(on)), wit
-    return _numbered(faces, covers_of, first)
+    back_of = back.__getitem__
+    for k in range(last, -1, -1):
+        u = best[k]
+        if u is not None:
+            new = _bits(carried_masks[k] & ~carried_masks[u])
+            carried_values[k] = carried_grow(carried_values[u], new)
+        # each face two steps back must be reached by exactly two paths
+        two = list(chain.from_iterable(map(back_of, back[k])))
+        if 2 * len(set(two)) != len(two):
+            raise InternalCheckError("an interval of length 2 is not a diamond")
 
-
-def _numbered(faces, above, top):
-    """The ``FacePoset`` of ``faces``, from each face's key to its (dim,
-    index_set, witness), given the keys of each face's upper covers."""
-    order = sorted(faces, key=faces.__getitem__)
-    position = {k: p for p, k in enumerate(order)}.__getitem__
+    # heights order the faces as their dimensions do
+    shift = rank - heights[bottom]
+    order = sorted(range(last + 1), key=list(zip(heights, members)).__getitem__)
+    position = dict(zip(order, range(last + 1))).__getitem__
     return FacePoset(
-        tuple(Face(members, dim, wit) for dim, members, wit in map(faces.get, order)),
-        tuple((p, q) for p, k in enumerate(order) for q in sorted(map(position, above[k]))),
+        tuple(Face(members[k], heights[k] + shift, witnesses[k]) for k in order),
+        tuple((p, q) for p, k in enumerate(order) for q in sorted(map(position, upper[k]))),
         0,  # the bottom face, of the least dimension, sorts first
-        position(top),
+        last,  # and the top, of the greatest, last
     )
 
 

@@ -1,10 +1,12 @@
-import dataclasses
+import ast
 import gc
 import itertools
 import json
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -643,28 +645,24 @@ def losing_middle_faces(count, splice=True):
 
 # one pointed cone and one with a lineality line on each side of
 # enumerate_faces: walked up over the facets' generator masks (m <= r) or
-# down over the generators' facet masks.  Only the walk's first face has
-# its rank given; every other dimension is one cover's plus or minus one,
-# so a wrong cover search or a wrong rank at either end must be caught by
-# the checks on the cover edges, the diamonds and the far end's rank: the
-# top's against cone.dim walking up, the bottom's against its elimination
-# walking down.
+# down over the generators' facet masks.  Every face's height is one
+# cover's plus or minus one from the walk's start, so a wrong cover search
+# or a wrong rank at either end must be caught by the checks on the cover
+# edges, the diamonds and the far end's rank against the start's: the
+# top's named walking up, the bottom's walking down.
 TOP_RANK = "top face rank differs from the cone's dimension"
 BOTTOM_RANK = "bottom face rank differs from its elimination"
 
 
 @pytest.mark.parametrize(
-    "pointed, with_line, over_facets, level_lost, far_end",
+    "pointed, with_line, over_facets, far_end",
     [
-        (cube_cone(3), cube_times_line(3), True, TOP_RANK, TOP_RANK),
-        (cross_polytope_cone(3), cross_polytope_times_line(4), False, DIAMOND,
-         BOTTOM_RANK),
+        (cube_cone(3), cube_times_line(3), True, TOP_RANK),
+        (cross_polytope_cone(3), cross_polytope_times_line(4), False, BOTTOM_RANK),
     ],
     ids=["over_facets", "over_generators"],
 )
-def test_non_graded_poset_is_reported(
-    monkeypatch, pointed, with_line, over_facets, level_lost, far_end
-):
+def test_non_graded_poset_is_reported(monkeypatch, pointed, with_line, over_facets, far_end):
     for cone in (pointed, with_line):
         assert (len(cone.facets) <= len(cone.generators)) == over_facets
     assert pointed.lineality.rank == 0 and with_line.lineality.rank == 1
@@ -678,12 +676,10 @@ def test_non_graded_poset_is_reported(
 
     # every face of that height lost: each edge still changes the dimension
     # by one, but every chain is one edge short, so the far end's dimension
-    # is one off its rank.  Walking down, the faces below the lost level
-    # reach two levels up through it, and the diamond check on them comes
-    # first
+    # is one off its rank, which is checked before the diamonds
     monkeypatch.setattr(cones, "_closed_sets", losing_middle_faces(None))
     for cone in (pointed, with_line):
-        with pytest.raises(InternalCheckError, match=level_lost):
+        with pytest.raises(InternalCheckError, match=far_end):
             enumerate_faces(cone)
     monkeypatch.undo()
 
@@ -795,9 +791,29 @@ def test_every_face_below_the_top_needs_an_upper_cover(monkeypatch):
         enumerate_faces(QUADRANT)
 
 
+def test_every_face_above_the_bottom_needs_a_lower_cover(monkeypatch):
+    # a cover search that lists {2} as a second face with no covers, below
+    # the top: the walk up cannot build it from a face it reached, and
+    # names the missing cover there, before any check on the top's edges
+    monkeypatch.setattr(
+        cones,
+        "_closed_sets",
+        lambda full, masks: {
+            0: [],
+            0b100: [],
+            0b001: [0],
+            0b010: [0],
+            0b111: [0b001, 0b010, 0b100],
+        },
+    )
+    with pytest.raises(InternalCheckError, match="no lower cover"):
+        enumerate_faces(QUADRANT)
+
+
 def test_the_two_walks_agree():
-    # either walk works on either side of m = r: both must give the same
-    # poset, on polytope cones with and without a line and on random cones
+    # the walk works in either direction on either side of m = r: both must
+    # give the same poset, on polytope cones with and without a line and on
+    # random cones
     families = (cube_cone, cross_polytope_cone)
     named = [family(d) for d in (3, 4, 5, 6) for family in families]
     named += [cube_times_line(d) for d in (3, 4)]
@@ -815,7 +831,7 @@ def test_the_two_walks_agree():
     sides = []
     for d, gens in cases:
         cone = cone_from_generators(d, gens)
-        assert cones._faces_up(cone) == cones._faces_down(cone), (d, gens)
+        assert cones._walk(cone, False) == cones._walk(cone, True), (d, gens)
         sides.append(len(cone.facets) > len(cone.generators))
     assert sides.count(True) >= 20 and sides.count(False) >= 20
 
@@ -899,8 +915,8 @@ def the_bottom_above_a_facet(covers_of):
 )
 def test_an_unwalked_cover_is_a_named_check(tmp_path, capsys, monkeypatch, family, change):
     # a cover search that lists a cover the walk has not reached would
-    # otherwise end in a bare IndexError (up) or KeyError (down); the
-    # 3-cube's cone is walked up, the octahedron's down
+    # otherwise end in a bare KeyError; the 3-cube's cone is walked up, the
+    # octahedron's down
     cone = family(3)
     monkeypatch.setattr(cones, "_closed_sets", cover_search_changed(change))
     with pytest.raises(InternalCheckError, match=UNWALKED):
@@ -909,6 +925,48 @@ def test_an_unwalked_cover_is_a_named_check(tmp_path, capsys, monkeypatch, famil
     assert code == 2
     assert doc["error"] == {"kind": "internal", "message": UNWALKED}
 
+
+def check_messages(tree):
+    """Each ``InternalCheckError`` message of a module, counted once for
+    every raise statement that can raise it.  A message held by a name is
+    followed through the module's assignments, tuples element by element,
+    and a conditional expression can raise either branch's."""
+    values = defaultdict(list)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                for name, value in pairs:
+                    if isinstance(name, ast.Name):
+                        values[name.id].append(value)
+
+    def messages(node):
+        if isinstance(node, ast.Constant):
+            return {node.value}
+        if isinstance(node, ast.IfExp):
+            return messages(node.body) | messages(node.orelse)
+        assert isinstance(node, ast.Name) and values[node.id], ast.unparse(node)
+        return set().union(*map(messages, values[node.id]))
+
+    sites = Counter()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "InternalCheckError"
+        ):
+            sites.update(messages(node.exc.args[0]))
+    return sites
+
+
+def test_each_check_message_has_one_raise_site():
+    # a message names the check that failed, whichever way the face
+    # lattice was walked
+    sites = check_messages(ast.parse(Path(cones.__file__).read_text()))
+    assert UNWALKED in sites and TOP_RANK in sites and BOTTOM_RANK in sites
+    assert {message: n for message, n in sites.items() if n != 1} == {}
 
 # ------------------------------------------------ the facet certificate
 
@@ -1131,22 +1189,6 @@ def test_every_dropped_facet_is_reported(tmp_path, capsys, monkeypatch):
                     d, gens, dropped)
                 mutations += 1
     assert mutations > 1000
-
-
-def test_index_lookup_leaves_equality_and_repr_alone():
-    # Cone._facet_sets, each generator's facet mask, is cached on a frozen
-    # dataclass: filling the cache must not change equality, hash or repr
-    fresh = dataclasses.replace(QUADRANT)
-    used = dataclasses.replace(QUADRANT)
-    text = repr(used)
-    assert "_facet_sets" not in vars(used)
-    assert used._facet_sets == tuple(
-        sum(1 << j for j, inc in enumerate(used.incidences) if inc >> i & 1)
-        for i in range(len(used.generators))
-    )
-    assert "_facet_sets" in vars(used)
-    assert used == fresh and hash(used) == hash(fresh)
-    assert repr(used) == text == repr(fresh)
 
 
 def test_construction_is_deterministic():
