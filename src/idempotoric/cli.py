@@ -512,12 +512,13 @@ def _random_spectra(seed, count, max_len=5, bound=30):
 
 def _case_doc(case):
     """A selftest case as JSON: Fractions as "p/q", tables as rows."""
+    # a FiniteSemigroup is a tuple too: it is tested first
+    if isinstance(case, FiniteSemigroup):
+        return [list(row) for row in case.table]
     if isinstance(case, (list, tuple)):
         return [_case_doc(x) for x in case]
     if isinstance(case, Fraction):
         return str(case)
-    if isinstance(case, FiniteSemigroup):
-        return [list(row) for row in case.table]
     return case
 
 

@@ -46,12 +46,12 @@ costs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from math import lcm
 from operator import add, and_, lshift, mul
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .lattices import (
@@ -350,8 +350,7 @@ def _certify_rays(ineqs, rays, tight):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """A rational polyhedral cone: its generators and its facets.
 
     ``facets`` holds primitive integer normals of the facet-defining valid
@@ -371,8 +370,7 @@ class Cone:
     dim: int
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face, identified by the sorted generator indices lying on it.
 
     ``witness`` is an integer functional vanishing on the face's generators
@@ -385,8 +383,7 @@ class Face:
     witness: Vector
 
 
-@dataclass(frozen=True)
-class FacePoset:
+class FacePoset(NamedTuple):
     """All faces, sorted by (dim, index_set), with Hasse covers.
 
     The order is inclusion of index sets; meets exist (intersection of

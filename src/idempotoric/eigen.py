@@ -19,9 +19,9 @@ xⁿ), the primitive relations and the relation checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .cones import circuit_criterion, signed_circuits
 from .errors import InputError, InternalCheckError
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigenInput:
+class EigenInput(NamedTuple):
     """Distinct nonzero rational eigenvalues, in first-seen order, with the
     multiplicity each value had in the raw list."""
 
@@ -53,8 +52,7 @@ class EigenInput:
     multiplicities: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExponentTable:
+class ExponentTable(NamedTuple):
     """Exponent vectors of the |eigenvalues| over a coprime base.
 
     ``primes`` holds the natural coprime base (see ``factor``): pairwise
@@ -69,8 +67,7 @@ class ExponentTable:
     signs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimitiveRelation:
+class PrimitiveRelation(NamedTuple):
     """A multiplicative relation ∏ tᵢ^aᵢ = ∏ tⱼ^bⱼ with disjoint supports.
 
     Sides are tuples of (1-based generator index, positive exponent); the

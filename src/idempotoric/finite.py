@@ -13,9 +13,9 @@ size by backtracking with incremental associativity pruning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 
@@ -39,25 +39,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
-    """A validated multiplication table: table[x][y] = x·y.
-
-    Its generating set is found once, when first needed, and shared by
-    ``validate_table`` and ``greens_classes``.
-    """
-
+class _FiniteSemigroup(NamedTuple):
     size: int
     table: tuple[tuple[int, ...], ...]
     commutative: bool
+
+
+class FiniteSemigroup(_FiniteSemigroup):
+    """A validated multiplication table: table[x][y] = x·y.
+
+    Its generating set is found once, when first needed, and shared by
+    ``validate_table`` and ``greens_classes``; it is kept in the instance
+    ``__dict__``, so the class has no ``__slots__``, and a ``_replace``
+    copy finds it again.
+    """
+
+    # with a __dict__, a new name, or one over the cached generating set,
+    # could be set; cached_property itself writes the __dict__ directly
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteSemigroup is immutable: cannot set {name!r}")
 
     @cached_property
     def _generating_set(self) -> tuple[int, ...]:
         return _generators(self.table)
 
 
-@dataclass(frozen=True)
-class IndexPeriod:
+class IndexPeriod(NamedTuple):
     """Eventual cycle data of one element's powers: the powers
     x^1..x^(index+period-1) are pairwise distinct and
     x^index = x^(index+period)."""
@@ -67,8 +74,7 @@ class IndexPeriod:
     period: int
 
 
-@dataclass(frozen=True)
-class GreensClasses:
+class GreensClasses(NamedTuple):
     """Partitions by equality of principal ideals (identity adjoined):
     left ideal for L, right for R, two-sided for J, and H = L ∧ R."""
 

@@ -8,8 +8,8 @@ ints and every algorithm is exact; nothing here ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 
@@ -31,26 +31,34 @@ def _check_entry(x) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """Immutable row-major integer matrix.
-
-    ``cols`` is stored explicitly so that matrices with zero rows keep a
-    well-defined width (a 0 x n kernel basis is still n wide).
-    """
-
+class _IntegerMatrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
     cols: int
 
-    def __post_init__(self) -> None:
-        cols = self.cols
+
+class IntegerMatrix(_IntegerMatrix):
+    """Immutable row-major integer matrix.
+
+    ``cols`` is stored explicitly so that matrices with zero rows keep a
+    well-defined width (a 0 x n kernel basis is still n wide).  Every
+    construction checks the width, ``_make`` and ``_replace`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entries, cols):
         if isinstance(cols, bool) or not isinstance(cols, int) or cols < 0:
             raise InputError(f"column count must be an int >= 0, got {cols!r}")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.cols:
+        for i, row in enumerate(entries):
+            if len(row) != cols:
                 raise InputError(
-                    f"matrix row {i} has length {len(row)}, expected {self.cols}"
+                    f"matrix row {i} has length {len(row)}, expected {cols}"
                 )
+        return super().__new__(cls, entries, cols)
+
+    @classmethod
+    def _make(cls, iterable) -> "IntegerMatrix":
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntegerMatrix":
@@ -313,8 +321,7 @@ def rank(m: IntegerMatrix) -> int:
     return len(_extend_echelon([], m.entries))
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(NamedTuple):
     """A sublattice of Z^ambient_rank, stored as the row span of ``basis``.
 
     The basis is kept in canonical Hermite form with zero rows dropped, so

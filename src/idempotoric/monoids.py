@@ -12,8 +12,8 @@ and poset a job builds with ``cone_and_poset``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .cones import Face, FacePoset, cone_from_generators, enumerate_faces
 from .errors import InputError, InternalCheckError
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightMonoid:
+class WeightMonoid(NamedTuple):
     """Generators of a commutative monoid, written in coordinates on the
     lattice they generate (so the generators always have full rank)."""
 
@@ -47,8 +46,7 @@ class WeightMonoid:
     labels: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ToricEnvelopeReport:
+class ToricEnvelopeReport(NamedTuple):
     """The smallest irreducible closed subsemigroup containing all the
     idempotents, described by projecting the lattice along the saturated
     unit sublattice.  Its idempotent poset is the monoid's own with every

@@ -920,6 +920,18 @@ def test_selftest_names_its_first_failure(monkeypatch, capsys):
     assert "  first failure: case 1 (seed 2): AssertionError" in out.splitlines()
 
 
+def test_selftest_writes_a_failing_table_as_rows(monkeypatch, capsys):
+    def criterion_fails(s, e):
+        raise InternalCheckError("simulated")
+
+    monkeypatch.setattr("idempotoric.cli.check_smallest_criterion", criterion_fails)
+    code, out = run_main(["selftest"], capsys)
+    assert code == 2
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    # the first case is the one-element table and its idempotent 0
+    assert checks["catalogue_criterion"]["first_failure"]["input"] == [[[0]], 0]
+
+
 # -- cross-checks ------------------------------------------------------------------
 
 

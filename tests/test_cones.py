@@ -1247,7 +1247,7 @@ def test_sign_masks():
 @pytest.mark.parametrize(
     "seed,bound", [(707, 4), (708, 1)], ids=["spread", "duplicates"]
 )
-def test_circuit_criterion_matches_fourier_motzkin(seed, bound):
+def test_circuit_criterion_matches_is_face(seed, bound):
     # bound 1 fills the corpus with zero, duplicate and opposite generators
     inputs = random_cone_inputs(seed, count=50, max_dim=4, max_gens=7, bound=bound)
     for d, gens in inputs:

@@ -7,7 +7,6 @@ objects.  A finite job finds its generating set once, for
 validation and Green's classes, and takes each element's index and
 period once, for its report and its idempotent-power cross-check."""
 
-import dataclasses
 import itertools
 import json
 import sys
@@ -212,11 +211,11 @@ def wrong_lineality(cone):
     """The cone with a lineality line it does not have, or none if it has one."""
     n = cone.ambient_dim
     line = [(1,) + (0,) * (n - 1)] if cone.lineality.rank == 0 else []
-    return dataclasses.replace(cone, lineality=Sublattice.span(n, line))
+    return cone._replace(lineality=Sublattice.span(n, line))
 
 
 def minimum_moved_to_the_top(poset):
-    return dataclasses.replace(poset, bottom=poset.top)
+    return poset._replace(bottom=poset.top)
 
 
 def test_envelope_checks_the_shared_cone():
@@ -305,7 +304,7 @@ def test_main_reports_a_non_unit_projected_to_zero(tmp_path, capsys, monkeypatch
         # t3 = 3 is no unit; its row of the projection is zeroed
         rows = list(env.projected_generators)
         rows[2] = (0,) * len(rows[2])
-        return dataclasses.replace(env, projected_generators=tuple(rows))
+        return env._replace(projected_generators=tuple(rows))
 
     monkeypatch.setattr(cli, "toric_envelope", envelope)
     assert internal_error(tmp_path, capsys) == (
@@ -337,7 +336,7 @@ def test_main_checks_the_relations_against_the_shared_circuits(
 
 
 def maximum_moved_to_the_bottom(poset):
-    return dataclasses.replace(poset, top=poset.bottom)
+    return poset._replace(top=poset.bottom)
 
 
 def test_monoid_job_checks_its_smallest_index_set(tmp_path, capsys, monkeypatch):
