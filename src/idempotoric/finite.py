@@ -3,12 +3,16 @@
 This layer is the desk-scale oracle against which the geometric layers'
 structure claims are checked.  Tables are validated associative on
 construction by Light's test, and Green's classes come from the Cayley
-graphs, both over a small generating set at O(n²·|A|) cost; the plain
-n³ associativity scan and the principal-ideal Green's classes they
-replace live on in ``tests/test_finite.py`` as ``reference_validate``
-and ``reference_greens``, which the test suite compares them with.
-``all_associative_tables`` generates every associative table of a given
-size by backtracking with incremental associativity pruning.
+graphs, both over a small generating set A at O(n²·|A|) cost.  A is
+found greedily, visiting the elements from the top of the R-order down
+(by the size of their principal right ideals), so that few of them are
+needed; a commutative table has one Cayley graph and one Green's
+partition.  The plain n³ associativity scan and the principal-ideal
+Green's classes they replace live on in ``tests/test_finite.py`` as
+``reference_validate`` and ``reference_greens``, which the test suite
+compares them with.  ``all_associative_tables`` generates every
+associative table of a given size by backtracking with incremental
+associativity pruning.
 """
 
 from __future__ import annotations
@@ -25,14 +29,11 @@ __all__ = [
     "IndexPeriod",
     "all_associative_tables",
     "check_smallest_criterion",
-    "direct_product",
     "greens_classes",
     "idempotent_elements",
     "idempotent_power",
     "index_period",
     "is_minimum_idempotent",
-    "left_zero",
-    "right_zero",
     "smallest_idempotent_commutative",
     "validate_table",
     "zmod_times",
@@ -88,16 +89,18 @@ def validate_table(table) -> FiniteSemigroup:
     """The one validator of a table, in this order: an array of arrays,
     nonempty, square, int entries (not bool) in 0..n-1, associative.
 
-    A generating set A is found greedily: the least element not yet
-    reached joins A, and the reached set is closed under right
-    multiplication by A; the closure is checked to reach all n elements.
+    A generating set A is found greedily: the elements are visited in
+    non-increasing |xS¹|, each one not yet reached joins A, and the
+    reached set is closed under right multiplication by A; the closure is
+    checked again to reach all n elements.
     Associativity is then Light's test over A (Clifford & Preston, *The
     Algebraic Theory of Semigroups* I, §1.2): (x·a)·y = x·(a·y) for all
     x, y and every a ∈ A, at O(n²·|A|) cost.  It is exact even before
     associativity is known: the elements that pass form a set closed
     under the product, and every element is a left-bracketed product of
-    generators.  Only when it fails is the full n³ scan run, so that the
-    rejection names the lexicographically first violating triple.
+    generators.  Only when it fails is the full n³ scan run, row by row,
+    so that the rejection names the lexicographically first violating
+    triple.
     """
     if not isinstance(table, (list, tuple)):
         raise InputError("table must be an array of arrays")
@@ -139,17 +142,22 @@ def _light_test(t, gens) -> bool:
 
 def _first_violation(t) -> None:
     """Raise ``InputError`` naming the first (a, b, c) in lexicographic
-    order with (a·b)·c ≠ a·(b·c); the caller has seen that one exists."""
+    order with (a·b)·c ≠ a·(b·c); the caller has seen that one exists.
+
+    For each a, every row (a·b) is compared with row a read through row
+    b, at C speed; only the first row that differs is searched for c."""
     n = len(t)
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                if t[ab][c] != t[a][t[b][c]]:
-                    raise InputError(
-                        f"table is not associative at ({a}, {b}, {c}): "
-                        f"({a}·{b})·{c} = {t[ab][c]} but {a}·({b}·{c}) = {t[a][t[b][c]]}"
-                    )
+    through = [itemgetter(*row) for row in t]
+    for a, ta in enumerate(t):
+        left = [t[ab] for ab in ta]
+        right = [get(ta) for get in through]
+        if left != right:
+            b = next(b for b in range(n) if left[b] != right[b])
+            c = next(c for c in range(n) if left[b][c] != right[b][c])
+            raise InputError(
+                f"table is not associative at ({a}, {b}, {c}): "
+                f"({a}·{b})·{c} = {left[b][c]} but {a}·({b}·{c}) = {right[b][c]}"
+            )
     raise InternalCheckError("Light's test failed on an associative table")
 
 
@@ -171,21 +179,40 @@ def _right_closure(t, gens, start) -> bytearray:
 
 
 def _greedy_generators(t) -> tuple[int, ...]:
-    """Take the least element not yet reached as the next generator and
-    close the reached set under right multiplication by the generators."""
+    """Visit the elements in non-increasing |xS¹|, ties by index, take
+    each one not yet reached as the next generator, and close the reached
+    set under right multiplication by the generators.
+
+    xS¹ ⊆ yS¹ implies |xS¹| ≤ |yS¹|, so the visit follows the R-order
+    from the top: units and elements with large right ideals come first,
+    and what lies below them is usually reached before it is visited.
+    The reached set grows by closing, so each element is multiplied by
+    each generator once: O(n·|A|)."""
+    ideal = [len({x, *row}) for x, row in enumerate(t)]
     gens: list[int] = []
     seen = bytearray(len(t))
-    for g in range(len(t)):
-        if not seen[g]:
-            gens.append(g)
-            reached = [x for x, hit in enumerate(seen) if hit]
-            seen = _right_closure(t, gens, reached + [g])
+    reached: list[int] = []
+    # a stable sort keeps ties in index order, also with reverse=True
+    for g in sorted(range(len(t)), key=ideal.__getitem__, reverse=True):
+        if seen[g]:
+            continue
+        gens.append(g)
+        # the reached set is closed under the earlier generators: only g
+        # and its products with the reached elements can be new
+        todo = [g, *(t[x][g] for x in reached)]
+        while todo:
+            y = todo.pop()
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+                row = t[y]
+                todo += [row[a] for a in gens]
     return tuple(gens)
 
 
 def _generators(t) -> tuple[int, ...]:
     """A generating set of the table: every element is a left-bracketed
-    product of its members.  O(n·|A|²); the closure is checked again."""
+    product of its members.  O(n² + n·|A|); the closure is checked again."""
     gens = _greedy_generators(t)
     if not all(_right_closure(t, gens, gens)):
         raise InternalCheckError("generating set does not reach every element")
@@ -265,12 +292,25 @@ def greens_classes(s: FiniteSemigroup) -> GreensClasses:
     iterative Tarjan, O(n·|A|) each).  D = R ∨ L is joined by union-find,
     and J = D because S is finite (Froidure & Pin, "Algorithms for
     computing finite semigroups", 1997; Howie, *Fundamentals of Semigroup
-    Theory*, §2.1); H = L ∧ R.  Classes and partitions come sorted.
+    Theory*, §2.1); H = L ∧ R.  In a commutative table x·a = a·x, so the
+    two graphs are one, L = R, and H = L ∧ R and J = L ∨ R are that same
+    partition: it is found once and returned four times.  Classes and
+    partitions come sorted.
     """
     n = s.size
     t = s.table
     gens = s._generating_set
+
+    def partition(key):
+        groups: dict = {}
+        for x in range(n):
+            groups.setdefault(key(x), []).append(x)
+        return tuple(sorted(tuple(g) for g in groups.values()))
+
     r_comp = _components([tuple(row[a] for a in gens) for row in t])
+    if s.commutative:
+        classes = partition(r_comp.__getitem__)
+        return GreensClasses(classes, classes, classes, classes)
     l_comp = _components(list(zip(*(t[a] for a in gens))))
 
     parent = list(range(n))
@@ -285,12 +325,6 @@ def greens_classes(s: FiniteSemigroup) -> GreensClasses:
         first: dict[int, int] = {}
         for x in range(n):
             parent[find(x)] = find(first.setdefault(comp[x], x))
-
-    def partition(key):
-        groups: dict = {}
-        for x in range(n):
-            groups.setdefault(key(x), []).append(x)
-        return tuple(sorted(tuple(g) for g in groups.values()))
 
     return GreensClasses(
         partition(l_comp.__getitem__),
@@ -402,29 +436,9 @@ def _check_size(n) -> int:
     return n
 
 
-def left_zero(n: int) -> FiniteSemigroup:
-    n = _check_size(n)
-    return validate_table([[i] * n for i in range(n)])
-
-
-def right_zero(n: int) -> FiniteSemigroup:
-    n = _check_size(n)
-    return validate_table([list(range(n)) for _ in range(n)])
-
-
 def zmod_times(n: int) -> FiniteSemigroup:
     n = _check_size(n)
     return validate_table([[(i * j) % n for j in range(n)] for i in range(n)])
-
-
-def direct_product(s: FiniteSemigroup, u: FiniteSemigroup) -> FiniteSemigroup:
-    m = u.size
-    table = [
-        [s.table[a][c] * m + u.table[b][d] for c in range(s.size) for d in range(m)]
-        for a in range(s.size)
-        for b in range(m)
-    ]
-    return validate_table(table)
 
 
 def _fill_tables(n: int, cells, assign):

@@ -11,9 +11,7 @@ from idempotoric.finite import (
     _check_size,
     _fill_tables,
     all_associative_tables,
-    direct_product,
-    left_zero,
-    right_zero,
+    validate_table,
     zmod_times,
 )
 
@@ -92,6 +90,29 @@ def all_commutative_tables(n: int):
         return ((i, j),)
 
     yield from _fill_tables(n, cells, assign)
+
+
+def left_zero(n: int) -> FiniteSemigroup:
+    """x·y = x on {0..n-1}."""
+    n = _check_size(n)
+    return validate_table([[i] * n for i in range(n)])
+
+
+def right_zero(n: int) -> FiniteSemigroup:
+    """x·y = y on {0..n-1}."""
+    n = _check_size(n)
+    return validate_table([list(range(n)) for _ in range(n)])
+
+
+def direct_product(s: FiniteSemigroup, u: FiniteSemigroup) -> FiniteSemigroup:
+    """S × U, the pair (a, b) labelled a·|U| + b."""
+    m = u.size
+    table = [
+        [s.table[a][c] * m + u.table[b][d] for c in range(s.size) for d in range(m)]
+        for a in range(s.size)
+        for b in range(m)
+    ]
+    return validate_table(table)
 
 
 def standard_catalogue() -> list[tuple[str, FiniteSemigroup]]:

@@ -930,7 +930,8 @@ def check_messages(tree):
     """Each ``InternalCheckError`` message of a module, counted once for
     every raise statement that can raise it.  A message held by a name is
     followed through the module's assignments, tuples element by element,
-    and a conditional expression can raise either branch's."""
+    a conditional expression can raise either branch's, and an f-string
+    stands for itself as written."""
     values = defaultdict(list)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -945,6 +946,8 @@ def check_messages(tree):
     def messages(node):
         if isinstance(node, ast.Constant):
             return {node.value}
+        if isinstance(node, ast.JoinedStr):
+            return {ast.unparse(node)}
         if isinstance(node, ast.IfExp):
             return messages(node.body) | messages(node.orelse)
         assert isinstance(node, ast.Name) and values[node.id], ast.unparse(node)
@@ -963,8 +966,15 @@ def check_messages(tree):
 
 def test_each_check_message_has_one_raise_site():
     # a message names the check that failed, whichever way the face
-    # lattice was walked
-    sites = check_messages(ast.parse(Path(cones.__file__).read_text()))
+    # lattice was walked, and in whichever module of the package
+    sites = Counter()
+    raising = []
+    for path in sorted(Path(cones.__file__).parent.glob("*.py")):
+        found = check_messages(ast.parse(path.read_text()))
+        sites.update(found)
+        if found:
+            raising.append(path.stem)
+    assert raising == ["cli", "cones", "eigen", "finite", "lattices", "monoids"]
     assert UNWALKED in sites and TOP_RANK in sites and BOTTOM_RANK in sites
     assert {message: n for message, n in sites.items() if n != 1} == {}
 

@@ -6,7 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_commutative_tables, standard_catalogue
+from conftest import (
+    all_commutative_tables,
+    direct_product,
+    left_zero,
+    right_zero,
+    standard_catalogue,
+)
 from idempotoric import cli, finite
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.finite import (
@@ -15,14 +21,11 @@ from idempotoric.finite import (
     IndexPeriod,
     all_associative_tables,
     check_smallest_criterion,
-    direct_product,
     greens_classes,
     idempotent_elements,
     idempotent_power,
     index_period,
     is_minimum_idempotent,
-    left_zero,
-    right_zero,
     smallest_idempotent_commutative,
     validate_table,
     zmod_times,
@@ -227,6 +230,45 @@ def test_components_of_deep_graphs_need_no_recursion():
     assert set(finite._components(cycle)) == {0}
 
 
+# -- generating sets -----------------------------------------------------------
+
+# Z_n for n = 24..90, and Z_a times a left- or right-zero band of size b
+GENERATOR_CORPUS = [("zmod", n, 1) for n in range(24, 91)] + [
+    (kind, a, b)
+    for kind in ("left", "right")
+    for a, b in [(8, 3), (12, 2), (10, 4), (15, 3), (16, 4), (22, 4), (28, 3), (45, 2)]
+]
+
+
+def least_first_generators(t):
+    """The greedy generating set visited in index order, the least element
+    not yet reached first."""
+    gens = []
+    seen = bytearray(len(t))
+    for g in range(len(t)):
+        if not seen[g]:
+            gens.append(g)
+            reached = [x for x, hit in enumerate(seen) if hit]
+            seen = finite._right_closure(t, gens, reached + [g])
+    return gens
+
+
+def test_generating_sets_found_in_r_order_are_smaller():
+    # exact counts: the tables, their relabellings and both visits are
+    # fixed, so the totals depend on no machine
+    r_order = dict.fromkeys(("zmod", "left", "right"), 0)
+    least_first = dict.fromkeys(("zmod", "left", "right"), 0)
+    for kind, a, b in GENERATOR_CORPUS:
+        for seed in (1, 2, 3):
+            table = band_product(kind, a, b, random.Random(f"gens{seed}:{kind}{a}x{b}"))
+            s = validate_table(table)
+            r_order[kind] += len(s._generating_set)
+            least_first[kind] += len(least_first_generators(s.table))
+    assert r_order == {"zmod": 825, "left": 129, "right": 133}
+    assert least_first == {"zmod": 1050, "left": 170, "right": 182}
+    assert sum(r_order.values()) < sum(least_first.values())
+
+
 # -- validation --------------------------------------------------------------
 
 
@@ -245,6 +287,17 @@ def test_left_zero_is_not_commutative():
 def test_non_associative_rejected_with_triple():
     with pytest.raises(InputError, match=r"1, 0, 1"):
         validate_table([[0, 0], [1, 0]])
+
+
+def test_rejection_scans_to_the_last_row():
+    # a left-zero band with one cell changed: every row but the last has
+    # no violation, and in the last one b = 0 has none either
+    n = 60
+    table = [[x] * n for x in range(n)]
+    table[59][0] = 0
+    message = "table is not associative at (59, 1, 0): (59·1)·0 = 0 but 59·(1·0) = 59"
+    assert outcome(validate_table, table) == (InputError, message)
+    assert outcome(reference_validate, table) == (InputError, message)
 
 
 def test_malformed_tables_rejected():
