@@ -84,7 +84,7 @@ from .finite import (
     validate_table,
     zmod_times,
 )
-from .lattices import IntegerMatrix, kernel_lattice
+from .lattices import IntegerMatrix, span_and_kernel
 from .monoids import (
     cone_and_poset,
     largest_idempotent,
@@ -383,12 +383,15 @@ def _run_eigen(payload):
         raise InputError("eigenvalues must be a nonempty array")
     e = eigen_input([_rational(x, "eigenvalue") for x in raw])
     t = factor(e)
-    w = character_data(t)
+    # one Hermite form of the exponent rows gives their span, the weight
+    # monoid's lattice, and their kernel, for the circuits and the
+    # relations: the generators have the same kernel, so the same
+    # circuits; both cross-checks take the circuits' sign masks
+    lattice, kernel = span_and_kernel(
+        IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
+    )
+    w = character_data(t, lattice)
     cone, p = cone_and_poset(w)
-    # one kernel of the exponent rows, for the circuits and the relations:
-    # the generators have the same kernel, so the same circuits; both
-    # cross-checks take the circuits' sign masks
-    kernel = kernel_lattice(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes)))
     circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
     pairs = [sign_masks(c) for c in circuits]
     rels = primitive_relations(t, circuits, kernel)

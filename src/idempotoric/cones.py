@@ -48,8 +48,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
-from math import lcm
+from itertools import chain, compress
+from math import gcd, lcm
 from operator import add, and_, lshift, mul
 from typing import NamedTuple
 
@@ -684,8 +684,22 @@ def extreme_rays(cone: Cone, poset: FacePoset) -> tuple[Vector, ...]:
 
 def sign_masks(vec) -> tuple[int, int]:
     """Bitmasks of the positive and of the negative entries of a vector."""
-    pos = sum(1 << i for i, c in enumerate(vec) if c > 0)
-    return pos, sum(1 << i for i, c in enumerate(vec) if c < 0)
+    pos = neg = 0
+    for i, c in enumerate(vec):
+        if c > 0:
+            pos |= 1 << i
+        elif c:
+            neg |= 1 << i
+    return pos, neg
+
+
+def _oriented_primitive(vec) -> Vector:
+    """``vec`` divided by the gcd of its entries, negated too if its first
+    nonzero entry is negative; the zero vector as it is."""
+    g = gcd(*vec)
+    if next(filter(None, vec), 0) < 0:
+        g = -g
+    return tuple(vec) if g == 1 or not g else tuple(map(g.__rfloordiv__, vec))
 
 
 def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
@@ -699,24 +713,34 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
 
     The dependencies form the kernel K of the generator matrix, of dimension
     m = r - rank: ``kernel``, its ``kernel_lattice``, built here unless
-    passed in (an ``eigen`` job passes the exponent rows' kernel, which the
-    weight monoid's generators share).  The vectors of K vanishing on m - 1
-    coordinates whose coordinate functionals are independent on K form a
-    line, whose support is a circuit, and every circuit arises so from
-    coordinates off its support.  Those coordinate sets are walked depth
-    first over the kernel's basis, on an explicit stack, one fraction-free
-    elimination step per column, divided by the pivot of the step before
-    (Bareiss); a node of two rows a, b gives each column's line directly,
-    a[col]·b − b[col]·a, or a where a[col] = 0.  That is at most
-    C(r, m - 1) leaves, each made primitive.  Each circuit is checked to
-    sum to zero, so a kernel vector that is not a dependency fails here, and
-    to have a support whose generators have rank one less than its size, by
-    the length of their fraction-free echelon basis (``_extend_echelon``),
-    kept for every support prefix.  The sum is one big int: each generator
-    g is packed once as P = Σ_k g[k]·2^{B·k}, with B the least width such
-    that ‖c‖₁·max|g| < 2^{B-1} for every leaf c, so lane k of Σ cᵢ·Pᵢ is
-    the column sum Σ cᵢ·gᵢ[k], less than 2^{B-1} in size.  Such a sum of
-    lanes is zero only when every lane is, since the highest nonzero lane
+    passed in (an ``eigen`` job passes the kernel of its exponent rows,
+    which the weight monoid's generators share, from the one Hermite form
+    that also gives their span, ``span_and_kernel``).  The vectors of K
+    vanishing on m - 1 coordinates whose coordinate functionals are
+    independent on K form a line, whose support is a circuit, and every
+    circuit arises so from coordinates off its support.  Those coordinate
+    sets are walked depth first over the kernel's basis, on an explicit
+    stack, one fraction-free elimination step per column, divided by the
+    pivot of the step before (Bareiss); a node of two rows a, b gives each
+    column's line directly, a[col]·b − b[col]·a, or a, made once, where
+    a[col] = 0.  That is at most C(r, m - 1) leaves.  Each leaf is made
+    primitive and oriented in one step (``_oriented_primitive``), so v and
+    −v meet in the set of leaves and each circuit is checked once.
+
+    A circuit's support and positive part are read as bitmasks, each the
+    sum of the generator bits that ``compress`` selects, and its column
+    sums as one product with the packed generators.  It is checked three
+    ways: it is not zero; it sums to zero, so a kernel vector that is not
+    a dependency fails here; and its support's generators have rank one
+    less than its size, by the length of their fraction-free echelon
+    basis (``_extend_echelon``): the basis of the support less its last
+    generator, kept for every such prefix and built from the longest one
+    built before, extended by that generator.
+    The sum is one big int: each generator g is packed once as
+    P = Σ_k g[k]·2^{B·k}, with B the least width such that
+    ‖c‖₁·max|g| < 2^{B-1} for every leaf c, so lane k of Σ cᵢ·Pᵢ is the
+    column sum Σ cᵢ·gᵢ[k], less than 2^{B-1} in size.  Such a sum of lanes
+    is zero only when every lane is, since the highest nonzero lane
     outweighs all those below it.
     """
     mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
@@ -729,18 +753,21 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
     # column chosen so far, the first column still to choose from, and the
     # pivot of the step that made the rows
     stack = [(basis, 0, 1)] if len(basis) > 1 else []
-    leaves = set(basis) if len(basis) == 1 else set()
+    leaves = set(map(_oriented_primitive, basis)) if len(basis) == 1 else set()
+    add = leaves.add
     while stack:
         rows, start, prev = stack.pop()
         if len(rows) == 2:  # one row cleared at col by the other spans a line
             a, b = rows
+            line = None  # a, where a[col] = 0 and b[col] != 0
             for col in range(start, r):
                 x = a[col]
                 if x:
                     y = b[col]
-                    leaves.add(_primitive([x * v - y * u for u, v in zip(a, b)]))
-                elif b[col]:
-                    leaves.add(_primitive(a))
+                    add(_oriented_primitive([x * v - y * u for u, v in zip(a, b)]))
+                elif line is None and b[col]:
+                    line = _oriented_primitive(a)
+                    add(line)
             continue
         for col in range(start, r - len(rows) + 2):
             for k, piv in enumerate(rows):
@@ -761,31 +788,34 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
     width = (norm * big).bit_length() + 1
     shifts = range(0, width * ambient_dim, width)
     packed = [sum(map(lshift, g, shifts)) for g in gens]
-    echelons = {}  # the echelon basis of each support's generators but its last
-    found = set()
+    bits = [1 << i for i in range(r)]
+    positive = (0).__lt__
+    echelons = {0: []}  # the echelon basis of the generators of each mask
     circuits = []
     for vec in leaves:
-        support = [i for i, c in enumerate(vec) if c]
+        support = sum(compress(bits, vec))
         if not support:
             raise InternalCheckError("signed circuit is the zero vector")
-        if vec[support[0]] < 0:
-            vec = tuple(-c for c in vec)
-        if vec in found:
-            continue
-        found.add(vec)
-        if sum(vec[i] * packed[i] for i in support):
+        if sum(map(mul, vec, packed)):
             raise InternalCheckError("signed circuit is not a linear dependency")
-        rows, prefix = [], 0
-        for i in support[:-1]:
-            prefix |= 1 << i
-            if prefix not in echelons:
-                echelons[prefix] = _extend_echelon(rows, [gens[i]])
-            rows = echelons[prefix]
-        if len(_extend_echelon(rows, [gens[support[-1]]])) != len(support) - 1:
+        last = support.bit_length() - 1
+        prefix = support ^ bits[last]  # the support but its last generator
+        rows = echelons.get(prefix)
+        if rows is None:  # built from its longest prefix built before
+            missing, mask = [], prefix
+            while mask not in echelons:
+                top = mask.bit_length() - 1
+                missing.append(top)
+                mask ^= bits[top]
+            rows = echelons[mask]
+            for i in reversed(missing):
+                mask |= bits[i]
+                rows = echelons[mask] = _extend_echelon(rows, [gens[i]])
+        size = support.bit_count()
+        if len(_extend_echelon(rows, [gens[last]])) != size - 1:
             raise InternalCheckError("signed circuit support is not minimal")
-        pos = sum(1 << i for i in support if vec[i] > 0)
-        neg = (prefix | 1 << support[-1]) ^ pos  # the support less C⁺
-        circuits.append((len(support), pos, neg, vec))
+        pos = sum(compress(bits, map(positive, vec)))
+        circuits.append((size, pos, support ^ pos, vec))
     circuits.sort()
     return tuple(vec for *_, vec in circuits)
 
@@ -817,10 +847,14 @@ def _respecting(has, pairs, family):
     out = family
     for pos, neg in pairs:
         a = b = family
-        for i in _bits(pos):
-            a &= has[i]
-        for i in _bits(neg):
-            b &= has[i]
+        while pos:  # each set bit, lowest first
+            low = pos & -pos
+            a &= has[low.bit_length() - 1]
+            pos ^= low
+        while neg:
+            low = neg & -neg
+            b &= has[low.bit_length() - 1]
+            neg ^= low
         out &= ~(a ^ b)
     return out
 

@@ -10,16 +10,19 @@ multiplicatively independent integers gives the same lattice up to a
 change of coordinates, and so the same cone and idempotents, and this one
 takes only gcds to find.
 
-Pipeline, each step once per job: eigen_input → factor → character_data →
-cone and face poset (monoids layer) → envelope, whose zero projections
-are the smallest indices; the exponent rows' kernel and its signed
-circuits (cones layer), shared by power invariance (which factors only
-xⁿ), the primitive relations and the relation checks.
+Pipeline, each step once per job: eigen_input → factor → one Hermite
+form of the exponent rows (``span_and_kernel``), whose span is the
+lattice of character_data → cone and face poset (monoids layer) →
+envelope, whose zero projections are the smallest indices; the same
+form's kernel and its signed circuits (cones layer), shared by the
+primitive relations and the relation checks; power invariance factors
+only xⁿ.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -88,8 +91,7 @@ def eigen_input(values) -> EigenInput:
     """
     if not isinstance(values, (list, tuple)):
         raise InputError("eigenvalues must be an array")
-    vals: list[Fraction] = []
-    mult: list[int] = []
+    mult: dict[Fraction, int] = {}  # in first-seen order
     for x in values:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise InputError(f"eigenvalues must be exact rationals, got {x!r}")
@@ -99,14 +101,10 @@ def eigen_input(values) -> EigenInput:
                 "zero eigenvalue: the nilpotent part never contributes; "
                 "pass only the nonzero spectrum"
             )
-        if q in vals:
-            mult[vals.index(q)] += 1
-        else:
-            vals.append(q)
-            mult.append(1)
-    if not vals:
+        mult[q] = mult.get(q, 0) + 1
+    if not mult:
         raise InputError("need at least one eigenvalue")
-    return EigenInput(tuple(vals), tuple(mult))
+    return EigenInput(tuple(mult), tuple(mult.values()))
 
 
 def _coprime_base(values) -> list[int]:
@@ -187,28 +185,33 @@ def reconstruct(t: ExponentTable) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def character_data(t: ExponentTable) -> WeightMonoid:
+def character_data(t: ExponentTable, lattice=None) -> WeightMonoid:
     """The weight monoid generated by the exponent rows, labeled t1..tr.
 
-    Signs are dropped: the sign subgroup is torsion, and raising everything
-    to an even power removes it without changing the closure's idempotents.
+    ``lattice`` may carry the rows' span, which an ``eigen`` job reads off
+    its one Hermite form of the rows (``span_and_kernel``) together with
+    the kernel that its circuits and relations share; it is passed to
+    ``monoid_from_generators``, which builds it itself otherwise.  Signs
+    are dropped: the sign subgroup is torsion, and raising everything to
+    an even power removes it without changing the closure's idempotents.
     """
     labels = tuple(f"t{i + 1}" for i in range(len(t.matrix)))
-    return monoid_from_generators(t.matrix, labels=labels)
+    return monoid_from_generators(t.matrix, labels, lattice)
 
 
-def _oriented(z) -> tuple[int, ...]:
-    """``z`` or its negative, whichever has its first nonzero entry positive."""
-    first = next(x for x in z if x)
-    return tuple(-x for x in z) if first < 0 else tuple(z)
-
-
-def _relation_from_vector(z) -> PrimitiveRelation:
-    """The relation of an oriented kernel vector: its positive entries on
-    the left, its negative ones on the right."""
-    lhs = tuple((i + 1, x) for i, x in enumerate(z) if x > 0)
-    rhs = tuple((i + 1, -x) for i, x in enumerate(z) if x < 0)
-    return PrimitiveRelation(lhs, rhs)
+def _relation_from_vector(z) -> tuple[int, tuple, tuple]:
+    """The total degree and the two sides of a kernel vector's relation,
+    in one pass: the entries of the sign of its first nonzero entry on the
+    left, the others on the right, so ``z`` and ``-z`` give one relation."""
+    plus, minus = [], []
+    for i, x in enumerate(z, 1):
+        if x > 0:
+            plus.append((i, x))
+        elif x:
+            minus.append((i, -x))
+    if minus and (not plus or minus[0] < plus[0]):
+        plus, minus = minus, plus
+    return sum(map(abs, z)), tuple(plus), tuple(minus)
 
 
 def _relation_holds(values, rel: PrimitiveRelation) -> bool:
@@ -235,39 +238,43 @@ def primitive_relations(t: ExponentTable, circuits=None, kernel=None):
     generate all relations over Z, plus one per signed circuit of the rows
     (``cones.signed_circuits``), which make ``check_relation_criterion``
     exact.  ``kernel``, the rows' ``kernel_lattice``, and the circuits are
-    computed unless passed in: an ``eigen`` job computes the kernel once
-    and shares it with ``signed_circuits``, and rows with the same kernel,
-    such as the weight monoid's generators, give the same circuits.
-    Vectors are oriented so the first involved generator sits on the left
-    and deduplicated, one relation per oriented vector; the relations are
-    sorted by total degree and re-verified numerically on the squared
-    eigenvalues, in integers (``_relation_holds``).
+    computed unless passed in: an ``eigen`` job takes the kernel from its
+    one Hermite form of the rows (``span_and_kernel``) and shares it with
+    ``signed_circuits``, and rows with the same kernel, such as the weight
+    monoid's generators, give the same circuits.  Each vector gives its
+    relation and total degree in one pass (``_relation_from_vector``), with
+    the first involved generator on the left.  No vector is negated for
+    that: the Hermite rows, whose pivots are positive, and the circuits,
+    which ``signed_circuits`` orients, have their first nonzero entry
+    positive, so the left side is the positive one.  The relations are
+    deduplicated, sorted by total degree and re-verified numerically on
+    the squared eigenvalues, in integers (``_relation_holds``).
     """
     if kernel is None:
         kernel = kernel_lattice(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes)))
     if circuits is None:
         circuits = signed_circuits(len(t.primes), t.matrix, kernel)
-    vectors = [_oriented(z) for z in (*kernel.basis.entries, *circuits)]
-    rels = [_relation_from_vector(z) for z in dict.fromkeys(vectors)]
+    found = set(map(_relation_from_vector, chain(kernel.basis.entries, circuits)))
+    rels = [PrimitiveRelation(lhs, rhs) for _, lhs, rhs in sorted(found)]
     squares = [(q.numerator**2, q.denominator**2) for q in reconstruct(t)]
     for rel in rels:
         if not _relation_holds(squares, rel):
             raise InternalCheckError("kernel vector failed the numeric relation check")
-    def degree(r: PrimitiveRelation) -> int:
-        return sum(a for _, a in r.lhs) + sum(b for _, b in r.rhs)
-
-    rels.sort(key=lambda r: (degree(r), r.lhs, r.rhs))
     return rels
 
 
 def relation_masks(rels) -> list[tuple[int, int]]:
     """The supports of each relation's sides as bitmasks (lhs, rhs), bit
     i - 1 standing for generator i, as in ``cones.sign_masks``."""
-
-    def side(terms):
-        return sum(1 << (i - 1) for i, _ in terms)
-
-    return [(side(rel.lhs), side(rel.rhs)) for rel in rels]
+    out = []
+    for lhs, rhs in rels:
+        left = right = 0
+        for i, _ in lhs:
+            left |= 1 << (i - 1)
+        for j, _ in rhs:
+            right |= 1 << (j - 1)
+        out.append((left, right))
+    return out
 
 
 def check_relation_criterion(index_set, rels) -> bool:

@@ -18,6 +18,7 @@ associativity pruning.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -113,13 +114,16 @@ def validate_table(table) -> FiniteSemigroup:
     if any(len(row) != n for row in table):
         raise InputError("multiplication table must be square")
     t = tuple(map(tuple, table))
-    for i, row in enumerate(t):
-        if not set(map(type, row)) <= {int}:
-            # name the first entry that is not an int (subclasses pass)
+    # one type pass over every entry: the set of values below folds True
+    # into 1, so it cannot stand in for this one
+    if not set(map(type, chain.from_iterable(t))) <= {int}:
+        # name the first entry that is not an int (subclasses pass)
+        for i, row in enumerate(t):
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise InputError(f"table[{i}] entry must be an integer, got {x!r}")
-    if min(map(min, t)) < 0 or max(map(max, t)) >= n:
+    values = set(chain.from_iterable(t))
+    if min(values) < 0 or max(values) >= n:
         x = next(x for row in t for x in row if not 0 <= x < n)
         raise InputError(f"table entry {x!r} outside 0..{n - 1}")
     s = FiniteSemigroup(n, t, tuple(zip(*t)) == t)

@@ -22,6 +22,7 @@ __all__ = [
     "rank",
     "saturate",
     "smith_normal_form",
+    "span_and_kernel",
 ]
 
 
@@ -344,15 +345,28 @@ class Sublattice(NamedTuple):
         return self.basis.rows
 
 
+def span_and_kernel(m: IntegerMatrix) -> tuple[Sublattice, Sublattice]:
+    """The row span of ``m`` and its kernel, from one ``hermite_normal_form``.
+
+    ``_echelon`` chooses its pivots on the first ``m.cols`` entries alone,
+    so the form ``h`` is the one ``Sublattice.span`` builds of the rows, and
+    its nonzero rows are the span's canonical basis.  The transform rows
+    beside the zero rows of ``h`` span ``{z in Z^m.rows : z @ m == 0}``,
+    which is saturated and is brought to its own Hermite basis.
+    """
+    h, u = hermite_normal_form(m)
+    k = sum(map(any, h.entries))  # the zero rows are at the bottom
+    span = Sublattice(m.cols, IntegerMatrix(h.entries[:k], m.cols))
+    return span, Sublattice.span(m.rows, u.entries[k:])
+
+
 def kernel_lattice(m: IntegerMatrix) -> Sublattice:
-    """Basis of ``{z in Z^m.rows : z @ m == 0}``.
+    """Basis of ``{z in Z^m.rows : z @ m == 0}``, from ``span_and_kernel``.
 
     The kernel of an integer matrix is saturated, so the result needs no
     further saturation.
     """
-    h, u = hermite_normal_form(m)
-    zero_rows = [u.entries[i] for i in range(m.rows) if not any(h.entries[i])]
-    return Sublattice.span(m.rows, zero_rows)
+    return span_and_kernel(m)[1]
 
 
 def saturate(sub: Sublattice) -> Sublattice:

@@ -58,19 +58,23 @@ class ToricEnvelopeReport(NamedTuple):
     projected_generators: tuple[tuple[int, ...], ...]
 
 
-def monoid_from_generators(raw, labels=None) -> WeightMonoid:
+def monoid_from_generators(raw, labels=None, lattice=None) -> WeightMonoid:
     """Build a WeightMonoid from integer vectors in any ambient space.
 
-    The lattice generated by the vectors is computed exactly; each vector
-    is re-expressed in the canonical Hermite basis of that lattice, so the
-    result's ambient_rank equals the rank actually spanned.  All-zero
-    input is allowed and yields the rank-0 trivial monoid.
+    The lattice generated by the vectors is computed exactly, as
+    ``Sublattice.span`` of them unless passed in as ``lattice``:
+    ``character_data`` passes the span that the ``eigen`` job reads off
+    its one Hermite form of the exponent rows (``span_and_kernel``).  Each
+    vector is re-expressed in the canonical Hermite basis of that lattice,
+    which fails for a vector outside it, so the result's ambient_rank
+    equals the rank actually spanned.  All-zero input is allowed and
+    yields the rank-0 trivial monoid.
     """
     if isinstance(raw, (list, tuple)) and not raw:
         raise InputError("need at least one generator vector")
     # the lattice layer rejects non-array rows, non-int entries and ragged rows
     mat = IntegerMatrix.from_rows(raw)
-    lam = Sublattice.span(mat.cols, mat.entries)
+    lam = Sublattice.span(mat.cols, mat.entries) if lattice is None else lattice
     gens = []
     for v in mat.entries:
         coords = lattice_member(lam, v)

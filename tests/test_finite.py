@@ -300,6 +300,14 @@ def test_rejection_scans_to_the_last_row():
     assert outcome(reference_validate, table) == (InputError, message)
 
 
+def test_a_true_among_zeros_and_ones_is_rejected_by_its_type():
+    # the range check reads the set of the values, in which True is 1, so
+    # the type pass must see every entry, in every row
+    for table, row in [([[0, 1], [1, True]], 1), ([[True, 1], [1, 0]], 0)]:
+        message = f"table[{row}] entry must be an integer, got True"
+        assert outcome(validate_table, table) == (InputError, message)
+
+
 def test_malformed_tables_rejected():
     with pytest.raises(InputError):
         validate_table([[0, 1], [1]])

@@ -16,6 +16,7 @@ from idempotoric.lattices import (
     rank,
     saturate,
     smith_normal_form,
+    span_and_kernel,
 )
 
 M = IntegerMatrix.from_rows
@@ -268,6 +269,17 @@ def test_kernel_properties(m):
         assert all(sum(map(mul, z, col)) == 0 for col in zip(*m.entries))
     assert k.rank == m.rows - rank(m)
     assert saturate(k) == k  # kernels are saturated
+
+
+@given(matrices(max_rows=6))
+def test_one_hermite_form_gives_the_span_and_the_kernel(m):
+    span, kernel = span_and_kernel(m)
+    # the nonzero rows of the form with its transform are the span's own
+    assert span == Sublattice.span(m.cols, m.entries)
+    assert span.rank == rank(m)
+    h, u = hermite_normal_form(m)
+    zero_rows = [z for row, z in zip(h.entries, u.entries) if not any(row)]
+    assert kernel == Sublattice.span(m.rows, zero_rows) == kernel_lattice(m)
 
 
 # --------------------------------------------------------------- saturate

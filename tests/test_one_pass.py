@@ -1,9 +1,9 @@
 """One pass per job: an eigen or monoid job factors its spectrum, builds its
-weight monoid, its cone, its faces, the kernel of its exponent rows and
-its signed circuits once and shares them with the envelope, the
-smallest-index check, power invariance, the relations and the
-cross-checks; the checks in those functions still fire on the shared
-objects.  A finite job finds its generating set once, for
+weight monoid, its cone, its faces, one Hermite form of its exponent rows
+(their span and their kernel) and its signed circuits once and shares
+them with the envelope, the smallest-index check, power invariance, the
+relations and the cross-checks; the checks in those functions still fire
+on the shared objects.  A finite job finds its generating set once, for
 validation and Green's classes, and takes each element's index and
 period once, for its report and its idempotent-power cross-check."""
 
@@ -82,16 +82,16 @@ WIDE = [[1, k] for k in range(11)]
         # lineality space, and the cone's certificate is the positive
         # dependency of its two units, the bottom face's generators, which
         # takes no circuits and no kernel
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 1, 2, 3)),
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 1, 2, 2)),
         # pointed: the envelope monoid is the weight monoid itself
-        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1, 1)),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1, 0)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
          (0, 1, 1, 0, 1, 2, 3)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
          (0, 1, 1, 0, 1, 1, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
         # its circuits for the relations, a cone or monoid job does not
-        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 1, 1, 1, 1)),
+        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 1, 1, 1, 0)),
         ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1, 0)),
         ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1, 0)),
         ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 1, 1)),
@@ -108,11 +108,34 @@ def test_job_builds_each_object_once(
     # spectrum's weight monoid alone.  rank: the cone's dimension, plus the
     # envelope's rank of the projected generators when there are units; the
     # weight monoid's span is checked by the cone's dimension.
-    # kernel_lattice: one kernel of the exponent rows, shared by the
-    # circuits and the relations, or of the generators for the circuits of
-    # a cone or monoid job; a cone with units adds the two kernels that
-    # saturate their span
+    # kernel_lattice: none for the exponent rows of an eigen job, whose
+    # kernel comes with their span from one Hermite form (counted below),
+    # or one of the generators for the circuits of a cone or monoid job; a
+    # cone with units adds the two kernels that saturate their span
     assert tuple(calls.values()) == expected
+
+
+@pytest.mark.parametrize(
+    "values", [["2", "1/2", "3", "6"], ["2", "3", "6"], TWELVE], ids=len
+)
+def test_eigen_job_eliminates_its_exponent_rows_once(
+    tmp_path, capsys, monkeypatch, values
+):
+    real = lattices._echelon
+    eliminated = []
+
+    def echelon(rows, cols):
+        # the rows, less any transform riding along
+        eliminated.append(tuple(tuple(row[:cols]) for row in rows))
+        return real(rows, cols)
+
+    monkeypatch.setattr(lattices, "_echelon", echelon)
+    code, rep = run_job(tmp_path, capsys, "eigen", {"eigenvalues": values})
+    assert code == 0 and "error" not in rep
+    # one Hermite form gives the weight monoid's lattice and the kernel for
+    # the circuits and the relations: neither eliminates the rows again
+    rows = tuple(map(tuple, rep["exponent_matrix"]))
+    assert eliminated.count(rows) == 1
 
 
 @pytest.mark.parametrize(
@@ -182,12 +205,30 @@ def test_a_shared_kernel_gives_the_standalone_circuits_and_relations():
     for vals in random_eigen_lists(seed=1313, count=30, max_len=8, bound=12):
         t = factor(eigen_input(vals))
         cone, _ = cone_and_poset(character_data(t))
-        kernel = rows_kernel(t)
-        # the exponent rows' kernel is the weight monoid generators' kernel
-        circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
-        assert circuits == signed_circuits(cone.ambient_dim, cone.generators)
-        assert primitive_relations(t, kernel=kernel) == primitive_relations(t)
+        rows = lattices.IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
+        # the kernel alone, and the one that comes with the span
+        for kernel in rows_kernel(t), lattices.span_and_kernel(rows)[1]:
+            # the exponent rows' kernel is the weight monoid generators' kernel
+            circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
+            assert circuits == signed_circuits(cone.ambient_dim, cone.generators)
+            assert primitive_relations(t, kernel=kernel) == primitive_relations(t)
+            assert primitive_relations(t, circuits, kernel) == primitive_relations(t)
+
+
+def test_one_hermite_form_of_the_exponent_rows_gives_the_standalone_objects():
+    tried = 0
+    for vals in random_eigen_lists(seed=1515, count=60, max_len=10, bound=12):
+        t = factor(eigen_input(vals))
+        rows = lattices.IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
+        lattice, kernel = lattices.span_and_kernel(rows)
+        assert lattice == Sublattice.span(rows.cols, rows.entries)
+        assert kernel == lattices.kernel_lattice(rows)
+        w = character_data(t, lattice)
+        assert w == character_data(t)
+        circuits = signed_circuits(len(t.primes), t.matrix, kernel)
         assert primitive_relations(t, circuits, kernel) == primitive_relations(t)
+        tried += kernel.rank > 1
+    assert tried > 20
 
 
 def test_a_wrong_shared_kernel_is_not_a_linear_dependency():
