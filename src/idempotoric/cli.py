@@ -84,7 +84,7 @@ from .finite import (
     validate_table,
     zmod_times,
 )
-from .lattices import IntegerMatrix, span_and_kernel
+from .lattices import IntegerMatrix
 from .monoids import (
     cone_and_poset,
     largest_idempotent,
@@ -383,14 +383,9 @@ def _run_eigen(payload):
         raise InputError("eigenvalues must be a nonempty array")
     e = eigen_input([_rational(x, "eigenvalue") for x in raw])
     t = factor(e)
-    # one Hermite form of the exponent rows gives their span, the weight
-    # monoid's lattice, and their kernel, for the circuits and the
-    # relations: the generators have the same kernel, so the same
+    # the generators share the exponent rows' kernel, so it gives their
     # circuits; both cross-checks take the circuits' sign masks
-    lattice, kernel = span_and_kernel(
-        IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
-    )
-    w = character_data(t, lattice)
+    w, kernel = character_data(t)
     cone, p = cone_and_poset(w)
     circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
     pairs = [sign_masks(c) for c in circuits]
@@ -487,27 +482,28 @@ def _run_finite(payload):
 # -- self test -------------------------------------------------------------------
 
 
-def _random_cone_jobs(seed, count, max_dim=4, max_gens=6, bound=3):
+def _random_cone_jobs(seed, count):
+    """Up to 6 generators in dimension 1 to 4, entries in [-3, 3]."""
     rng = random.Random(seed)
     jobs = []
     for _ in range(count):
-        dim = rng.randint(1, max_dim)
-        r = rng.randint(0, max_gens)
-        gens = [
-            tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(r)
-        ]
+        dim = rng.randint(1, 4)
+        r = rng.randint(0, 6)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(r)]
         jobs.append((dim, gens))
     return jobs
 
 
-def _random_spectra(seed, count, max_len=5, bound=30):
+def _random_spectra(seed, count):
+    """1 to 5 values p/q with 0 < |p| <= 30 and 0 < q <= 30."""
     rng = random.Random(seed)
+    nums = [n for n in range(-30, 31) if n != 0]
     out = []
     for _ in range(count):
         values = []
-        for _ in range(rng.randint(1, max_len)):
-            num = rng.choice([n for n in range(-bound, bound + 1) if n != 0])
-            den = rng.randint(1, bound)
+        for _ in range(rng.randint(1, 5)):
+            num = rng.choice(nums)
+            den = rng.randint(1, 30)
             values.append(Fraction(num, den))
         out.append(values)
     return out

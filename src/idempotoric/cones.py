@@ -23,14 +23,13 @@ Two more algorithms decide faces without the facets.  ``signed_circuits``
 lists the minimal linear dependencies of the generators, and by
 covector/circuit orthogonality (Björner et al., *Oriented Matroids*,
 ch. 3) an index set I is a face exactly when every circuit C has
-C⁺ ⊆ I ⇔ C⁻ ⊆ I; ``circuit_criterion`` tests that on the circuits'
-``sign_masks`` for one set.  ``_respecting`` tests it for a whole family
-of sets at once, one bit per set: for each index the family members
-containing it form one int, and each circuit costs one AND of those ints
-per index of its support, so all 2^r subsets of r generators cost
-c·|support| ANDs of 2^r-bit ints for c circuits.  Each circuit is
-certified by its column sums, all taken in one sum of packed integer
-lanes, and by the rank of its support.
+C⁺ ⊆ I ⇔ C⁻ ⊆ I.  ``_respecting`` tests that on the circuits'
+``sign_masks`` for a whole family of sets at once, one bit per set: for
+each index the family members containing it form one int, and each
+circuit costs one AND of those ints per index of its support, so all
+2^r subsets of r generators cost c·|support| ANDs of 2^r-bit ints for c
+circuits.  Each circuit is certified by its column sums, all taken in
+one sum of packed integer lanes, and by the rank of its support.
 ``is_face`` decides a single subset as one feasibility question and
 returns an integer witness functional; it is far slower and serves as
 the reference the tests hold the other two to.  All three must agree.
@@ -68,7 +67,6 @@ __all__ = [
     "Cone",
     "Face",
     "FacePoset",
-    "circuit_criterion",
     "cone_from_generators",
     "enumerate_faces",
     "extreme_rays",
@@ -713,19 +711,17 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
 
     The dependencies form the kernel K of the generator matrix, of dimension
     m = r - rank: ``kernel``, its ``kernel_lattice``, built here unless
-    passed in (an ``eigen`` job passes the kernel of its exponent rows,
-    which the weight monoid's generators share, from the one Hermite form
-    that also gives their span, ``span_and_kernel``).  The vectors of K
-    vanishing on m - 1 coordinates whose coordinate functionals are
-    independent on K form a line, whose support is a circuit, and every
-    circuit arises so from coordinates off its support.  Those coordinate
-    sets are walked depth first over the kernel's basis, on an explicit
-    stack, one fraction-free elimination step per column, divided by the
-    pivot of the step before (Bareiss); a node of two rows a, b gives each
-    column's line directly, a[col]·b − b[col]·a, or a, made once, where
-    a[col] = 0.  That is at most C(r, m - 1) leaves.  Each leaf is made
-    primitive and oriented in one step (``_oriented_primitive``), so v and
-    −v meet in the set of leaves and each circuit is checked once.
+    passed in, as the kernel of any rows with the same dependencies may
+    be.  The vectors of K vanishing on m - 1 coordinates whose coordinate
+    functionals are independent on K form a line, whose support is a
+    circuit, and every circuit arises so from coordinates off its support.
+    Those coordinate sets are walked depth first over the kernel's basis,
+    on an explicit stack, one fraction-free elimination step per column,
+    divided by the pivot of the step before (Bareiss); a node of two rows
+    a, b gives each column's line directly, a[col]·b − b[col]·a, or a, made
+    once, where a[col] = 0.  That is at most C(r, m - 1) leaves.  Each leaf
+    is made primitive and oriented in one step (``_oriented_primitive``),
+    so v and −v meet in the set of leaves and each circuit is checked once.
 
     A circuit's support and positive part are read as bitmasks, each the
     sum of the generator bits that ``compress`` selects, and its column
@@ -820,19 +816,6 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
     return tuple(vec for *_, vec in circuits)
 
 
-def circuit_criterion(mask: int, circuits) -> bool:
-    """Whether the index set with bitmask ``mask`` respects every circuit.
-
-    ``circuits`` holds (positive, negative) mask pairs; the set I passes
-    when each pair has C⁺ ⊆ I exactly when C⁻ ⊆ I.  For the ``sign_masks``
-    of the ``signed_circuits`` the sets passing are exactly the faces.
-    This decides one set; ``_respecting`` decides a whole family of sets
-    at once, one bit per set.
-    """
-    out = ~mask
-    return all((pos & out == 0) == (neg & out == 0) for pos, neg in circuits)
-
-
 def _respecting(has, pairs, family):
     """The members of a family that respect every (C⁺, C⁻) mask pair.
 
@@ -841,8 +824,8 @@ def _respecting(has, pairs, family):
     members containing a side are the AND of ``has`` over it (all of
     ``family`` for an empty side), and a member respects a pair when it
     contains both sides or neither, so the result is the AND over the pairs
-    of ~(AND over C⁺ ^ AND over C⁻): ``circuit_criterion`` for every member
-    at once, in c·|support| ANDs of |family|-bit ints for c pairs.
+    of ~(AND over C⁺ ^ AND over C⁻): the test of every member at once, in
+    c·|support| ANDs of |family|-bit ints for c pairs.
     """
     out = family
     for pos, neg in pairs:

@@ -10,13 +10,13 @@ multiplicatively independent integers gives the same lattice up to a
 change of coordinates, and so the same cone and idempotents, and this one
 takes only gcds to find.
 
-Pipeline, each step once per job: eigen_input → factor → one Hermite
-form of the exponent rows (``span_and_kernel``), whose span is the
-lattice of character_data → cone and face poset (monoids layer) →
-envelope, whose zero projections are the smallest indices; the same
-form's kernel and its signed circuits (cones layer), shared by the
-primitive relations and the relation checks; power invariance factors
-only xⁿ.
+Pipeline, each step once per job: eigen_input → factor →
+character_data, whose one Hermite form of the exponent rows
+(``span_and_kernel``) gives the weight monoid's lattice and the rows'
+kernel → cone and face poset (monoids layer) → envelope, whose zero
+projections are the smallest indices; the kernel's signed circuits
+(cones layer), shared by the primitive relations and the relation
+checks; power invariance factors only xⁿ.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
-from .cones import circuit_criterion, signed_circuits
 from .errors import InputError, InternalCheckError
-from .lattices import IntegerMatrix, kernel_lattice
+from .lattices import IntegerMatrix, Sublattice, span_and_kernel
 from .monoids import ToricEnvelopeReport, WeightMonoid, monoid_from_generators
 
 __all__ = [
@@ -185,18 +184,22 @@ def reconstruct(t: ExponentTable) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def character_data(t: ExponentTable, lattice=None) -> WeightMonoid:
-    """The weight monoid generated by the exponent rows, labeled t1..tr.
+def character_data(t: ExponentTable) -> tuple[WeightMonoid, Sublattice]:
+    """The weight monoid generated by the exponent rows, labeled t1..tr,
+    and the rows' kernel, both from one Hermite form of the rows
+    (``span_and_kernel``).
 
-    ``lattice`` may carry the rows' span, which an ``eigen`` job reads off
-    its one Hermite form of the rows (``span_and_kernel``) together with
-    the kernel that its circuits and relations share; it is passed to
-    ``monoid_from_generators``, which builds it itself otherwise.  Signs
-    are dropped: the sign subgroup is torsion, and raising everything to
-    an even power removes it without changing the closure's idempotents.
+    Its nonzero rows are the rows' span, which ``monoid_from_generators``
+    takes as the weight monoid's lattice, and the transform rows beside its
+    zero rows span the kernel.  The weight monoid's generators have the
+    rows' kernel, so it serves their signed circuits and the relations.
+    Signs are dropped: the sign subgroup is torsion, and raising everything
+    to an even power removes it without changing the closure's idempotents.
     """
     labels = tuple(f"t{i + 1}" for i in range(len(t.matrix)))
-    return monoid_from_generators(t.matrix, labels, lattice)
+    rows = IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
+    lattice, kernel = span_and_kernel(rows)
+    return monoid_from_generators(t.matrix, labels, lattice), kernel
 
 
 def _relation_from_vector(z) -> tuple[int, tuple, tuple]:
@@ -230,30 +233,23 @@ def _relation_holds(values, rel: PrimitiveRelation) -> bool:
     return left == right
 
 
-def primitive_relations(t: ExponentTable, circuits=None, kernel=None):
+def primitive_relations(t: ExponentTable, circuits, kernel):
     """Multiplicative relations among the |eigenvalues|, found in the
     kernel of the exponent matrix.
 
-    Emits one relation per Hermite basis vector of the kernel, which
-    generate all relations over Z, plus one per signed circuit of the rows
-    (``cones.signed_circuits``), which make ``check_relation_criterion``
-    exact.  ``kernel``, the rows' ``kernel_lattice``, and the circuits are
-    computed unless passed in: an ``eigen`` job takes the kernel from its
-    one Hermite form of the rows (``span_and_kernel``) and shares it with
-    ``signed_circuits``, and rows with the same kernel, such as the weight
-    monoid's generators, give the same circuits.  Each vector gives its
-    relation and total degree in one pass (``_relation_from_vector``), with
-    the first involved generator on the left.  No vector is negated for
-    that: the Hermite rows, whose pivots are positive, and the circuits,
-    which ``signed_circuits`` orients, have their first nonzero entry
-    positive, so the left side is the positive one.  The relations are
-    deduplicated, sorted by total degree and re-verified numerically on
-    the squared eigenvalues, in integers (``_relation_holds``).
+    Emits one relation per Hermite basis vector of ``kernel``, the rows'
+    kernel from ``character_data``, which generate all relations over Z,
+    plus one per signed circuit of the rows (``cones.signed_circuits`` of
+    that kernel), which make ``check_relation_criterion`` exact.  Each
+    vector gives its relation and total degree in one pass
+    (``_relation_from_vector``), with the first involved generator on the
+    left.  No vector is negated for that: the Hermite rows, whose pivots
+    are positive, and the circuits, which ``signed_circuits`` orients, have
+    their first nonzero entry positive, so the left side is the positive
+    one.  The relations are deduplicated, sorted by total degree and
+    re-verified numerically on the squared eigenvalues, in integers
+    (``_relation_holds``).
     """
-    if kernel is None:
-        kernel = kernel_lattice(IntegerMatrix.from_rows(t.matrix, cols=len(t.primes)))
-    if circuits is None:
-        circuits = signed_circuits(len(t.primes), t.matrix, kernel)
     found = set(map(_relation_from_vector, chain(kernel.basis.entries, circuits)))
     rels = [PrimitiveRelation(lhs, rhs) for _, lhs, rhs in sorted(found)]
     squares = [(q.numerator**2, q.denominator**2) for q in reconstruct(t)]
@@ -290,16 +286,19 @@ def check_relation_criterion(index_set, rels) -> bool:
     lhs and rhs are a circuit's positive and negative parts), as those of
     ``primitive_relations`` do.
 
-    Each index must be an int >= 1.  Indices above the number of
-    generators r are the caller's to rule out: the relations do not
-    carry r.
+    The index set must be an array, each index an int >= 1.  Indices
+    above the number of generators r are the caller's to rule out: the
+    relations do not carry r.
     """
+    if not isinstance(index_set, (list, tuple)):
+        raise InputError(f"an index set must be an array, got {index_set!r}")
     chosen = 0
     for i in index_set:
         if isinstance(i, bool) or not isinstance(i, int) or i < 1:
             raise InputError(f"index {i!r} must be an int >= 1")
         chosen |= 1 << (i - 1)
-    return circuit_criterion(chosen, relation_masks(rels))
+    out = ~chosen
+    return all((a & out == 0) == (b & out == 0) for a, b in relation_masks(rels))
 
 
 def smallest_idempotent_indices(env: ToricEnvelopeReport, poset) -> tuple[int, ...]:

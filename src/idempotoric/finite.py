@@ -445,14 +445,15 @@ def zmod_times(n: int) -> FiniteSemigroup:
     return validate_table([[(i * j) % n for j in range(n)] for i in range(n)])
 
 
-def _fill_tables(n: int, cells, assign):
-    """Backtracking core shared by the two enumerators.
+def all_associative_tables(n: int):
+    """Every associative multiplication table on {0..n-1}, one semigroup
+    per table (no symmetry reduction), in lexicographic table order.
 
-    ``assign(t, cell, v)`` writes v (and any mirrored cell) into t and
-    returns the positions written.  After each write, every associativity
-    triple whose four lookups are all defined is rechecked; -1 marks an
-    empty cell.
+    Backtracking, cell by cell in row order: after each write, every
+    associativity triple whose four lookups are all defined is rechecked;
+    -1 marks an empty cell.
     """
+    n = _check_size(n)
     t = [[-1] * n for _ in range(n)]
 
     def consistent() -> bool:
@@ -475,29 +476,14 @@ def _fill_tables(n: int, cells, assign):
         return True
 
     def rec(k: int):
-        if k == len(cells):
+        if k == n * n:
             yield validate_table([row[:] for row in t])
             return
-        cell = cells[k]
+        i, j = divmod(k, n)
         for v in range(n):
-            written = assign(t, cell, v)
+            t[i][j] = v
             if consistent():
                 yield from rec(k + 1)
-            for i, j in written:
-                t[i][j] = -1
+        t[i][j] = -1
 
     yield from rec(0)
-
-
-def all_associative_tables(n: int):
-    """Every associative multiplication table on {0..n-1}, one semigroup
-    per table (no symmetry reduction), in lexicographic table order."""
-    n = _check_size(n)
-    cells = [(i, j) for i in range(n) for j in range(n)]
-
-    def assign(t, cell, v):
-        i, j = cell
-        t[i][j] = v
-        return ((i, j),)
-
-    yield from _fill_tables(n, cells, assign)

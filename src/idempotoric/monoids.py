@@ -62,9 +62,8 @@ def monoid_from_generators(raw, labels=None, lattice=None) -> WeightMonoid:
     """Build a WeightMonoid from integer vectors in any ambient space.
 
     The lattice generated by the vectors is computed exactly, as
-    ``Sublattice.span`` of them unless passed in as ``lattice``:
-    ``character_data`` passes the span that the ``eigen`` job reads off
-    its one Hermite form of the exponent rows (``span_and_kernel``).  Each
+    ``Sublattice.span`` of them unless passed in as ``lattice``, their span
+    from a Hermite form taken elsewhere (``span_and_kernel``).  Each
     vector is re-expressed in the canonical Hermite basis of that lattice,
     which fails for a vector outside it, so the result's ambient_rank
     equals the rank actually spanned.  All-zero input is allowed and

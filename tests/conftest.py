@@ -5,11 +5,11 @@ import itertools
 import random
 from fractions import Fraction
 
-from idempotoric.cones import cone_from_generators
+from idempotoric.cones import cone_from_generators, signed_circuits
+from idempotoric.eigen import character_data, primitive_relations
 from idempotoric.finite import (
     FiniteSemigroup,
     _check_size,
-    _fill_tables,
     all_associative_tables,
     validate_table,
     zmod_times,
@@ -41,6 +41,28 @@ def random_eigen_lists(seed, count, max_len=6, bound=50):
             vals.append(Fraction(num, den))
         out.append(vals)
     return out
+
+
+def relations_of(t):
+    """``primitive_relations`` of an exponent table, with the kernel from
+    its ``character_data`` and that kernel's circuits, as an eigen job
+    gives them."""
+    _, kernel = character_data(t)
+    circuits = signed_circuits(len(t.primes), t.matrix, kernel)
+    return primitive_relations(t, circuits, kernel)
+
+
+def circuit_criterion(mask: int, circuits) -> bool:
+    """Whether the index set with bitmask ``mask`` respects every circuit.
+
+    ``circuits`` holds (positive, negative) mask pairs; the set I passes
+    when each pair has C⁺ ⊆ I exactly when C⁻ ⊆ I.  For the ``sign_masks``
+    of the ``signed_circuits`` the sets passing are exactly the faces.
+    This decides one set, the reference for ``cones._respecting``, which
+    decides a whole family of sets at once, one bit per set.
+    """
+    out = ~mask
+    return all((pos & out == 0) == (neg & out == 0) for pos, neg in circuits)
 
 
 def subsets(n):
@@ -76,20 +98,9 @@ def cube_times_line(d):
 
 
 def all_commutative_tables(n: int):
-    """Every commutative associative table on {0..n-1}: only the upper
-    triangle is searched, the mirror cell is written alongside."""
-    n = _check_size(n)
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
-
-    def assign(t, cell, v):
-        i, j = cell
-        t[i][j] = v
-        if i != j:
-            t[j][i] = v
-            return ((i, j), (j, i))
-        return ((i, j),)
-
-    yield from _fill_tables(n, cells, assign)
+    """Every commutative associative table on {0..n-1}, in lexicographic
+    table order."""
+    return [s for s in all_associative_tables(n) if s.commutative]
 
 
 def left_zero(n: int) -> FiniteSemigroup:

@@ -12,6 +12,7 @@ from conftest import (
     all_commutative_tables,
     random_cone_inputs,
     random_eigen_lists,
+    relations_of,
     standard_catalogue,
     subsets,
 )
@@ -23,7 +24,6 @@ from idempotoric.eigen import (
     eigen_input,
     factor,
     power_invariance,
-    primitive_relations,
 )
 from idempotoric.finite import (
     check_smallest_criterion,
@@ -210,13 +210,13 @@ def test_criterion_05_graded_chains(cone_run):
 
 
 def test_criterion_06_envelope_isomorphism():
-    monoids = [character_data(factor(eigen_input([2, 3, 6])))]
+    monoids = [character_data(factor(eigen_input([2, 3, 6])))[0]]
     monoids.extend(
         monoid_from_generators([(1, 0), (0, 1), (n, -n)]) for n in (2, 3, 4)
     )
     monoids.extend(monoid_for(dim, gens) for dim, gens in CONE_INPUTS)
     monoids.extend(
-        character_data(factor(eigen_input(values))) for values in EIGEN_LISTS
+        character_data(factor(eigen_input(values)))[0] for values in EIGEN_LISTS
     )
     for w in monoids:
         cone, p = cone_and_poset(w)
@@ -265,12 +265,12 @@ def test_criterion_10_relation_filter_consistency():
     t0 = time.perf_counter()
     for values in random_eigen_lists(SEED_FILTER, 100, max_len=6, bound=50):
         t = factor(eigen_input(values))
-        rels = primitive_relations(t)
-        p = idempotents(character_data(t))
+        rels = relations_of(t)
+        p = idempotents(character_data(t)[0])
         for f in p.faces:
             # relations name generators 1-based
             assert check_relation_criterion(tuple(i + 1 for i in f.index_set), rels)
-    rejected = primitive_relations(factor(eigen_input([2, 3, 6])))
+    rejected = relations_of(factor(eigen_input([2, 3, 6])))
     assert not check_relation_criterion((1, 2), rejected)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    circuit_criterion,
     cross_polytope_cone,
     cube_cone,
     cube_times_line,
     random_cone_inputs,
+    random_eigen_lists,
     subsets,
 )
 
@@ -36,7 +38,6 @@ from idempotoric.cli import (
     run,
 )
 from idempotoric.cones import (
-    circuit_criterion,
     cone_from_generators,
     enumerate_faces,
     sign_masks,
@@ -130,6 +131,30 @@ def test_monoid_report():
     assert rep["generators"] == [[1, 0], [0, 1], [1, 1]]
     assert len(rep["idempotents"]["elements"]) == 4
     assert rep["envelope"]["quotient_rank"] == 2
+
+
+SHARED_KEYS = (
+    "lattice_rank",
+    "generators",
+    "idempotents",
+    "smallest_index_set",
+    "largest_index_set",
+    "chain_length",
+    "envelope",
+)
+
+
+def test_eigen_report_is_the_monoid_report_of_its_exponent_rows():
+    # an eigen job runs the monoid job's steps on its exponent rows, with
+    # the lattice and the kernel from its own Hermite form of the rows
+    for values in random_eigen_lists(seed=4242, count=80, max_len=10, bound=12):
+        eig = run({"mode": "eigen", "payload": {"eigenvalues": list(map(str, values))}})
+        rows = {"ambient_dim": len(eig["primes"]), "generators": eig["exponent_matrix"]}
+        mon = run({"mode": "monoid", "payload": rows})
+        for key in SHARED_KEYS:
+            assert eig[key] == mon[key], (values, key)
+        oracle = eig["crosschecks"]["subset_oracle"]
+        assert oracle == mon["crosschecks"]["subset_oracle"], values
 
 
 def test_monoid_dimension_mismatch():

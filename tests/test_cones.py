@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    circuit_criterion,
     cross_polytope_cone,
     cube_cone,
     cube_times_line,
@@ -27,7 +28,6 @@ from idempotoric.cones import (
     _extend_echelon,
     _phase_one,
     _primitive,
-    circuit_criterion,
     cone_from_generators,
     enumerate_faces,
     extreme_rays,

@@ -460,11 +460,9 @@ def test_associative_table_counts():
     assert sum(1 for _ in all_associative_tables(3)) == 113
 
 
-def test_commutative_enumeration_agrees_with_filter():
-    for n in (1, 2, 3):
-        direct = {s.table for s in all_commutative_tables(n)}
-        filtered = {s.table for s in all_associative_tables(n) if s.commutative}
-        assert direct == filtered
+def test_commutative_table_counts():
+    # the labeled commutative semigroups of each size
+    assert [len(all_commutative_tables(n)) for n in (1, 2, 3)] == [1, 6, 63]
 
 
 def test_every_small_semigroup_has_an_idempotent():

@@ -168,9 +168,9 @@ def test_envelope_matches_chain_length_and_poset_shape():
         for dim, gens in random_cone_inputs(seed=606, count=40, max_dim=4, max_gens=6)
     ]
     for values in random_eigen_lists(seed=616, count=20):
-        cases.append(character_data(factor(eigen_input(values))))
+        cases.append(character_data(factor(eigen_input(values)))[0])
         # with the inverse of its first eigenvalue: a pair of units
-        cases.append(character_data(factor(eigen_input(values + [1 / values[0]]))))
+        cases.append(character_data(factor(eigen_input(values + [1 / values[0]])))[0])
     for w in cases:
         p = idempotents(w)
         rep = envelope_of(w)

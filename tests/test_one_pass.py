@@ -37,6 +37,7 @@ COUNTED = {
     "signed_circuits": cones.signed_circuits,
     "rank": lattices.rank,
     "kernel_lattice": lattices.kernel_lattice,
+    "hermite_normal_form": lattices.hermite_normal_form,
 }
 
 
@@ -82,19 +83,22 @@ WIDE = [[1, k] for k in range(11)]
         # lineality space, and the cone's certificate is the positive
         # dependency of its two units, the bottom face's generators, which
         # takes no circuits and no kernel
-        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]}, (2, 1, 1, 1, 1, 2, 2)),
+        ("eigen", {"eigenvalues": ["2", "1/2", "3", "6"]},
+         (2, 1, 1, 1, 1, 2, 2, 3)),
         # pointed: the envelope monoid is the weight monoid itself
-        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1, 0)),
+        ("eigen", {"eigenvalues": ["2", "3", "6"]}, (2, 1, 1, 1, 1, 1, 0, 1)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [-1, 0], [0, 1]]},
-         (0, 1, 1, 0, 1, 2, 3)),
+         (0, 1, 1, 0, 1, 2, 3, 3)),
         ("monoid", {"ambient_dim": 2, "generators": [[1, 0], [0, 1], [1, 1]]},
-         (0, 1, 1, 0, 1, 1, 1)),
+         (0, 1, 1, 0, 1, 1, 1, 1)),
         # past the subset oracle's 10 generators: an eigen job still needs
         # its circuits for the relations, a cone or monoid job does not
-        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 1, 1, 1, 0)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1, 0)),
-        ("monoid", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1, 0)),
-        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]}, (0, 1, 1, 0, 1, 1, 1)),
+        ("eigen", {"eigenvalues": TWELVE}, (2, 1, 1, 1, 1, 1, 0, 1)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE}, (0, 1, 1, 0, 0, 1, 0, 0)),
+        ("monoid", {"ambient_dim": 2, "generators": WIDE},
+         (0, 1, 1, 0, 0, 1, 0, 0)),
+        ("cone", {"ambient_dim": 2, "generators": WIDE[:10]},
+         (0, 1, 1, 0, 1, 1, 1, 1)),
     ],
 )
 def test_job_builds_each_object_once(
@@ -111,7 +115,10 @@ def test_job_builds_each_object_once(
     # kernel_lattice: none for the exponent rows of an eigen job, whose
     # kernel comes with their span from one Hermite form (counted below),
     # or one of the generators for the circuits of a cone or monoid job; a
-    # cone with units adds the two kernels that saturate their span
+    # cone with units adds the two kernels that saturate their span.
+    # hermite_normal_form: one per kernel_lattice, plus the exponent rows'
+    # one in character_data; a span alone takes none, so a cone or monoid
+    # job past the subset oracle takes none
     assert tuple(calls.values()) == expected
 
 
@@ -179,7 +186,7 @@ def test_shared_objects_give_the_standalone_results():
     for vals in random_eigen_lists(seed=1212, count=30):
         e = eigen_input(vals)
         t = factor(e)
-        w = character_data(t)
+        w, kernel = character_data(t)
         cone, poset = cone_and_poset(w)
         env = toric_envelope(cone, poset)
         # the job's pair gives what a pair built afresh gives
@@ -192,7 +199,7 @@ def test_shared_objects_give_the_standalone_results():
         # the generators and the exponent rows share their kernel
         circuits = signed_circuits(cone.ambient_dim, cone.generators)
         assert circuits == signed_circuits(len(t.primes), t.matrix)
-        assert primitive_relations(t, circuits) == primitive_relations(t)
+        assert primitive_relations(t, circuits, kernel) == standalone_relations(t)
 
 
 def rows_kernel(t):
@@ -201,18 +208,23 @@ def rows_kernel(t):
     )
 
 
+def standalone_relations(t):
+    """The relations from the rows' circuits and kernel, each built alone."""
+    circuits = signed_circuits(len(t.primes), t.matrix)
+    return primitive_relations(t, circuits, rows_kernel(t))
+
+
 def test_a_shared_kernel_gives_the_standalone_circuits_and_relations():
     for vals in random_eigen_lists(seed=1313, count=30, max_len=8, bound=12):
         t = factor(eigen_input(vals))
-        cone, _ = cone_and_poset(character_data(t))
+        cone, _ = cone_and_poset(character_data(t)[0])
         rows = lattices.IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
         # the kernel alone, and the one that comes with the span
         for kernel in rows_kernel(t), lattices.span_and_kernel(rows)[1]:
             # the exponent rows' kernel is the weight monoid generators' kernel
             circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
             assert circuits == signed_circuits(cone.ambient_dim, cone.generators)
-            assert primitive_relations(t, kernel=kernel) == primitive_relations(t)
-            assert primitive_relations(t, circuits, kernel) == primitive_relations(t)
+            assert primitive_relations(t, circuits, kernel) == standalone_relations(t)
 
 
 def test_one_hermite_form_of_the_exponent_rows_gives_the_standalone_objects():
@@ -223,10 +235,10 @@ def test_one_hermite_form_of_the_exponent_rows_gives_the_standalone_objects():
         lattice, kernel = lattices.span_and_kernel(rows)
         assert lattice == Sublattice.span(rows.cols, rows.entries)
         assert kernel == lattices.kernel_lattice(rows)
-        w = character_data(t, lattice)
-        assert w == character_data(t)
+        w, shared = character_data(t)
+        assert w == monoid_from_generators(t.matrix, w.labels) and shared == kernel
         circuits = signed_circuits(len(t.primes), t.matrix, kernel)
-        assert primitive_relations(t, circuits, kernel) == primitive_relations(t)
+        assert primitive_relations(t, circuits, kernel) == standalone_relations(t)
         tried += kernel.rank > 1
     assert tried > 20
 
@@ -235,7 +247,7 @@ def test_a_wrong_shared_kernel_is_not_a_linear_dependency():
     wrong = 0
     for vals in random_eigen_lists(seed=1314, count=30, max_len=8, bound=12):
         t = factor(eigen_input(vals))
-        cone, _ = cone_and_poset(character_data(t))
+        cone, _ = cone_and_poset(character_data(t)[0])
         r = len(cone.generators)
         # z plus a unit vector at a nonzero generator is no dependency
         i = next((i for i, g in enumerate(cone.generators) if any(g)), None)
@@ -270,7 +282,7 @@ def test_envelope_checks_the_shared_cone():
 
 def test_smallest_indices_check_the_shared_poset():
     e = eigen_input([2, 3, 6])
-    w = character_data(factor(e))
+    w, _ = character_data(factor(e))
     cone, poset = cone_and_poset(w)
     env = toric_envelope(cone, poset)
     with pytest.raises(InternalCheckError, match="disagrees with the poset minimum"):

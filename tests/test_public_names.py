@@ -1,6 +1,10 @@
 """The package exports every name of each layer's ``__all__``, listed once
 there, plus the command-line entry points, the two errors and the
-version."""
+version; and every function the benchmark's tracer wraps is still
+there."""
+
+import importlib.util
+from pathlib import Path
 
 import idempotoric
 from idempotoric import cli, cones, eigen, errors, finite, lattices, monoids
@@ -33,3 +37,14 @@ def test_every_listed_name_imports_from_its_layer():
             assert namespace[name] is getattr(layer, name)
     for name, home in EXTRAS.items():
         assert namespace[name] is getattr(home, name)
+
+
+def test_every_traced_name_is_a_function_of_its_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for short, names in tracing.TRACED.items():
+        module = importlib.import_module(f"{tracing.PACKAGE}.{short}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{short}.{name}"

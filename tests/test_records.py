@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import relations_of
 
 from idempotoric import finite
 from idempotoric.cones import Cone, Face, FacePoset
@@ -20,7 +21,6 @@ from idempotoric.eigen import (
     character_data,
     eigen_input,
     factor,
-    primitive_relations,
 )
 from idempotoric.errors import InputError
 from idempotoric.finite import (
@@ -74,7 +74,7 @@ def one_of_each():
     the multiplicative table of Z/6."""
     e = eigen_input([2, 3, 6])
     t = factor(e)
-    w = character_data(t)
+    w, _ = character_data(t)
     cone, poset = cone_and_poset(w)
     env = toric_envelope(cone, poset)
     s = validate_table(zmod_times(6).table)
@@ -88,7 +88,7 @@ def one_of_each():
         env,
         e,
         t,
-        primitive_relations(t)[0],
+        relations_of(t)[0],
         s,
         index_period(s, 2),
         greens_classes(s),
