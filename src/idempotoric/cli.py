@@ -286,11 +286,11 @@ def _set_text(indices) -> str:
 # -- cross-checks ----------------------------------------------------------------
 
 
-def _subset_oracle(cone, poset_sets, pairs=None) -> str:
+def _subset_oracle(cone, index_sets, pairs=None) -> str:
     """Compare enumerated faces against the signed-circuit face test.
 
-    poset_sets holds the faces' 0-based index sets.  ``pairs`` holds the
-    (C⁺, C⁻) ``sign_masks`` of the generators' ``signed_circuits``,
+    ``index_sets`` yields the faces' 0-based index sets.  ``pairs`` holds
+    the (C⁺, C⁻) ``sign_masks`` of the generators' ``signed_circuits``,
     enumerated here unless passed in (an ``eigen`` job derives them once
     for this check and the relation filter).  They decide all 2^r generator
     subsets at once: subset k is bit k of a 2^r-bit int, and
@@ -312,6 +312,7 @@ def _subset_oracle(cone, poset_sets, pairs=None) -> str:
         n <<= 1
     accepted = _respecting(has, pairs, (1 << n) - 1)
     found = {tuple(_bits(k)) for k in _bits(accepted)}
+    poset_sets = set(index_sets)
     if found != poset_sets:
         missing = found - poset_sets
         if missing:
@@ -370,7 +371,7 @@ def _weight_monoid_report(mode, w, cone, p, pairs=None) -> dict:
         "envelope": _envelope_doc(env, p),
         "crosschecks": {
             "subset_oracle": _subset_oracle(
-                cone, {f.index_set for f in p.faces}, pairs
+                cone, (f.index_set for f in p.faces), pairs
             ),
         },
     }
@@ -445,7 +446,7 @@ def _run_cone(payload):
         "bottom": poset.bottom,
         "top": poset.top,
         "crosschecks": {
-            "subset_oracle": _subset_oracle(cone, {f.index_set for f in poset.faces})
+            "subset_oracle": _subset_oracle(cone, (f.index_set for f in poset.faces))
         },
     }
 

@@ -29,7 +29,8 @@ each index the family members containing it form one int, and each
 circuit costs one AND of those ints per index of its support, so all
 2^r subsets of r generators cost c·|support| ANDs of 2^r-bit ints for c
 circuits.  Each circuit is certified by its column sums, all taken in
-one sum of packed integer lanes, and by the rank of its support.
+one sum of packed integer lanes, and by the echelon length of its support
+less its last generator, which the sums put in the others' span.
 ``is_face`` decides a single subset as one feasibility question and
 returns an integer witness functional; it is far slower and serves as
 the reference the tests hold the other two to.  All three must agree.
@@ -727,11 +728,11 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
     sum of the generator bits that ``compress`` selects, and its column
     sums as one product with the packed generators.  It is checked three
     ways: it is not zero; it sums to zero, so a kernel vector that is not
-    a dependency fails here; and its support's generators have rank one
-    less than its size, by the length of their fraction-free echelon
-    basis (``_extend_echelon``): the basis of the support less its last
-    generator, kept for every such prefix and built from the longest one
-    built before, extended by that generator.
+    a dependency fails here; and its prefix, the support less its last
+    generator, is independent, by the length of its fraction-free echelon
+    basis (``_extend_echelon``), kept for every prefix and built from the
+    longest one built before: Σ cᵢgᵢ = 0 with c_last ≠ 0 puts g_last in
+    the prefix's span, so the support has rank size - 1 and is minimal.
     The sum is one big int: each generator g is packed once as
     P = Σ_k g[k]·2^{B·k}, with B the least width such that
     ‖c‖₁·max|g| < 2^{B-1} for every leaf c, so lane k of Σ cᵢ·Pᵢ is the
@@ -794,21 +795,18 @@ def signed_circuits(ambient_dim, generators, kernel=None) -> tuple[Vector, ...]:
             raise InternalCheckError("signed circuit is the zero vector")
         if sum(map(mul, vec, packed)):
             raise InternalCheckError("signed circuit is not a linear dependency")
-        last = support.bit_length() - 1
-        prefix = support ^ bits[last]  # the support but its last generator
+        prefix = support ^ bits[support.bit_length() - 1]  # less its last generator
         rows = echelons.get(prefix)
         if rows is None:  # built from its longest prefix built before
-            missing, mask = [], prefix
+            mask = prefix
             while mask not in echelons:
-                top = mask.bit_length() - 1
-                missing.append(top)
-                mask ^= bits[top]
+                mask ^= bits[mask.bit_length() - 1]
             rows = echelons[mask]
-            for i in reversed(missing):
+            for i in _bits(prefix ^ mask):
                 mask |= bits[i]
                 rows = echelons[mask] = _extend_echelon(rows, [gens[i]])
         size = support.bit_count()
-        if len(_extend_echelon(rows, [gens[last]])) != size - 1:
+        if len(rows) != size - 1:
             raise InternalCheckError("signed circuit support is not minimal")
         pos = sum(compress(bits, map(positive, vec)))
         circuits.append((size, pos, support ^ pos, vec))

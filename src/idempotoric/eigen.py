@@ -189,17 +189,17 @@ def character_data(t: ExponentTable) -> tuple[WeightMonoid, Sublattice]:
     and the rows' kernel, both from one Hermite form of the rows
     (``span_and_kernel``).
 
-    Its nonzero rows are the rows' span, which ``monoid_from_generators``
-    takes as the weight monoid's lattice, and the transform rows beside its
-    zero rows span the kernel.  The weight monoid's generators have the
-    rows' kernel, so it serves their signed circuits and the relations.
+    Its nonzero rows, the rows' span, are the weight monoid's lattice, and
+    the transform rows beside its zero rows span the kernel, which the
+    weight monoid's generators share, so it serves their signed circuits
+    and the relations.  The rows are validated once, for both.
     Signs are dropped: the sign subgroup is torsion, and raising everything
     to an even power removes it without changing the closure's idempotents.
     """
     labels = tuple(f"t{i + 1}" for i in range(len(t.matrix)))
     rows = IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
     lattice, kernel = span_and_kernel(rows)
-    return monoid_from_generators(t.matrix, labels, lattice), kernel
+    return monoid_from_generators(rows, labels, lattice), kernel
 
 
 def _relation_from_vector(z) -> tuple[int, tuple, tuple]:

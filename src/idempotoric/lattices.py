@@ -382,14 +382,29 @@ def saturate(sub: Sublattice) -> Sublattice:
     sat = kernel_lattice(right.basis.transpose())
     if sat.rank != sub.rank:
         raise InternalCheckError("saturation changed the rank")
-    for row in sub.basis.entries:
-        if lattice_member(sat, row) is None:
-            raise InternalCheckError("saturation lost a basis vector")
+    if None in _coordinates(sat.basis.entries, sub.basis.entries):
+        raise InternalCheckError("saturation lost a basis vector")
     return sat
 
 
+def _coordinates(basis, vectors):
+    """Yield each int vector's coefficients over the echelon ``basis`` rows,
+    or None if it is outside their span; each pivot is found once."""
+    pivots = [(row.index(next(filter(None, row))), row) for row in basis]
+    for vec in vectors:
+        coeffs = []
+        for p, row in pivots:
+            q, rem = divmod(vec[p], row[p])
+            if rem:
+                break
+            if q:
+                vec = [a - q * b for a, b in zip(vec, row)]
+            coeffs.append(q)
+        yield tuple(coeffs) if len(coeffs) == len(pivots) and not any(vec) else None
+
+
 def lattice_member(sub: Sublattice, v) -> tuple[int, ...] | None:
-    """Coefficients of ``v`` over the basis rows, or None if outside.
+    """Coefficients of ``v`` (checked) over the basis rows, or None if outside.
 
     The zero vector of a rank-0 lattice yields ``()``, which is falsy;
     test the result with ``is not None``.
@@ -401,15 +416,4 @@ def lattice_member(sub: Sublattice, v) -> tuple[int, ...] | None:
         raise InputError(
             f"vector length {len(vec)} does not match ambient rank {sub.ambient_rank}"
         )
-    coeffs = []
-    for brow in sub.basis.entries:
-        p = next(j for j, t in enumerate(brow) if t)
-        q, rem = divmod(vec[p], brow[p])
-        if rem:
-            return None
-        if q:
-            vec = [a - q * b for a, b in zip(vec, brow)]
-        coeffs.append(q)
-    if any(vec):
-        return None
-    return tuple(coeffs)
+    return next(_coordinates(sub.basis.entries, [vec]))

@@ -20,7 +20,7 @@ from .errors import InputError, InternalCheckError
 from .lattices import (
     IntegerMatrix,
     Sublattice,
-    lattice_member,
+    _coordinates,
     rank,
     smith_normal_form,
 )
@@ -61,32 +61,28 @@ class ToricEnvelopeReport(NamedTuple):
 def monoid_from_generators(raw, labels=None, lattice=None) -> WeightMonoid:
     """Build a WeightMonoid from integer vectors in any ambient space.
 
-    The lattice generated by the vectors is computed exactly, as
-    ``Sublattice.span`` of them unless passed in as ``lattice``, their span
-    from a Hermite form taken elsewhere (``span_and_kernel``).  Each
-    vector is re-expressed in the canonical Hermite basis of that lattice,
-    which fails for a vector outside it, so the result's ambient_rank
-    equals the rank actually spanned.  All-zero input is allowed and
-    yields the rank-0 trivial monoid.
+    ``raw`` is checked by ``IntegerMatrix.from_rows`` unless it is one.
+    The lattice it generates is computed exactly, as ``Sublattice.span``
+    unless passed in as ``lattice``, its span from a Hermite form taken
+    elsewhere (``span_and_kernel``).  ``_coordinates`` writes each vector
+    in that lattice's Hermite basis, failing for a vector outside it, so
+    the result's ambient_rank equals the rank actually spanned.  All-zero
+    input is allowed and yields the rank-0 trivial monoid.
     """
     if isinstance(raw, (list, tuple)) and not raw:
         raise InputError("need at least one generator vector")
-    # the lattice layer rejects non-array rows, non-int entries and ragged rows
-    mat = IntegerMatrix.from_rows(raw)
+    mat = raw if isinstance(raw, IntegerMatrix) else IntegerMatrix.from_rows(raw)
     lam = Sublattice.span(mat.cols, mat.entries) if lattice is None else lattice
-    gens = []
-    for v in mat.entries:
-        coords = lattice_member(lam, v)
-        if coords is None:
-            raise InternalCheckError("generator escaped its own span")
-        gens.append(coords)
+    gens = tuple(_coordinates(lam.basis.entries, mat.entries))
+    if None in gens:
+        raise InternalCheckError("generator escaped its own span")
     if labels is not None:
         if not isinstance(labels, (list, tuple)):
             raise InputError("labels must be an array")
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(gens):
             raise InputError("one label per generator required")
-    return WeightMonoid(lam.rank, tuple(gens), labels)
+    return WeightMonoid(lam.rank, gens, labels)
 
 
 def cone_and_poset(w: WeightMonoid):

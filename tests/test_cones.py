@@ -15,6 +15,7 @@ from conftest import (
     cube_cone,
     cube_times_line,
     random_cone_inputs,
+    random_eigen_lists,
     subsets,
 )
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from idempotoric.cones import (
     signed_circuits,
     solve_affine,
 )
+from idempotoric.eigen import eigen_input, factor
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.lattices import (
     IntegerMatrix,
@@ -1307,6 +1309,35 @@ def test_circuits_are_the_minimal_dependent_sets():
         assert set(signed_circuits(d, gens)) == reference_circuits(d, gens), (d, gens)
 
 
+def test_each_prefix_echelon_is_built_once_and_nothing_more(monkeypatch):
+    # the certificate reads the echelon of each circuit's prefix, the
+    # support less its last generator, built from the longest one built
+    # before by dropping top generators; one extension per mask on those
+    # chains, and none for the support itself
+    calls = []
+
+    def counted(rows, vectors):
+        calls.append(len(rows))
+        return _extend_echelon(rows, vectors)
+
+    monkeypatch.setattr("idempotoric.cones._extend_echelon", counted)
+    tried = 0
+    for vals in random_eigen_lists(seed=3434, count=40, max_len=9, bound=12):
+        t = factor(eigen_input(vals))
+        calls.clear()
+        circuits = signed_circuits(len(t.primes), t.matrix)
+        chains = set()
+        for z in circuits:
+            mask = sum(1 << i for i, c in enumerate(z) if c)
+            mask ^= 1 << (mask.bit_length() - 1)
+            while mask:
+                chains.add(mask)
+                mask ^= 1 << (mask.bit_length() - 1)
+        assert len(calls) == len(chains), vals
+        tried += len(circuits) > 1
+    assert tried > 10
+
+
 @pytest.mark.parametrize(
     "dim, gens",
     [
@@ -1328,13 +1359,13 @@ def test_circuit_search_leaves_no_garbage(dim, gens):
 
 
 def test_circuit_guards_trip(monkeypatch):
-    # the minimality certificate is the length of the support's echelon
-    # basis; one that keeps every row makes the square's circuit look
-    # independent
-    def keep_every_row(rows, vectors):
-        return [*rows, *((0, tuple(v)) for v in vectors)]
+    # the minimality certificate is the length of the prefix's echelon
+    # basis; one that drops every row it would add makes each prefix look
+    # dependent, so no support of two or more reads as minimal
+    def drop_the_new_row(rows, vectors):
+        return list(rows)
 
-    monkeypatch.setattr("idempotoric.cones._extend_echelon", keep_every_row)
+    monkeypatch.setattr("idempotoric.cones._extend_echelon", drop_the_new_row)
     with pytest.raises(InternalCheckError, match="not minimal"):
         signed_circuits(3, SQUARE)
     monkeypatch.undo()

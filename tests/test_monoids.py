@@ -6,7 +6,7 @@ from idempotoric import monoids
 from idempotoric.cones import cone_from_generators, enumerate_faces
 from idempotoric.eigen import character_data, eigen_input, factor
 from idempotoric.errors import InputError, InternalCheckError
-from idempotoric.lattices import IntegerMatrix
+from idempotoric.lattices import IntegerMatrix, Sublattice
 from idempotoric.monoids import (
     WeightMonoid,
     cone_and_poset,
@@ -89,6 +89,19 @@ def test_empty_generator_list_rejected():
 def test_ragged_generators_rejected():
     with pytest.raises(InputError):
         monoid_from_generators([(1, 0), (1,)])
+
+
+@pytest.mark.parametrize(
+    "gens, lattice",
+    [
+        ([(1,)], Sublattice.span(1, [(2,)])),
+        ([(0, 1)], Sublattice.span(2, [(1, 0)])),
+    ],
+    ids=["pivot-does-not-divide", "residue-after-the-last-row"],
+)
+def test_a_lattice_missing_a_generator_is_caught(gens, lattice):
+    with pytest.raises(InternalCheckError, match="escaped its own span"):
+        monoid_from_generators(gens, lattice=lattice)
 
 
 # -- idempotent posets -------------------------------------------------------
