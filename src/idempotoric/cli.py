@@ -412,12 +412,12 @@ def _generator_rows(payload):
     dim = _int(payload["ambient_dim"], "ambient_dim")
     if dim < 0:
         raise InputError("ambient_dim must be nonnegative")
-    return dim, IntegerMatrix.from_rows(payload["generators"], cols=dim).entries
+    return dim, IntegerMatrix.from_rows(payload["generators"], cols=dim)
 
 
 def _run_monoid(payload):
-    dim, rows = _generator_rows(payload)
-    w = monoid_from_generators(rows, [f"g{i}" for i in range(1, len(rows) + 1)])
+    dim, mat = _generator_rows(payload)
+    w = monoid_from_generators(mat, [f"g{i}" for i in range(1, len(mat.entries) + 1)])
     cone, p = cone_and_poset(w)
     report = _weight_monoid_report("monoid", w, cone, p)
     report["ambient_dim"] = dim
@@ -425,14 +425,14 @@ def _run_monoid(payload):
 
 
 def _run_cone(payload):
-    dim, rows = _generator_rows(payload)
-    cone = cone_from_generators(dim, rows)
+    dim, mat = _generator_rows(payload)
+    cone = cone_from_generators(dim, mat.entries)
     poset = enumerate_faces(cone)
     return {
         "schema": SCHEMA,
         "mode": "cone",
         "ambient_dim": dim,
-        "generators": [list(g) for g in rows],
+        "generators": [list(g) for g in mat.entries],
         "dim": cone.dim,
         "extreme_rays": [list(r) for r in extreme_rays(cone, poset)],
         "facets": [list(f) for f in cone.facets],

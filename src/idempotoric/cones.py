@@ -453,21 +453,23 @@ def _closed_sets(full, masks):
     meets s in a closed set between c and s, and every one of them is c
     only when no closed set lies strictly between.  Sets are visited by
     increasing number of bits, so each meet's count of masks over it is
-    known.  Returns a dict from each set, in that order, to its list of
-    lower covers.
+    known.  Returns ``(sets, covers)``: the sets in that order, and for
+    each the positions in ``sets`` of its lower covers, each before it, as
+    a cover has fewer bits.
     """
     closed = {full}
     for mask in masks:
         closed |= {s & mask for s in closed}
-    over = {}
-    covers_of = {}
+    sets = sorted(closed, key=int.bit_count)
+    position = {s: k for k, s in enumerate(sets)}
+    over, covers = [], []
     meets = Counter()
-    for s in sorted(closed, key=int.bit_count):
+    for s in sets:
         meets.clear()
         meets.update(map(s.__and__, masks))
-        over[s] = n = meets.pop(s, 0)
-        covers_of[s] = [c for c, k in meets.items() if k == over[c] - n]
-    return covers_of
+        over.append(n := meets.pop(s, 0))
+        covers.append([c for t, k in meets.items() if k == over[c := position[t]] - n])
+    return sets, covers
 
 
 def _bits(mask):
@@ -502,8 +504,8 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     closed sets, distinct faces.
 
     Each face but the start is built from the cover it lists back towards
-    the start with the most closed members, which the walk must have
-    reached first, as must every cover it lists: its carried set is that
+    the start with the most closed members, which the walk reaches first,
+    as a cover has fewer closed members: its carried set is that
     cover's ANDed with the masks of the members it adds, and its height is
     that cover's plus one walking up, minus one walking down, from 0 at the
     start.  Every face but the start must list a cover and every face but
@@ -544,8 +546,6 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     return _walk(cone, len(cone.facets) > len(cone.generators))
 
 
-# each face is built from a listed cover, so every cover must be walked first
-_UNWALKED = "a listed cover is not walked before its face"
 _NO_LOWER = "a face above the bottom has no lower cover"
 _NO_UPPER = "a face below the top has no upper cover"
 
@@ -592,16 +592,11 @@ def _walk(cone, down):
     masks, full, closed_masks, closed_values, closed_empty, closed_grow = closed
     cross, carried_full, carried_masks, carried_values, carried_empty, carried_grow = carried
 
-    covers_of = _closed_sets(full, masks)
-    closed_masks += covers_of
-    carried_values += [None] * len(covers_of)  # set walking back
-    heights, most, best, index = [], [], [], {}
-    for k, (s, listed) in enumerate(covers_of.items()):
-        try:
-            covers = list(map(index.__getitem__, listed))
-        except KeyError:
-            raise InternalCheckError(_UNWALKED) from None
-        index[s] = k
+    sets, listed = _closed_sets(full, masks)
+    closed_masks += sets
+    carried_values += [None] * len(sets)  # set walking back
+    heights, most, best = [], [], []
+    for k, (s, covers) in enumerate(zip(sets, listed)):
         if covers:
             c = max(covers)  # the cover back with the most closed members
             t, h, value = carried_masks[c], heights[c] + step, closed_values[c]
@@ -629,7 +624,7 @@ def _walk(cone, down):
         back.append(covers)
         ahead.append([])
     last = len(heights) - 1
-    stopped = last < len(covers_of) - 1
+    stopped = last < len(sets) - 1
     # the walk stops at a face with no cover back; a face with no cover
     # ahead has no best one, and only the far end may have none
     if stopped or best.count(None) > 1:

@@ -69,7 +69,8 @@ def monoid_from_generators(raw, labels=None, lattice=None) -> WeightMonoid:
     the result's ambient_rank equals the rank actually spanned.  All-zero
     input is allowed and yields the rank-0 trivial monoid.
     """
-    if isinstance(raw, (list, tuple)) and not raw:
+    rows = raw.entries if isinstance(raw, IntegerMatrix) else raw
+    if isinstance(rows, (list, tuple)) and not rows:
         raise InputError("need at least one generator vector")
     mat = raw if isinstance(raw, IntegerMatrix) else IntegerMatrix.from_rows(raw)
     lam = Sublattice.span(mat.cols, mat.entries) if lattice is None else lattice

@@ -245,6 +245,11 @@ def test_finite_non_associative_rejected():
             {"ambient_dim": 3, "generators": [[1, 0]]},
             "matrix row 0 has length 2, expected 3",
         ),
+        (
+            "monoid",
+            {"ambient_dim": 2, "generators": []},
+            "need at least one generator vector",
+        ),
     ],
     ids=[
         "table-not-array",
@@ -262,6 +267,7 @@ def test_finite_non_associative_rejected():
         "bool-ambient-dim",
         "negative-ambient-dim",
         "monoid-width",
+        "monoid-no-generators",
     ],
 )
 def test_main_rejects_malformed_payloads(mode, payload, message, tmp_path, capsys):

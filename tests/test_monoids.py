@@ -82,8 +82,14 @@ def test_non_array_labels_rejected():
 
 
 def test_empty_generator_list_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="need at least one generator vector"):
         monoid_from_generators([])
+
+
+def test_empty_generator_matrix_rejected():
+    # a matrix is read by its rows, as a list is
+    with pytest.raises(InputError, match="need at least one generator vector"):
+        monoid_from_generators(IntegerMatrix((), 2))
 
 
 def test_ragged_generators_rejected():
