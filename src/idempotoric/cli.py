@@ -68,7 +68,6 @@ from .eigen import (
     factor,
     power_invariance,
     primitive_relations,
-    relation_masks,
     smallest_idempotent_indices,
 )
 from .errors import InputError, InternalCheckError
@@ -325,26 +324,25 @@ def _subset_oracle(cone, index_sets, pairs=None) -> str:
     return "ok"
 
 
-def _relation_filter_check(poset, rels, pairs) -> str:
-    """Check that the relations accept exactly the idempotents: each one
-    respects every relation, and every signed circuit, given by its
-    (C⁺, C⁻) ``sign_masks`` in ``pairs``, is a relation, so no other index
-    set respects them all.  ``_respecting`` tests all F elements at once,
-    element k as bit k of an F-bit int; a failure names the first element
-    rejected, in poset order, by its 1-based index set."""
-    sides = relation_masks(rels)
+def _relation_filter_check(poset, pairs) -> str:
+    """Check that every idempotent respects every signed circuit, given by
+    its (C⁺, C⁻) ``sign_masks`` in ``pairs``: it holds C⁺ exactly when it
+    holds C⁻.  The faces are exactly the index sets that do, so the check
+    rejects any non-face, for every r, and a set that respects the
+    circuits respects every relation (conformal decomposition).
+    ``_respecting`` tests all F elements at once, element k as bit k of an
+    F-bit int; a failure names the first element rejected, in poset order,
+    by its 1-based index set."""
     has = defaultdict(int)  # the elements holding generator i
     for k, f in enumerate(poset.faces):
         for i in f.index_set:
             has[i] |= 1 << k
     family = (1 << len(poset.faces)) - 1
-    rejected = family & ~_respecting(has, sides, family)
+    rejected = family & ~_respecting(has, pairs, family)
     if rejected:
         f = poset.faces[(rejected & -rejected).bit_length() - 1]
         named = tuple(i + 1 for i in f.index_set)
         raise InternalCheckError(f"face {named} rejected by the relation filter")
-    if not set(pairs) <= set(sides):
-        raise InternalCheckError("a signed circuit is missing from the relations")
     return "ok"
 
 
@@ -385,12 +383,12 @@ def _run_eigen(payload):
     e = eigen_input([_rational(x, "eigenvalue") for x in raw])
     t = factor(e)
     # the generators share the exponent rows' kernel, so it gives their
-    # circuits; both cross-checks take the circuits' sign masks
+    # circuits, whose sign masks both cross-checks take, and the relations
     w, kernel = character_data(t)
     cone, p = cone_and_poset(w)
     circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
     pairs = [sign_masks(c) for c in circuits]
-    rels = primitive_relations(t, circuits, kernel)
+    rels = primitive_relations(t, kernel)
     report = _weight_monoid_report("eigen", w, cone, p, pairs)
     if not power_invariance(e, 2, t):
         raise InternalCheckError("squaring the spectrum changed the weight monoid")
@@ -403,7 +401,7 @@ def _run_eigen(payload):
         "primitive_relations": [_relation_doc(r) for r in rels],
         "power_invariance_squared": True,
     }
-    report["crosschecks"]["relation_filter"] = _relation_filter_check(p, rels, pairs)
+    report["crosschecks"]["relation_filter"] = _relation_filter_check(p, pairs)
     return report
 
 
@@ -426,7 +424,7 @@ def _run_monoid(payload):
 
 def _run_cone(payload):
     dim, mat = _generator_rows(payload)
-    cone = cone_from_generators(dim, mat.entries)
+    cone = cone_from_generators(dim, mat)
     poset = enumerate_faces(cone)
     return {
         "schema": SCHEMA,

@@ -413,13 +413,18 @@ def cone_from_generators(ambient_dim, generators) -> Cone:
     generators as columns with rhs −Σgᵢ; for opposite pairs the rhs is 0
     and μ = 0.
     ``enumerate_faces`` certifies the facet list.  Raises InputError unless
-    ``ambient_dim`` is a nonnegative int (not a bool) and
-    ``IntegerMatrix.from_rows`` accepts the generators.
+    ``ambient_dim`` is a nonnegative int (not a bool) and the generators
+    are ``ambient_dim`` wide: an ``IntegerMatrix``, taken as validated, or
+    rows that ``IntegerMatrix.from_rows`` accepts.
     """
     dim_is_int = isinstance(ambient_dim, int) and not isinstance(ambient_dim, bool)
     if not dim_is_int or ambient_dim < 0:
         raise InputError("ambient dimension must be a nonnegative int")
-    mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
+    mat = generators
+    if not isinstance(mat, IntegerMatrix):
+        mat = IntegerMatrix.from_rows(generators, cols=ambient_dim)
+    elif mat.cols != ambient_dim:
+        mat = IntegerMatrix(mat.entries, ambient_dim)  # raises unless it has no rows
     gens = mat.entries
     dual_rays, _, tight = _dd_rays(ambient_dim, list(gens))
     dual = sorted(zip(dual_rays, tight))

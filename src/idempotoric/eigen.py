@@ -14,15 +14,14 @@ Pipeline, each step once per job: eigen_input → factor →
 character_data, whose one Hermite form of the exponent rows
 (``span_and_kernel``) gives the weight monoid's lattice and the rows'
 kernel → cone and face poset (monoids layer) → envelope, whose zero
-projections are the smallest indices; the kernel's signed circuits
-(cones layer), shared by the primitive relations and the relation
-checks; power invariance factors only xⁿ.
+projections are the smallest indices; the primitive relations, one per
+Hermite row of the kernel; the kernel's signed circuits (cones layer),
+which only the relation checks read; power invariance factors only xⁿ.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
@@ -233,25 +232,24 @@ def _relation_holds(values, rel: PrimitiveRelation) -> bool:
     return left == right
 
 
-def primitive_relations(t: ExponentTable, circuits, kernel):
+def primitive_relations(t: ExponentTable, kernel):
     """Multiplicative relations among the |eigenvalues|, found in the
     kernel of the exponent matrix.
 
     Emits one relation per Hermite basis vector of ``kernel``, the rows'
-    kernel from ``character_data``, which generate all relations over Z,
-    plus one per signed circuit of the rows (``cones.signed_circuits`` of
-    that kernel), which make ``check_relation_criterion`` exact.  Each
-    vector gives its relation and total degree in one pass
-    (``_relation_from_vector``), with the first involved generator on the
-    left.  No vector is negated for that: the Hermite rows, whose pivots
-    are positive, and the circuits, which ``signed_circuits`` orients, have
-    their first nonzero entry positive, so the left side is the positive
-    one.  The relations are deduplicated, sorted by total degree and
-    re-verified numerically on the squared eigenvalues, in integers
-    (``_relation_holds``).
+    kernel from ``character_data``: r - rank of them, which generate all
+    relations over Z.  Each vector gives its relation and total degree in
+    one pass (``_relation_from_vector``), with the first involved
+    generator on the left; the Hermite rows' pivots are positive, so that
+    is the positive side and no vector is negated.  The relations are
+    sorted by total degree and re-verified numerically on the squared
+    eigenvalues, in integers (``_relation_holds``).
+
+    The rows' signed circuits, which decide the faces, are not listed:
+    the relation filter reads them from the job.
     """
-    found = set(map(_relation_from_vector, chain(kernel.basis.entries, circuits)))
-    rels = [PrimitiveRelation(lhs, rhs) for _, lhs, rhs in sorted(found)]
+    found = sorted(map(_relation_from_vector, kernel.basis.entries))
+    rels = [PrimitiveRelation(lhs, rhs) for _, lhs, rhs in found]
     squares = [(q.numerator**2, q.denominator**2) for q in reconstruct(t)]
     for rel in rels:
         if not _relation_holds(squares, rel):
@@ -283,8 +281,8 @@ def check_relation_criterion(index_set, rels) -> bool:
     into I.  The condition is necessary for any relations; it is exact,
     accepting precisely the faces, when the relations include the signed
     circuits of the generators (``cones.signed_circuits``: a relation's
-    lhs and rhs are a circuit's positive and negative parts), as those of
-    ``primitive_relations`` do.
+    lhs and rhs are a circuit's positive and negative parts).  The Hermite
+    basis that ``primitive_relations`` lists is not enough for that.
 
     The index set must be an array, each index an int >= 1.  Indices
     above the number of generators r are the caller's to rule out: the

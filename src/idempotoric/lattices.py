@@ -18,18 +18,11 @@ __all__ = [
     "Sublattice",
     "hermite_normal_form",
     "kernel_lattice",
-    "lattice_member",
     "rank",
     "saturate",
     "smith_normal_form",
     "span_and_kernel",
 ]
-
-
-def _check_entry(x) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"matrix entries must be plain ints, got {x!r}")
-    return x
 
 
 class _IntegerMatrix(NamedTuple):
@@ -401,19 +394,3 @@ def _coordinates(basis, vectors):
                 vec = [a - q * b for a, b in zip(vec, row)]
             coeffs.append(q)
         yield tuple(coeffs) if len(coeffs) == len(pivots) and not any(vec) else None
-
-
-def lattice_member(sub: Sublattice, v) -> tuple[int, ...] | None:
-    """Coefficients of ``v`` (checked) over the basis rows, or None if outside.
-
-    The zero vector of a rank-0 lattice yields ``()``, which is falsy;
-    test the result with ``is not None``.
-    """
-    if not isinstance(v, (list, tuple)):
-        raise InputError("vector must be an array of ints")
-    vec = [_check_entry(x) for x in v]
-    if len(vec) != sub.ambient_rank:
-        raise InputError(
-            f"vector length {len(vec)} does not match ambient rank {sub.ambient_rank}"
-        )
-    return next(_coordinates(sub.basis.entries, [vec]))

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from idempotoric.cones import cone_from_generators, signed_circuits
-from idempotoric.eigen import character_data, primitive_relations
+from idempotoric.eigen import PrimitiveRelation, character_data, primitive_relations
 from idempotoric.finite import (
     FiniteSemigroup,
     _check_size,
@@ -14,6 +14,7 @@ from idempotoric.finite import (
     validate_table,
     zmod_times,
 )
+from idempotoric.lattices import _coordinates
 
 
 def random_cone_inputs(seed, count, max_dim=5, max_gens=8, bound=4):
@@ -45,11 +46,30 @@ def random_eigen_lists(seed, count, max_len=6, bound=50):
 
 def relations_of(t):
     """``primitive_relations`` of an exponent table, with the kernel from
-    its ``character_data`` and that kernel's circuits, as an eigen job
-    gives them."""
-    _, kernel = character_data(t)
-    circuits = signed_circuits(len(t.primes), t.matrix, kernel)
-    return primitive_relations(t, circuits, kernel)
+    its ``character_data``, as an eigen job gives them."""
+    return primitive_relations(t, character_data(t)[1])
+
+
+def circuit_relations(t):
+    """The relations read off the signed circuits of an exponent table's
+    rows, each circuit's positive part on the left: the relations that
+    make ``check_relation_criterion`` exact, which the listed Hermite
+    basis does not."""
+    return [
+        PrimitiveRelation(
+            tuple((i + 1, c) for i, c in enumerate(z) if c > 0),
+            tuple((i + 1, -c) for i, c in enumerate(z) if c < 0),
+        )
+        for z in signed_circuits(len(t.primes), t.matrix)
+    ]
+
+
+def lattice_member(sub, v):
+    """The coefficients of the int vector ``v`` over the basis rows of the
+    ``Sublattice`` ``sub``, or None if it lies outside.  The zero vector
+    of a rank-0 lattice gives ``()``, which is falsy: test the result
+    with ``is not None``."""
+    return next(_coordinates(sub.basis.entries, [list(v)]))
 
 
 def circuit_criterion(mask: int, circuits) -> bool:

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import (
     all_commutative_tables,
+    circuit_relations,
     random_cone_inputs,
     random_eigen_lists,
-    relations_of,
     standard_catalogue,
     subsets,
 )
@@ -263,14 +263,19 @@ def test_criterion_09_smallest_criterion_equivalence(finite_run):
 
 def test_criterion_10_relation_filter_consistency():
     t0 = time.perf_counter()
+    # the relations read off the signed circuits accept exactly the faces
     for values in random_eigen_lists(SEED_FILTER, 100, max_len=6, bound=50):
         t = factor(eigen_input(values))
-        rels = relations_of(t)
-        p = idempotents(character_data(t)[0])
-        for f in p.faces:
-            # relations name generators 1-based
-            assert check_relation_criterion(tuple(i + 1 for i in f.index_set), rels)
-    rejected = relations_of(factor(eigen_input([2, 3, 6])))
+        rels = circuit_relations(t)
+        faces = {f.index_set for f in idempotents(character_data(t)[0]).faces}
+        # relations name generators 1-based
+        accepted = {
+            s
+            for s in subsets(len(t.matrix))
+            if check_relation_criterion(tuple(i + 1 for i in s), rels)
+        }
+        assert accepted == faces, values
+    rejected = circuit_relations(factor(eigen_input([2, 3, 6])))
     assert not check_relation_criterion((1, 2), rejected)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -38,16 +39,17 @@ from idempotoric.cli import (
     run,
 )
 from idempotoric.cones import (
+    Face,
     cone_from_generators,
     enumerate_faces,
     sign_masks,
     signed_circuits,
 )
-from idempotoric.eigen import PrimitiveRelation, power_invariance, relation_masks
+from idempotoric.eigen import character_data, eigen_input, factor, power_invariance
 from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.finite import all_associative_tables, validate_table
 from idempotoric.lattices import IntegerMatrix
-from idempotoric.monoids import idempotents, monoid_from_generators
+from idempotoric.monoids import cone_and_poset, idempotents, monoid_from_generators
 
 
 def eigen_doc(values):
@@ -1042,15 +1044,14 @@ def test_subset_oracle_catches_a_missing_or_extra_face():
     assert _subset_oracle(wide, set()) == "skipped: more than 10 generators"
 
 
-def rejected_elements(poset, rels):
-    """The 1-based index sets of the elements the relations reject, in
-    poset order, one ``circuit_criterion`` call each: the relation filter's
-    reference."""
-    sides = relation_masks(rels)
+def rejected_elements(poset, pairs):
+    """The 1-based index sets of the elements that fail some (C⁺, C⁻) mask
+    pair, in poset order, one ``circuit_criterion`` call each: the
+    relation filter's reference."""
     return [
         tuple(i + 1 for i in f.index_set)
         for f in poset.faces
-        if not circuit_criterion(sum(1 << i for i in f.index_set), sides)
+        if not circuit_criterion(sum(1 << i for i in f.index_set), pairs)
     ]
 
 
@@ -1063,7 +1064,7 @@ def test_relation_filter_matches_the_per_element_check():
 
     def side(r):
         # generator r + 1 lies in no element
-        return tuple((i, 1) for i in range(1, r + 2) if rng.random() < 0.3)
+        return sum(1 << i for i in range(r + 1) if rng.random() < 0.3)
 
     several = passed = 0
     for d, gens in random_cone_inputs(seed=1716, count=30, max_dim=4, max_gens=6):
@@ -1072,16 +1073,14 @@ def test_relation_filter_matches_the_per_element_check():
         p = idempotents(monoid_from_generators(gens))
         r = len(gens)
         for _ in range(10):
-            rels = [
-                PrimitiveRelation(side(r), side(r)) for _ in range(rng.randint(1, 3))
-            ]
-            rejected = rejected_elements(p, rels)
+            pairs = [(side(r), side(r)) for _ in range(rng.randint(1, 3))]
+            rejected = rejected_elements(p, pairs)
             if not rejected:
-                assert _relation_filter_check(p, rels, []) == "ok"
+                assert _relation_filter_check(p, pairs) == "ok"
                 passed += 1
                 continue
             with pytest.raises(InternalCheckError) as exc:
-                _relation_filter_check(p, rels, [])
+                _relation_filter_check(p, pairs)
             assert str(exc.value) == filter_error(rejected[0])
             several += len(rejected) > 1
     assert several > 50 and passed > 20
@@ -1090,11 +1089,10 @@ def test_relation_filter_matches_the_per_element_check():
 def test_relation_filter_names_the_rejected_face():
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
     pairs = [sign_masks((1, 1, -1))]  # t1*t2 = t3
-    relation = PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))
-    assert _relation_filter_check(p, [relation], pairs) == "ok"
-    forced = [PrimitiveRelation(((1, 1),), ())]  # t1 = 1 puts t1 in every face
+    assert _relation_filter_check(p, pairs) == "ok"
+    forced = [(0b1, 0)]  # t1 = 1 puts t1 in every face
     with pytest.raises(InternalCheckError) as exc:
-        _relation_filter_check(p, forced + [relation], pairs)
+        _relation_filter_check(p, forced + pairs)
     assert str(exc.value) == "face () rejected by the relation filter"
 
 
@@ -1102,27 +1100,73 @@ def test_relation_filter_with_a_generator_in_no_element():
     # the elements are (), (1,), (2,) and (1, 2, 3); no element holds t4
     p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
     pairs = [sign_masks((1, 1, -1))]  # t1*t2 = t3
-    relation = PrimitiveRelation(((1, 1), (2, 1)), ((3, 1),))
-    # no element holds either side
-    absent = PrimitiveRelation(((4, 1),), ((5, 1),))
-    assert _relation_filter_check(p, [relation, absent], pairs) == "ok"
+    # no element holds either side of t4 = t5
+    absent = (0b1000, 0b10000)
+    assert _relation_filter_check(p, pairs + [absent]) == "ok"
     cases = {
-        PrimitiveRelation(((4, 1),), ()): (),  # t4 = 1 rejects every element
-        PrimitiveRelation(((1, 1), (4, 1)), ((2, 1),)): (2,),
+        (0b1000, 0): (),  # t4 = 1 rejects every element
+        (0b1001, 0b10): (2,),  # t1*t4 = t2
     }
     for bad, first in cases.items():
         with pytest.raises(InternalCheckError) as exc:
-            _relation_filter_check(p, [relation, bad], pairs)
+            _relation_filter_check(p, pairs + [bad])
         assert str(exc.value) == filter_error(first)
-        assert rejected_elements(p, [relation, bad])[0] == first
+        assert rejected_elements(p, pairs + [bad])[0] == first
+
+
+def with_element(poset, index_set):
+    """``poset`` with one more element, the 0-based ``index_set``, last."""
+    return poset._replace(faces=poset.faces + (Face(index_set, 0, ()),))
 
 
 def test_relation_filter_needs_every_circuit():
-    # without the circuit t1*t2 = t3 the relations would also accept {1, 2}
-    p = idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)]))
-    assert _relation_filter_check(p, [], []) == "ok"
-    with pytest.raises(InternalCheckError, match="signed circuit is missing"):
-        _relation_filter_check(p, [], [sign_masks((1, 1, -1))])
+    # without the circuit t1*t2 = t3 the filter would also accept {1, 2}
+    p = with_element(
+        idempotents(monoid_from_generators([(1, 0), (0, 1), (1, 1)])), (0, 1)
+    )
+    assert _relation_filter_check(p, []) == "ok"
+    with pytest.raises(InternalCheckError) as exc:
+        _relation_filter_check(p, [sign_masks((1, 1, -1))])
+    assert str(exc.value) == filter_error((1, 2))
+
+
+def test_relation_filter_rejects_a_non_face_past_the_subset_oracle():
+    # 12 values over the first four primes: r = 12 > 10, so the subset
+    # oracle is skipped and only the circuits' masks can reject the
+    # non-face added to the poset
+    rng = random.Random(1212)
+    tried = 0
+    for _ in range(4):
+        values = [
+            math.prod(p ** rng.randint(0, 2) for p in (2, 3, 5, 7)) for _ in range(12)
+        ]
+        rep = run(eigen_doc(values))
+        assert rep["crosschecks"] == {
+            "subset_oracle": "skipped: more than 10 generators",
+            "relation_filter": "ok",
+        }
+        w, kernel = character_data(factor(eigen_input(values)))
+        cone, p = cone_and_poset(w)
+        r = len(cone.generators)
+        assert r > 10
+        pairs = [
+            sign_masks(c)
+            for c in signed_circuits(cone.ambient_dim, cone.generators, kernel)
+        ]
+        assert _relation_filter_check(p, pairs) == "ok"
+        faces = {sum(1 << i for i in f.index_set) for f in p.faces}
+        # the non-face of fewest generators, least first
+        mask = min(
+            (m for m in range(1 << r) if m not in faces),
+            key=lambda m: (m.bit_count(), m),
+        )
+        assert not circuit_criterion(mask, pairs)
+        added = tuple(i for i in range(r) if mask >> i & 1)
+        with pytest.raises(InternalCheckError) as exc:
+            _relation_filter_check(with_element(p, added), pairs)
+        assert str(exc.value) == filter_error(tuple(i + 1 for i in added))
+        tried += 1
+    assert tried == 4
 
 
 def error_of(code, out):

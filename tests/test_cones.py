@@ -235,6 +235,26 @@ def test_dimension_mismatch_rejected():
         cone_from_generators(2, [(1, 0, 0)])
 
 
+def test_a_matrix_of_the_wrong_width_is_rejected_as_the_rows_are():
+    for rows, dim in (((1, 0, 0),), 2), (((1,), (2,)), 3), (((0, 1),), 0):
+        with pytest.raises(InputError) as listed:
+            cone_from_generators(dim, [list(g) for g in rows])
+        with pytest.raises(InputError) as matrix:
+            cone_from_generators(dim, IntegerMatrix(rows, len(rows[0])))
+        assert str(matrix.value) == str(listed.value)
+        assert str(listed.value).startswith("matrix row 0 has length")
+
+
+def test_a_matrix_and_its_rows_give_equal_cones():
+    cases = random_cone_inputs(seed=2929, count=30)
+    cases += [(0, []), (3, [])]
+    for d, gens in cases:
+        listed = cone_from_generators(d, [list(g) for g in gens])
+        assert cone_from_generators(d, IntegerMatrix(tuple(gens), d)) == listed
+    # a matrix with no rows takes ambient_dim for its width, as a list does
+    assert cone_from_generators(3, IntegerMatrix((), 5)) == cone_from_generators(3, [])
+
+
 def test_non_int_entries_rejected():
     for bad in (True, 1.0, "1", None):
         with pytest.raises(InputError, match="matrix entries must be plain ints"):

@@ -27,7 +27,6 @@ from idempotoric.errors import InputError, InternalCheckError
 from idempotoric.lattices import (
     IntegerMatrix,
     kernel_lattice,
-    lattice_member,
     rank,
     smith_normal_form,
 )
@@ -38,7 +37,13 @@ from idempotoric.monoids import (
     toric_envelope,
 )
 
-from conftest import random_eigen_lists, relations_of, subsets
+from conftest import (
+    circuit_relations,
+    lattice_member,
+    random_eigen_lists,
+    relations_of,
+    subsets,
+)
 
 
 # -- input handling ----------------------------------------------------------
@@ -268,15 +273,24 @@ def test_relation_with_squared_exponent():
     assert rel_pairs(rels) == [(((1, 1), (3, 1)), ((2, 2),))]
 
 
-def test_relations_are_the_hermite_basis_and_the_circuits():
-    for vals in random_eigen_lists(seed=1312, count=25):
-        t = factor(eigen_input(vals))
+def test_relations_are_the_hermite_basis():
+    # one relation per Hermite row of the kernel, r - rank of them, in
+    # (degree, lhs, rhs) order, and each holds on the squared eigenvalues
+    ranks = set()
+    for vals in random_eigen_lists(seed=1312, count=40, max_len=9, bound=20):
+        e = eigen_input(vals)
+        t = factor(e)
         rels = relations_of(t)
         mat = IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
         basis = kernel_lattice(mat).basis.entries
-        circuits = signed_circuits(len(t.primes), t.matrix)
-        assert set(rels) == {relation_of(z) for z in basis + circuits}, vals
-        assert len(rels) == len(set(rels))
+        assert set(rels) == {relation_of(z) for z in basis}, vals
+        assert len(rels) == len(e.eigenvalues) - rank(mat), vals
+        keys = [(sum(a for _, a in rel.lhs + rel.rhs), *rel) for rel in rels]
+        assert keys == sorted(keys), vals
+        squares = [q * q for q in e.eigenvalues]
+        assert all(fraction_holds(squares, rel) for rel in rels), vals
+        ranks.add(len(rels))
+    assert {0, 1, 2, 3} <= ranks
 
 
 def test_relations_verify_on_squared_values():
@@ -335,23 +349,24 @@ def test_integer_relation_check_matches_fractions():
 
 
 def test_integer_relation_check_trips_on_a_bumped_exponent():
-    # one exponent of one circuit raised by one is no longer a relation
+    # one exponent of one Hermite row raised by one is no longer a relation
     spectra = [[2, 3, 6], [-2, Fraction(3, 5), Fraction(-5, 6)], [4, 6, 9]]
-    spectra += random_eigen_lists(seed=1416, count=20, max_len=7, bound=12)
+    spectra += random_eigen_lists(seed=1416, count=30, max_len=8, bound=12)
     tripped = 0
     for vals in spectra:
         t = factor(eigen_input(vals))
         _, kernel = character_data(t)
-        circuits = signed_circuits(len(t.primes), t.matrix, kernel)
-        for k, z in enumerate(circuits):
+        basis = kernel.basis.entries
+        for k, z in enumerate(basis):
             for i, c in enumerate(z):
                 if not c or not any(t.matrix[i]):
                     continue  # a unit's exponent is free
                 wrong = list(z)
                 wrong[i] += 1 if c > 0 else -1
-                bad = [*circuits[:k], tuple(wrong), *circuits[k + 1 :]]
+                rows = (*basis[:k], tuple(wrong), *basis[k + 1 :])
+                bad = kernel._replace(basis=kernel.basis._replace(entries=rows))
                 with pytest.raises(InternalCheckError, match="numeric relation"):
-                    primitive_relations(t, bad, kernel)
+                    primitive_relations(t, bad)
                 tripped += 1
     assert tripped > 50
 
@@ -411,15 +426,18 @@ def accepted_sets(r, rels):
 
 
 def test_faces_pass_relation_filter():
-    # the primitive relations accept exactly the faces, not merely a
-    # superset of them, up to the subset oracle's 10 generators
+    # the relations read off the signed circuits accept exactly the faces,
+    # not merely a superset of them, up to the subset oracle's 10
+    # generators; the listed Hermite relations accept every face
     spectra = random_eigen_lists(seed=1010, count=25, max_len=5)
     spectra += random_eigen_lists(seed=1314, count=25, max_len=10, bound=12)
     for vals in spectra:
         e = eigen_input(vals)
-        rels = relations_of(factor(e))
-        faces = {f.index_set for f in idempotents(character_data(factor(e))[0]).faces}
+        t = factor(e)
+        rels = circuit_relations(t)
+        faces = {f.index_set for f in idempotents(character_data(t)[0]).faces}
         assert accepted_sets(len(e.eigenvalues), rels) == faces, vals
+        assert faces <= accepted_sets(len(e.eigenvalues), relations_of(t)), vals
 
 
 def test_circuit_relations_make_the_criterion_exact():

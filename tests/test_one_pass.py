@@ -199,7 +199,7 @@ def test_shared_objects_give_the_standalone_results():
         # the generators and the exponent rows share their kernel
         circuits = signed_circuits(cone.ambient_dim, cone.generators)
         assert circuits == signed_circuits(len(t.primes), t.matrix)
-        assert primitive_relations(t, circuits, kernel) == standalone_relations(t)
+        assert primitive_relations(t, kernel) == standalone_relations(t)
 
 
 def rows_kernel(t):
@@ -209,9 +209,8 @@ def rows_kernel(t):
 
 
 def standalone_relations(t):
-    """The relations from the rows' circuits and kernel, each built alone."""
-    circuits = signed_circuits(len(t.primes), t.matrix)
-    return primitive_relations(t, circuits, rows_kernel(t))
+    """The relations from the rows' kernel, built alone."""
+    return primitive_relations(t, rows_kernel(t))
 
 
 def test_a_shared_kernel_gives_the_standalone_circuits_and_relations():
@@ -224,7 +223,7 @@ def test_a_shared_kernel_gives_the_standalone_circuits_and_relations():
             # the exponent rows' kernel is the weight monoid generators' kernel
             circuits = signed_circuits(cone.ambient_dim, cone.generators, kernel)
             assert circuits == signed_circuits(cone.ambient_dim, cone.generators)
-            assert primitive_relations(t, circuits, kernel) == standalone_relations(t)
+            assert primitive_relations(t, kernel) == standalone_relations(t)
 
 
 def test_one_hermite_form_of_the_exponent_rows_gives_the_standalone_objects():
@@ -237,8 +236,7 @@ def test_one_hermite_form_of_the_exponent_rows_gives_the_standalone_objects():
         assert kernel == lattices.kernel_lattice(rows)
         w, shared = character_data(t)
         assert w == monoid_from_generators(t.matrix, w.labels) and shared == kernel
-        circuits = signed_circuits(len(t.primes), t.matrix, kernel)
-        assert primitive_relations(t, circuits, kernel) == standalone_relations(t)
+        assert primitive_relations(t, kernel) == standalone_relations(t)
         tried += kernel.rank > 1
     assert tried > 20
 
@@ -364,27 +362,6 @@ def test_main_reports_a_non_unit_projected_to_zero(tmp_path, capsys, monkeypatch
         2,
         "internal",
         "lineality membership disagrees with the poset minimum",
-    )
-
-
-def test_main_checks_the_relations_against_the_shared_circuits(
-    tmp_path, capsys, monkeypatch
-):
-    real = cli.primitive_relations
-
-    def relations(t, circuits, kernel):
-        # every relation but the first circuit's
-        first = cones.sign_masks(circuits[0])
-        rels = real(t, circuits, kernel)
-        return [r for r in rels if eigen.relation_masks([r])[0] != first]
-
-    monkeypatch.setattr(cli, "primitive_relations", relations)
-    # the units 2 and 1/2 make the one circuit t1*t2 = 1; the relation
-    # filter gets its sign masks from the job and finds it missing
-    assert internal_error(tmp_path, capsys) == (
-        2,
-        "internal",
-        "a signed circuit is missing from the relations",
     )
 
 

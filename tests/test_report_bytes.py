@@ -4,10 +4,12 @@ For each (mode, format) one SHA-256 over the exit code and stdout of
 ``idempotoric <mode> --format <format>`` on every case of the mode, in
 order: the README's command-line examples, 40 seeded random cones in
 ``monoid`` and ``cone`` mode, 40 seeded random spectra in ``eigen`` mode,
-and the selftest; one more for a cone with a line and rays; and one for
+and the selftest; one more for a cone with a line and rays; one for
 each (mode, format) of ``cone`` and ``monoid`` over three cones with
-many more facets than generators.  Rejected
-cases (a monoid with no generators) count with their error documents.  A
+many more facets than generators; and one for each of the ``eigen``
+``json`` and ``text`` formats over three spectra with more signed
+circuits than Hermite kernel rows.  Rejected cases (a monoid with no
+generators) count with their error documents.  A
 refactor that keeps the reports keeps these digests; a change to any
 report byte must declare itself by updating them.
 """
@@ -159,3 +161,24 @@ def test_report_bytes_of_many_facet_cones(mode, fmt, tmp_path):
         cone = cone_from_generators(payload["ambient_dim"], payload["generators"])
         assert len(cone.facets) > len(cone.generators)
     assert digest(mode, fmt, MANY_FACETS, tmp_path) == MANY_FACETS_GOLDEN[mode, fmt]
+
+
+# Every spectrum of the corpus above has its signed circuits among the
+# kernel's Hermite rows, so none shows which of the two the relations
+# list.  These have kernel rank 3, 4 and 4, and more circuits than that:
+# their reports list the Hermite rows alone.
+MANY_CIRCUITS = [
+    {"eigenvalues": ["2", "3", "6", "12", "18"]},
+    {"eigenvalues": ["2", "3", "5", "6", "10", "15", "30"]},
+    {"eigenvalues": ["4", "6", "9", "1/2", "3/2", "-2/3"]},
+]
+
+MANY_CIRCUITS_GOLDEN = {
+    "json": "07b6c53b49a8771d2d2b829f7137dc927654a0c3d9ee3fecaf3f648b540c4843",
+    "text": "b0c7ba97068917e1aebe656cc5eaf342b96e89172f69740585b27ec32e77e934",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_bytes_of_spectra_with_many_circuits(fmt, tmp_path):
+    assert digest("eigen", fmt, MANY_CIRCUITS, tmp_path) == MANY_CIRCUITS_GOLDEN[fmt]
