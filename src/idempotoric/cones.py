@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, and_, lshift, mul
+from operator import add, and_, lshift, mul, sub
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
@@ -528,9 +528,11 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     bottom.  The faces the top covers must be exactly the facets' masks, so
     no listed facet is redundant or listed twice.  A face's sorted
     generators and its witness functional, the sum of the normals over T,
-    are each a cover's plus what the face adds: on the closed side the
-    cover it was built from, on the carried side its cover ahead with the
-    most carried members, walking back from the far end.
+    come in the same step from the cover it was built from: walking up,
+    that cover's generators merged with those it adds and its witness less
+    the normals of the facets it leaves, the bottom's from the sum over
+    every facet; walking down, the generators of its carried set and the
+    cover's witness plus the normals of the facets it adds, from zero.
 
     Last, every interval [b, s] of length 2 in L must be a diamond, with
     two middle elements (Ziegler, *Lectures on Polytopes*, lecture 2): the
@@ -546,7 +548,7 @@ def enumerate_faces(cone: Cone) -> FacePoset:
     polytope's face lattice, flag-connected (McMullen & Schulte, *Abstract
     Regular Polytopes*, ch. 2): flips reach every flag from any other, so L
     holds every flag of Φ, and every face.  The count takes each path once,
-    walking back from the far end, after the other checks.
+    after the other checks.
     """
     return _walk(cone, len(cone.facets) > len(cone.generators))
 
@@ -564,92 +566,82 @@ def _walk(cone, down):
     for j, inc in enumerate(incidences):
         for i in _bits(inc):
             through[i] |= 1 << j
+    all_gens, all_facets = (1 << len(gens)) - 1, (1 << len(incidences)) - 1
 
-    def with_members(members, new):
-        return tuple(sorted(members + tuple(new)))
-
-    def with_normals(witness, new):
-        for j in new:
-            witness = tuple(map(add, witness, normals[j]))
-        return witness
-
-    # a side, generators or facets: the masks of its sets, one per member of
-    # the other side, and its full set; then, by walk position, each face's
-    # set of it and its value there, which starts empty and grows by the
-    # members a face adds
-    gen_masks, members, facet_masks, witnesses = [], [], [], []
-    gen_side = incidences, (1 << len(gens)) - 1, gen_masks, members, (), with_members
-    facet_side = (through, (1 << len(incidences)) - 1, facet_masks, witnesses,
-                  (0,) * cone.ambient_dim, with_normals)
-    lower, upper = [], []  # each face's covers, by walk position
-    # the orientation: the side closed over and the side carried; the covers
+    # the orientation: the masks closed over and their full set, the carried
+    # side's masks, one per closed member, and its full set; the covers
     # listed back towards the start and those ahead; the height step; the
     # bottom and the top, as the start (0) or the far end (-1); the far end's
     # rank check, and the messages for a face with no cover back or ahead
+    lower, upper = [], []  # each face's covers, by walk position
     if down:
-        closed, carried, back, ahead, step = facet_side, gen_side, upper, lower, -1
+        masks, full, cross, carried_full = through, all_facets, incidences, all_gens
+        back, ahead, step = upper, lower, -1
         bottom, top, far_rank = -1, 0, "bottom face rank differs from its elimination"
         no_back, no_ahead = _NO_UPPER, _NO_LOWER
     else:
-        closed, carried, back, ahead, step = gen_side, facet_side, lower, upper, 1
+        masks, full, cross, carried_full = incidences, all_gens, through, all_facets
+        back, ahead, step = lower, upper, 1
         bottom, top, far_rank = 0, -1, "top face rank differs from the cone's dimension"
         no_back, no_ahead = _NO_LOWER, _NO_UPPER
-    masks, full, closed_masks, closed_values, closed_empty, closed_grow = closed
-    cross, carried_full, carried_masks, carried_values, carried_empty, carried_grow = carried
 
     sets, listed = _closed_sets(full, masks)
-    closed_masks += sets
-    carried_values += [None] * len(sets)  # set walking back
-    heights, most, best = [], [], []
+    carried, heights, members, witnesses = [], [], [], []  # by walk position
+    gen_masks = carried if down else sets
+    # the witness before the start: over no facet walking down, and over
+    # every facet walking up, less those off the bottom at the start
+    zero = (0,) * cone.ambient_dim
+    before = zero if down else tuple(map(sum, zip(zero, *normals)))
     for k, (s, covers) in enumerate(zip(sets, listed)):
         if covers:
             c = max(covers)  # the cover back with the most closed members
-            t, h, value = carried_masks[c], heights[c] + step, closed_values[c]
-            new = _bits(s & ~closed_masks[c])
+            t, h, had, w = carried[c], heights[c] + step, members[c], witnesses[c]
+            new = _bits(s & ~sets[c])
         elif k:
             break
         else:  # the walk's start
-            t, h, value, new = carried_full, 0, closed_empty, _bits(s)
+            t, h, had, w, new = carried_full, 0, (), before, _bits(s)
+        was = t
         for i in new:
             t &= cross[i]
-        n = t.bit_count()
         for b in covers:
-            if carried_masks[b] == t:
+            if carried[b] == t:
                 raise InternalCheckError("face step has no separating facet")
             if heights[b] + step != h:
                 raise InternalCheckError("face poset is not graded by dimension")
             ahead[b].append(k)
-            if n > most[b]:  # the cover ahead with the most carried members
-                most[b], best[b] = n, k
         heights.append(h)
-        most.append(-1)
-        best.append(None)
-        closed_values.append(closed_grow(value, new))
-        carried_masks.append(t)
+        carried.append(t)
         back.append(covers)
         ahead.append([])
+        # the face's sorted generators, and its witness, the sum of the
+        # normals over its T: c's plus the facets it adds walking down, and
+        # less the facets it leaves walking up
+        if down:
+            members.append(tuple(_bits(t)))
+            for j in new:
+                w = tuple(map(add, w, normals[j]))
+        else:
+            members.append(tuple(sorted((*had, *new))))
+            for j in _bits(was & ~t):
+                w = tuple(map(sub, w, normals[j]))
+        witnesses.append(w)
     last = len(heights) - 1
     stopped = last < len(sets) - 1
-    # the walk stops at a face with no cover back; a face with no cover
-    # ahead has no best one, and only the far end may have none
-    if stopped or best.count(None) > 1:
+    # the walk stops at a face with no cover back; only the far end may
+    # have no cover ahead
+    if stopped or ahead.count([]) > 1:
         raise InternalCheckError(no_back if stopped else no_ahead)
 
-    # the far end's carried members grow from none
-    carried_values[last] = carried_grow(carried_empty, _bits(carried_masks[last]))
     rank = len(_extend_echelon([], [gens[i] for i in members[bottom]]))
     if heights[top] - heights[bottom] != cone.dim - rank:
         raise InternalCheckError(far_rank)
     if sorted(map(gen_masks.__getitem__, lower[top])) != sorted(incidences):
         raise InternalCheckError("a listed facet is not a facet")
+    # each face two steps back must be reached by exactly two paths
     back_of = back.__getitem__
-    for k in range(last, -1, -1):
-        u = best[k]
-        if u is not None:
-            new = _bits(carried_masks[k] & ~carried_masks[u])
-            carried_values[k] = carried_grow(carried_values[u], new)
-        # each face two steps back must be reached by exactly two paths
-        two = list(chain.from_iterable(map(back_of, back[k])))
+    for covers in back:
+        two = list(chain.from_iterable(map(back_of, covers)))
         if 2 * len(set(two)) != len(two):
             raise InternalCheckError("an interval of length 2 is not a diamond")
 

@@ -40,7 +40,6 @@ __all__ = [
     "power_invariance",
     "primitive_relations",
     "reconstruct",
-    "relation_masks",
     "smallest_idempotent_indices",
 ]
 
@@ -257,20 +256,6 @@ def primitive_relations(t: ExponentTable, kernel):
     return rels
 
 
-def relation_masks(rels) -> list[tuple[int, int]]:
-    """The supports of each relation's sides as bitmasks (lhs, rhs), bit
-    i - 1 standing for generator i, as in ``cones.sign_masks``."""
-    out = []
-    for lhs, rhs in rels:
-        left = right = 0
-        for i, _ in lhs:
-            left |= 1 << (i - 1)
-        for j, _ in rhs:
-            right |= 1 << (j - 1)
-        out.append((left, right))
-    return out
-
-
 def check_relation_criterion(index_set, rels) -> bool:
     """Whether I can name an idempotent as far as the relations tell:
     sending the listed generators to 1 and the rest to 0 must respect
@@ -290,13 +275,14 @@ def check_relation_criterion(index_set, rels) -> bool:
     """
     if not isinstance(index_set, (list, tuple)):
         raise InputError(f"an index set must be an array, got {index_set!r}")
-    chosen = 0
     for i in index_set:
         if isinstance(i, bool) or not isinstance(i, int) or i < 1:
             raise InputError(f"index {i!r} must be an int >= 1")
-        chosen |= 1 << (i - 1)
-    out = ~chosen
-    return all((a & out == 0) == (b & out == 0) for a, b in relation_masks(rels))
+    chosen = set(index_set)
+    return all(
+        all(i in chosen for i, _ in lhs) == all(j in chosen for j, _ in rhs)
+        for lhs, rhs in rels
+    )
 
 
 def smallest_idempotent_indices(env: ToricEnvelopeReport, poset) -> tuple[int, ...]:

@@ -878,6 +878,26 @@ def test_the_two_walks_agree():
     assert sides.count(True) >= 20 and sides.count(False) >= 20
 
 
+@pytest.mark.parametrize("down", [False, True], ids=["up", "down"])
+def test_each_witness_is_the_sum_of_the_normals_through_its_face(down):
+    # each face's witness comes from one cover's: walking down it adds the
+    # normals of the facets the face adds, walking up it takes away those
+    # the face leaves from a sum that starts as the bottom's, over every
+    # facet through the bottom
+    named = [family(d) for d in (3, 4, 5) for family in (cube_cone, cross_polytope_cone)]
+    named += [cube_times_line(d) for d in (3, 4)]
+    named += [cross_polytope_times_line(d) for d in (3, 4)]
+    # entries in -1..1: zero, repeated and opposite generators, lineality
+    inputs = random_cone_inputs(seed=2225, count=40, max_dim=5, max_gens=9, bound=1)
+    cases = named + [cone_from_generators(d, gens) for d, gens in inputs]
+    for cone in cases:
+        for face in cones._walk(cone, down).faces:
+            mask = sum(1 << i for i in face.index_set)
+            through = [w for w, inc in zip(cone.facets, cone.incidences) if inc & mask == mask]
+            expected = tuple(sum(w[k] for w in through) for k in range(cone.ambient_dim))
+            assert face.witness == expected, (cone.generators, face)
+
+
 def facet_masks(cone):
     """Each generator's mask of the facets through it."""
     return [sum(1 << j for j, inc in enumerate(cone.incidences) if inc >> i & 1)
