@@ -356,12 +356,13 @@ def _weight_monoid_report(mode, w, cone, p, pairs=None) -> dict:
     checked against the poset.  The chain length is the envelope's
     dimension, which ``toric_envelope`` checks against the graded walk."""
     env = toric_envelope(cone, p)
+    prefix = {"eigen": "t", "monoid": "g"}[mode]
     return {
         "schema": SCHEMA,
         "mode": mode,
         "lattice_rank": w.ambient_rank,
         "generators": [list(g) for g in w.generators],
-        "labels": list(w.labels),
+        "labels": [f"{prefix}{i}" for i in range(1, len(w.generators) + 1)],
         "idempotents": _poset_doc(p, 0),
         "smallest_index_set": list(smallest_idempotent_indices(env, p)),
         "largest_index_set": [i + 1 for i in largest_idempotent(p).index_set],
@@ -415,7 +416,7 @@ def _generator_rows(payload):
 
 def _run_monoid(payload):
     dim, mat = _generator_rows(payload)
-    w = monoid_from_generators(mat, [f"g{i}" for i in range(1, len(mat.entries) + 1)])
+    w = monoid_from_generators(mat)
     cone, p = cone_and_poset(w)
     report = _weight_monoid_report("monoid", w, cone, p)
     report["ambient_dim"] = dim

@@ -183,8 +183,8 @@ def reconstruct(t: ExponentTable) -> tuple[Fraction, ...]:
 
 
 def character_data(t: ExponentTable) -> tuple[WeightMonoid, Sublattice]:
-    """The weight monoid generated by the exponent rows, labeled t1..tr,
-    and the rows' kernel, both from one Hermite form of the rows
+    """The weight monoid generated by the exponent rows, and the rows'
+    kernel, both from one Hermite form of the rows
     (``span_and_kernel``).
 
     Its nonzero rows, the rows' span, are the weight monoid's lattice, and
@@ -194,10 +194,9 @@ def character_data(t: ExponentTable) -> tuple[WeightMonoid, Sublattice]:
     Signs are dropped: the sign subgroup is torsion, and raising everything
     to an even power removes it without changing the closure's idempotents.
     """
-    labels = tuple(f"t{i + 1}" for i in range(len(t.matrix)))
     rows = IntegerMatrix.from_rows(t.matrix, cols=len(t.primes))
     lattice, kernel = span_and_kernel(rows)
-    return monoid_from_generators(rows, labels, lattice), kernel
+    return monoid_from_generators(rows, lattice), kernel
 
 
 def _relation_from_vector(z) -> tuple[int, tuple, tuple]:

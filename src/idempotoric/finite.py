@@ -3,7 +3,8 @@
 This layer is the desk-scale oracle against which the geometric layers'
 structure claims are checked.  Tables are validated associative on
 construction by Light's test, and Green's classes come from the Cayley
-graphs, both over a small generating set A at O(n²·|A|) cost.  A is
+graphs, both over a small generating set A at O(n²·|A|) cost; a table
+that fails Light's test is rejected by the triple it failed on.  A is
 found greedily, visiting the elements from the top of the R-order down
 (by the size of their principal right ideals), so that few of them are
 needed; a commutative table has one Cayley graph and one Green's
@@ -99,9 +100,9 @@ def validate_table(table) -> FiniteSemigroup:
     x, y and every a ∈ A, at O(n²·|A|) cost.  It is exact even before
     associativity is known: the elements that pass form a set closed
     under the product, and every element is a left-bracketed product of
-    generators.  Only when it fails is the full n³ scan run, row by row,
-    so that the rejection names the lexicographically first violating
-    triple.
+    generators.  A rejection names the first triple that Light's test
+    finds, (x, a, y) with a ∈ A, after reading both of its products back
+    from the table.
     """
     if not isinstance(table, (list, tuple)):
         raise InputError("table must be an array of arrays")
@@ -127,42 +128,34 @@ def validate_table(table) -> FiniteSemigroup:
         x = next(x for row in t for x in row if not 0 <= x < n)
         raise InputError(f"table entry {x!r} outside 0..{n - 1}")
     s = FiniteSemigroup(n, t, tuple(zip(*t)) == t)
-    if not _light_test(t, s._generating_set):
-        _first_violation(t)
+    triple = _light_test(t, s._generating_set)
+    if triple is not None:
+        x, a, y = triple
+        left, right = t[t[x][a]][y], t[x][t[a][y]]
+        if left == right:
+            raise InternalCheckError("Light's test failed on an associative table")
+        raise InputError(
+            f"table is not associative at ({x}, {a}, {y}): "
+            f"({x}·{a})·{y} = {left} but {x}·({a}·{y}) = {right}"
+        )
     return s
 
 
-def _light_test(t, gens) -> bool:
-    """(x·a)·y = x·(a·y) for all x, y and every a in ``gens``, one row at
-    a time: row x·a of the table against row x read through row a."""
+def _light_test(t, gens) -> tuple[int, int, int] | None:
+    """The first (x, a, y) with (x·a)·y ≠ x·(a·y), for a in ``gens`` in
+    order, then x and y in index order, or None if there is none.  One row
+    at a time: row x·a of the table against row x read through row a."""
     if len(t) == 1:
-        return True  # associative; and itemgetter(i) returns an item, not a tuple
+        return None  # associative; and itemgetter(i) returns an item, not a tuple
     for a in gens:
         through_a = itemgetter(*t[a])
-        if [t[row[a]] for row in t] != list(map(through_a, t)):
-            return False
-    return True
-
-
-def _first_violation(t) -> None:
-    """Raise ``InputError`` naming the first (a, b, c) in lexicographic
-    order with (a·b)·c ≠ a·(b·c); the caller has seen that one exists.
-
-    For each a, every row (a·b) is compared with row a read through row
-    b, at C speed; only the first row that differs is searched for c."""
-    n = len(t)
-    through = [itemgetter(*row) for row in t]
-    for a, ta in enumerate(t):
-        left = [t[ab] for ab in ta]
-        right = [get(ta) for get in through]
+        left = [t[row[a]] for row in t]
+        right = list(map(through_a, t))
         if left != right:
-            b = next(b for b in range(n) if left[b] != right[b])
-            c = next(c for c in range(n) if left[b][c] != right[b][c])
-            raise InputError(
-                f"table is not associative at ({a}, {b}, {c}): "
-                f"({a}·{b})·{c} = {left[b][c]} but {a}·({b}·{c}) = {right[b][c]}"
-            )
-    raise InternalCheckError("Light's test failed on an associative table")
+            x = next(x for x in range(len(t)) if left[x] != right[x])
+            y = next(y for y in range(len(t)) if left[x][y] != right[x][y])
+            return x, a, y
+    return None
 
 
 def _right_closure(t, gens, start) -> bytearray:
@@ -381,24 +374,6 @@ def _components(succ) -> list[int]:
     return comp
 
 
-def _is_group(s: FiniteSemigroup, elems) -> bool:
-    t = s.table
-    members = set(elems)
-    for x in elems:
-        for y in elems:
-            if t[x][y] not in members:
-                return False
-    unit = next(
-        (u for u in elems if all(t[u][v] == v and t[v][u] == v for v in elems)),
-        None,
-    )
-    if unit is None:
-        return False
-    return all(
-        any(t[v][w] == unit and t[w][v] == unit for w in elems) for v in elems
-    )
-
-
 def is_minimum_idempotent(s: FiniteSemigroup, e: int) -> bool:
     """Whether e ≤ f (that is ef = fe = e) for every idempotent f."""
     e = _check_element(s, e)
@@ -413,6 +388,12 @@ def check_smallest_criterion(s: FiniteSemigroup, e: int) -> bool:
     """(e is central) and (eS is a group) — and that is equivalent to e
     being the minimum idempotent, which is re-verified on every call.
 
+    With e central, eS is row e of the table (it holds e = e·e) and a
+    finite monoid with identity e, so it is a group exactly when each of
+    its members x has a right inverse in it.  One in S will do, since
+    x·y = e gives x·(e·y) = (x·e)·y = e: the test is that e lies in row x
+    for every x in row e.
+
     Why the equivalence holds in any finite semigroup: the minimal
     two-sided ideal (kernel) is completely simple; if it is the group eS
     with e central, e absorbs every idempotent, and conversely a minimum
@@ -423,7 +404,7 @@ def check_smallest_criterion(s: FiniteSemigroup, e: int) -> bool:
     if t[e][e] != e:
         raise InputError(f"element {e} is not idempotent")
     central = all(t[e][x] == t[x][e] for x in range(s.size))
-    result = central and _is_group(s, sorted({t[e][x] for x in range(s.size)} | {e}))
+    result = central and all(e in t[x] for x in set(t[e]))
     if result != is_minimum_idempotent(s, e):
         raise InternalCheckError("criterion disagrees with the idempotent order")
     return result

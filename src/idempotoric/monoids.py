@@ -43,7 +43,6 @@ class WeightMonoid(NamedTuple):
 
     ambient_rank: int
     generators: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
 
 
 class ToricEnvelopeReport(NamedTuple):
@@ -58,7 +57,7 @@ class ToricEnvelopeReport(NamedTuple):
     projected_generators: tuple[tuple[int, ...], ...]
 
 
-def monoid_from_generators(raw, labels=None, lattice=None) -> WeightMonoid:
+def monoid_from_generators(raw, lattice=None) -> WeightMonoid:
     """Build a WeightMonoid from integer vectors in any ambient space.
 
     ``raw`` is checked by ``IntegerMatrix.from_rows`` unless it is one.
@@ -77,13 +76,7 @@ def monoid_from_generators(raw, labels=None, lattice=None) -> WeightMonoid:
     gens = tuple(_coordinates(lam.basis.entries, mat.entries))
     if None in gens:
         raise InternalCheckError("generator escaped its own span")
-    if labels is not None:
-        if not isinstance(labels, (list, tuple)):
-            raise InputError("labels must be an array")
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != len(gens):
-            raise InputError("one label per generator required")
-    return WeightMonoid(lam.rank, gens, labels)
+    return WeightMonoid(lam.rank, gens)
 
 
 def cone_and_poset(w: WeightMonoid):

@@ -224,7 +224,7 @@ def test_criterion_06_envelope_isomorphism():
         # the envelope monoid's own idempotents, built from scratch: the
         # original poset with every dimension lowered by the unit rank
         k = rep.unit_lattice.rank
-        env = WeightMonoid(w.ambient_rank - k, rep.projected_generators, w.labels)
+        env = WeightMonoid(w.ambient_rank - k, rep.projected_generators)
         q = idempotents(env)
         assert order_isomorphic(p, q)
         assert [f.dim - k for f in p.faces] == [f.dim for f in q.faces]

@@ -222,9 +222,10 @@ def test_character_data_triple():
     w, kernel = character_data(factor(eigen_input([2, 3, 6])))
     assert w.ambient_rank == 2
     assert w.generators == ((1, 0), (0, 1), (1, 1))
-    assert w.labels == ("t1", "t2", "t3")
     # t1·t2 = t3
     assert kernel.basis.entries == ((1, 1, -1),)
+    report = cli.run({"mode": "eigen", "payload": {"eigenvalues": [2, 3, 6]}})
+    assert report["labels"] == ["t1", "t2", "t3"]
 
 
 def test_character_data_reciprocal():

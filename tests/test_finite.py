@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,31 @@ def outcome(validate, table):
         return (type(exc), str(exc))
 
 
+VIOLATION = re.compile(
+    r"table is not associative at \((\d+), (\d+), (\d+)\): "
+    r"\(\1·\2\)·\3 = (\d+) but \1·\(\2·\3\) = (\d+)"
+)
+
+
+def checked_outcome(table):
+    """``validate_table``'s outcome, checked against ``reference_validate``:
+    the same decision, and the same record when accepted.  An
+    associativity rejection may name another triple than the reference's
+    lexicographically first one, but it must be a violating one, printed
+    with the two products the table gives it."""
+    got = outcome(validate_table, table)
+    want = outcome(reference_validate, table)
+    if isinstance(want, FiniteSemigroup) or not VIOLATION.fullmatch(want[1]):
+        assert got == want
+        return got
+    kind, message = got
+    a, b, c, left, right = map(int, VIOLATION.fullmatch(message).groups())
+    assert kind is InputError
+    assert (left, right) == (table[table[a][b]][c], table[a][table[b][c]])
+    assert left != right
+    return got
+
+
 def band_product(kind, a, b, rng):
     """Z_a under multiplication times a zero band of size b, relabelled at
     random: element x stands for the pair (x // b, x % b)."""
@@ -142,9 +168,10 @@ def test_catalogue_matches_the_references():
         assert greens_classes(s) == reference_greens(s)
 
 
-@pytest.mark.parametrize(
-    "kind, a, b", [("zmod", 40, 1), ("left", 10, 4), ("right", 8, 5), ("left", 16, 3)]
-)
+BAND_PRODUCTS = [("zmod", 40, 1), ("left", 10, 4), ("right", 8, 5), ("left", 16, 3)]
+
+
+@pytest.mark.parametrize("kind, a, b", BAND_PRODUCTS)
 def test_relabelled_band_products_match_the_references(kind, a, b):
     table = band_product(kind, a, b, random.Random(f"{kind}{a}x{b}"))
     s = validate_table(table)
@@ -158,9 +185,7 @@ def test_rejections_match_the_reference_on_random_tables():
     for _ in range(2000):
         n = rng.randint(1, 6)
         table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-        got = outcome(validate_table, table)
-        assert got == outcome(reference_validate, table)
-        rejected += not isinstance(got, FiniteSemigroup)
+        rejected += not isinstance(checked_outcome(table), FiniteSemigroup)
     assert 1000 < rejected < 2000
 
 
@@ -188,7 +213,7 @@ def near_associative_tables(draw):
 @settings(max_examples=400, deadline=None)
 @given(near_associative_tables())
 def test_rejections_match_the_reference_near_associativity(table):
-    assert outcome(validate_table, table) == outcome(reference_validate, table)
+    checked_outcome(table)
 
 
 def without_last_generator(monkeypatch):
@@ -205,6 +230,12 @@ def test_a_lost_generator_trips_the_closure_check(monkeypatch):
     # one validate_table found before the patch
     with pytest.raises(InternalCheckError, match="does not reach every element"):
         greens_classes(s._replace())
+
+
+def test_a_light_test_naming_an_associative_triple_trips_the_recheck(monkeypatch):
+    monkeypatch.setattr(finite, "_light_test", lambda t, gens: (1, 1, 1))
+    with pytest.raises(InternalCheckError, match="Light's test failed on an associative table"):
+        validate_table(zmod_times(3).table)
 
 
 def test_main_reports_a_lost_generator(tmp_path, capsys, monkeypatch):
@@ -285,13 +316,16 @@ def test_left_zero_is_not_commutative():
 
 
 def test_non_associative_rejected_with_triple():
-    with pytest.raises(InputError, match=r"1, 0, 1"):
+    # the generating set is {1}, and Light's test fails on it at x = 1,
+    # y = 1; the reference's full scan names (1, 0, 1) first
+    with pytest.raises(InputError, match=r"\(1, 1, 1\)"):
         validate_table([[0, 0], [1, 0]])
 
 
-def test_rejection_scans_to_the_last_row():
-    # a left-zero band with one cell changed: every row but the last has
-    # no violation, and in the last one b = 0 has none either
+def test_rejection_in_the_last_row_names_the_first_triple():
+    # a left-zero band with one cell changed: its one row with a violation
+    # is the last, and there Light's test finds it at the generator 1 and
+    # y = 0, the triple that a full scan also names first
     n = 60
     table = [[x] * n for x in range(n)]
     table[59][0] = 0
@@ -446,7 +480,15 @@ def test_criterion_on_group_identity():
 
 
 def test_criterion_matches_minimum_exhaustive_small():
-    for s in all_associative_tables(3):
+    tables = [
+        *all_associative_tables(3),
+        *(zmod_times(n) for n in range(1, 31)),
+        *(
+            validate_table(band_product(kind, a, b, random.Random(f"{kind}{a}x{b}")))
+            for kind, a, b in BAND_PRODUCTS
+        ),
+    ]
+    for s in tables:
         for e in idempotent_elements(s):
             assert check_smallest_criterion(s, e) == is_minimum_idempotent(s, e)
 

@@ -33,7 +33,7 @@ def reference_envelope_poset(w, rep):
     toric_envelope's claim, that they are the original poset with every
     dimension lowered by the unit rank, against."""
     k = rep.unit_lattice.rank
-    env = WeightMonoid(w.ambient_rank - k, rep.projected_generators, w.labels)
+    env = WeightMonoid(w.ambient_rank - k, rep.projected_generators)
     return idempotents(env)
 
 
@@ -67,18 +67,6 @@ def test_skewed_lattice_coordinates():
     assert w.generators[2] == tuple(
         a + b for a, b in zip(w.generators[0], w.generators[1])
     )
-
-
-def test_labels_recorded_and_validated():
-    w = monoid_from_generators([(1, 0), (0, 1)], labels=("t1", "t2"))
-    assert w.labels == ("t1", "t2")
-    with pytest.raises(InputError):
-        monoid_from_generators([(1, 0)], labels=("t1", "t2"))
-
-
-def test_non_array_labels_rejected():
-    with pytest.raises(InputError, match="labels must be an array"):
-        monoid_from_generators([(1,)], labels=5)
 
 
 def test_empty_generator_list_rejected():
@@ -252,6 +240,6 @@ def test_envelope_needs_a_cone_that_spans_its_space():
 
 
 def test_direct_construction_validated_at_use():
-    bad = WeightMonoid(2, ((1, 0),), None)
+    bad = WeightMonoid(2, ((1, 0),))
     with pytest.raises(InputError):
         idempotents(bad)

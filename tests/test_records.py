@@ -123,10 +123,6 @@ def test_records_are_immutable(record):
         record.extra = 1
 
 
-def test_weight_monoid_labels_default_to_none():
-    assert WeightMonoid(1, ((1,),)).labels is None
-
-
 @pytest.mark.parametrize(
     "entries, cols, message",
     [
